@@ -2,12 +2,12 @@
 //!
 //! A decimation-in-time FFT on 16-bit complex data with Q15 twiddle
 //! factors. Every addition and multiplication of the butterflies goes
-//! through the [`ArithContext`]; a `>>1` block-floating scale per stage
+//! through the [`OperatorCtx`]; a `>>1` block-floating scale per stage
 //! keeps the data inside 16 bits (standard fixed-point FFT practice, and
 //! the reason the paper can run it on 16-bit operators).
 
 use crate::workload::{Workload, WorkloadRun};
-use crate::{ArithContext, ExactCtx, OpCounts};
+use crate::{OpCounts, OperatorCtx};
 use apx_fixture::signal;
 use apx_metrics::QualityScore;
 use apx_operators::{SiteOps, SiteSpec};
@@ -51,7 +51,7 @@ fn twiddles_q15(n: usize) -> Vec<(i64, i64)> {
         .collect()
 }
 
-/// In-place fixed-point radix-2 DIT FFT through an [`ArithContext`].
+/// In-place fixed-point radix-2 DIT FFT through an [`OperatorCtx`].
 ///
 /// Data is complex Q15 (`re`/`im`), length a power of two. Each stage
 /// halves the data (block floating point), so an `n`-point transform
@@ -59,7 +59,7 @@ fn twiddles_q15(n: usize) -> Vec<(i64, i64)> {
 ///
 /// # Panics
 /// Panics if lengths differ or are not a power of two.
-pub fn fft_fixed<C: ArithContext + ?Sized>(re: &mut [i64], im: &mut [i64], ctx: &mut C) {
+pub fn fft_fixed(re: &mut [i64], im: &mut [i64], ctx: &mut OperatorCtx) {
     let n = re.len();
     assert_eq!(n, im.len(), "mismatched component lengths");
     assert!(
@@ -143,7 +143,7 @@ impl FftFixture {
         let (input_re, input_im) = signal::random_q15(n, 8_191, seed);
         let mut ref_re = input_re.clone();
         let mut ref_im = input_im.clone();
-        let mut exact = ExactCtx::new();
+        let mut exact = OperatorCtx::exact();
         fft_fixed(&mut ref_re, &mut ref_im, &mut exact);
         FftFixture {
             input_re,
@@ -167,7 +167,7 @@ impl FftFixture {
     }
 
     /// Runs the FFT through `ctx`, scoring against the exact reference.
-    pub fn run<C: ArithContext + ?Sized>(&self, ctx: &mut C) -> FftResult {
+    pub fn run(&self, ctx: &mut OperatorCtx) -> FftResult {
         ctx.reset_counts();
         let mut re = self.input_re.clone();
         let mut im = self.input_im.clone();
@@ -225,7 +225,7 @@ impl Workload for FftWorkload {
         SITES
     }
 
-    fn run(&self, seed: u64, ctx: &mut dyn ArithContext) -> WorkloadRun {
+    fn run(&self, seed: u64, ctx: &mut OperatorCtx) -> WorkloadRun {
         let fixture = FftFixture::new(self.len, seed);
         let result = fixture.run(ctx);
         WorkloadRun {
@@ -245,7 +245,7 @@ mod tests {
     #[test]
     fn exact_run_scores_infinite_psnr() {
         let fixture = FftFixture::radix2_32(1);
-        let mut ctx = ExactCtx::new();
+        let mut ctx = OperatorCtx::exact();
         let result = fixture.run(&mut ctx);
         assert_eq!(result.score, QualityScore::PsnrDb(f64::INFINITY));
     }
@@ -254,7 +254,7 @@ mod tests {
     fn op_counts_match_the_radix2_structure() {
         // n/2·log2(n) butterflies, each 4 muls and 6 adds.
         let fixture = FftFixture::radix2_32(1);
-        let mut ctx = ExactCtx::new();
+        let mut ctx = OperatorCtx::exact();
         let result = fixture.run(&mut ctx);
         let butterflies = 32 / 2 * 5;
         assert_eq!(result.counts.muls, 4 * butterflies);
@@ -268,7 +268,7 @@ mod tests {
         let (re, im) = apx_fixture::signal::tone_mix_q15(n, &[(4.0, 8_000)]);
         let mut fre = re.clone();
         let mut fim = im.clone();
-        let mut ctx = ExactCtx::new();
+        let mut ctx = OperatorCtx::exact();
         fft_fixed(&mut fre, &mut fim, &mut ctx);
         let mag: Vec<f64> = fre
             .iter()
@@ -288,7 +288,7 @@ mod tests {
     fn truncated_adders_degrade_psnr_monotonically() {
         let fixture = FftFixture::radix2_32(3);
         let psnr_of = |q: u32| {
-            let mut ctx = OperatorCtx::with_adder(OperatorConfig::AddTrunc { n: 16, q }.build());
+            let mut ctx = OperatorCtx::for_config(&OperatorConfig::AddTrunc { n: 16, q });
             fixture.run(&mut ctx).score.value()
         };
         let (hi, mid, lo) = (psnr_of(15), psnr_of(11), psnr_of(7));
@@ -299,14 +299,11 @@ mod tests {
     #[test]
     fn approximate_adder_also_degrades_output() {
         let fixture = FftFixture::radix2_32(3);
-        let mut ctx = OperatorCtx::with_adder(
-            OperatorConfig::RcaApx {
-                n: 16,
-                m: 4,
-                fa_type: apx_operators::FaType::Three,
-            }
-            .build(),
-        );
+        let mut ctx = OperatorCtx::for_config(&OperatorConfig::RcaApx {
+            n: 16,
+            m: 4,
+            fa_type: apx_operators::FaType::Three,
+        });
         let result = fixture.run(&mut ctx);
         assert!(result.score.value() < 40.0);
     }

@@ -4,13 +4,13 @@
 //!
 //! A 31-tap Hamming-windowed sinc low-pass filter over a seeded random
 //! Q15 signal. Every multiply-accumulate of the convolution runs through
-//! the [`ArithContext`]; the exact-arithmetic output is the reference and
+//! the [`OperatorCtx`]; the exact-arithmetic output is the reference and
 //! the score is the output **SNR** (signal power over error power — the
 //! natural metric for a filter, where PSNR's peak normalization would
 //! flatter quiet signals).
 
 use crate::workload::{Workload, WorkloadRun};
-use crate::{ArithContext, ExactCtx};
+use crate::OperatorCtx;
 use apx_fixture::signal;
 use apx_metrics::QualityScore;
 use apx_operators::{SiteOps, SiteSpec};
@@ -62,7 +62,7 @@ pub fn lowpass_taps_q15(taps: usize, cutoff: f64) -> Vec<i64> {
 /// Convolves `input` with `taps` through `ctx` (zero-padded edges): one
 /// multiply per tap and one accumulate per partial product, products
 /// rescaled out of Q15 by wiring shifts.
-pub fn fir_filter<C: ArithContext + ?Sized>(input: &[i64], taps: &[i64], ctx: &mut C) -> Vec<i64> {
+pub fn fir_filter(input: &[i64], taps: &[i64], ctx: &mut OperatorCtx) -> Vec<i64> {
     let half = (taps.len() / 2) as isize;
     (0..input.len() as isize)
         .map(|i| {
@@ -132,10 +132,10 @@ impl Workload for FirWorkload {
         SITES
     }
 
-    fn run(&self, seed: u64, ctx: &mut dyn ArithContext) -> WorkloadRun {
+    fn run(&self, seed: u64, ctx: &mut OperatorCtx) -> WorkloadRun {
         let (input, _) = signal::random_q15(self.len, 8_191, seed);
         let taps = lowpass_taps_q15(self.taps, CUTOFF);
-        let mut exact = ExactCtx::new();
+        let mut exact = OperatorCtx::exact();
         let reference = fir_filter(&input, &taps, &mut exact);
         ctx.reset_counts();
         let output = fir_filter(&input, &taps, ctx);
@@ -169,7 +169,7 @@ mod tests {
     fn dc_signal_passes_through() {
         let taps = lowpass_taps_q15(31, 0.2);
         let input = vec![8_000i64; 128];
-        let mut ctx = ExactCtx::new();
+        let mut ctx = OperatorCtx::exact();
         let out = fir_filter(&input, &taps, &mut ctx);
         // away from the zero-padded edges the DC level is preserved
         for &v in &out[31..out.len() - 31] {
@@ -183,7 +183,7 @@ mod tests {
         let n = 256;
         let (pass, _) = signal::tone_mix_q15(n, &[(8.0, 10_000)]); // 8/256 ≈ 0.03
         let (stop, _) = signal::tone_mix_q15(n, &[(110.0, 10_000)]); // 110/256 ≈ 0.43
-        let mut ctx = ExactCtx::new();
+        let mut ctx = OperatorCtx::exact();
         let power = |x: &[i64]| x.iter().map(|&v| (v as f64).powi(2)).sum::<f64>();
         let passed = power(&fir_filter(&pass, &taps, &mut ctx));
         let stopped = power(&fir_filter(&stop, &taps, &mut ctx));
@@ -196,7 +196,7 @@ mod tests {
     #[test]
     fn exact_run_scores_infinite_snr_and_counts_macs() {
         let workload = FirWorkload::default();
-        let mut ctx = ExactCtx::new();
+        let mut ctx = OperatorCtx::exact();
         let run = workload.run(3, &mut ctx);
         assert_eq!(run.score, QualityScore::SnrDb(f64::INFINITY));
         // interior samples: 31 muls and 30 adds each; edges fewer

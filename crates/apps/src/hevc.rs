@@ -4,11 +4,11 @@
 //! quarter/half/three-quarter-pel filters of the specification, applied
 //! separably (horizontal pass then vertical pass) over a frame under a
 //! block-wise motion field. Every multiply-accumulate runs through the
-//! [`ArithContext`]; a prediction built with exact arithmetic is the
+//! [`OperatorCtx`]; a prediction built with exact arithmetic is the
 //! MSSIM reference.
 
 use crate::workload::{Workload, WorkloadRun};
-use crate::{ArithContext, ExactCtx, OpCounts};
+use crate::{OpCounts, OperatorCtx};
 use apx_fixture::image::Image;
 use apx_fixture::motion::MotionField;
 use apx_metrics::QualityScore;
@@ -51,12 +51,7 @@ const FILTER_SHIFT: u32 = 6;
 /// multiplies by nonzero taps and accumulates (zero taps cost nothing in
 /// hardware and are skipped, matching the integer-phase shortcut of real
 /// decoders).
-fn filter8<C: ArithContext + ?Sized>(
-    samples: &[i64; 8],
-    taps: &[i64; 8],
-    site: &'static str,
-    ctx: &mut C,
-) -> i64 {
+fn filter8(samples: &[i64; 8], taps: &[i64; 8], site: &'static str, ctx: &mut OperatorCtx) -> i64 {
     // Operands are pre-scaled so their product occupies the upper half of
     // the 32-bit range: a fixed-width (16-of-32) multiplier then loses at
     // most ~2 units of the t·s term. Exact contexts are bit-identical to
@@ -118,7 +113,7 @@ impl McFixture {
         );
         let frame = apx_fixture::image::synthetic_photo(size, size, seed);
         let motion = apx_fixture::motion::motion_field(size, size, 16, seed.wrapping_add(1));
-        let mut exact = ExactCtx::new();
+        let mut exact = OperatorCtx::exact();
         let reference = motion_compensate(&frame, &motion, &mut exact).predicted;
         McFixture {
             frame,
@@ -135,7 +130,7 @@ impl McFixture {
 
     /// Runs motion compensation through `ctx`; returns the result and the
     /// MSSIM against the exact-arithmetic prediction.
-    pub fn run<C: ArithContext + ?Sized>(&self, ctx: &mut C) -> (McResult, QualityScore) {
+    pub fn run(&self, ctx: &mut OperatorCtx) -> (McResult, QualityScore) {
         ctx.reset_counts();
         let result = motion_compensate(&self.frame, &self.motion, ctx);
         let score = QualityScore::mssim(
@@ -186,7 +181,7 @@ impl Workload for McWorkload {
         SITES
     }
 
-    fn run(&self, seed: u64, ctx: &mut dyn ArithContext) -> WorkloadRun {
+    fn run(&self, seed: u64, ctx: &mut OperatorCtx) -> WorkloadRun {
         let fixture = McFixture::synthetic(self.size, seed);
         let (result, score) = fixture.run(ctx);
         WorkloadRun {
@@ -200,11 +195,7 @@ impl Workload for McWorkload {
 /// Predicts a frame by fractional motion compensation: for every pixel,
 /// samples the reference at `(x + dx/4, y + dy/4)` with the separable
 /// 8-tap interpolation (horizontal, then vertical).
-pub fn motion_compensate<C: ArithContext + ?Sized>(
-    frame: &Image,
-    motion: &MotionField,
-    ctx: &mut C,
-) -> McResult {
+pub fn motion_compensate(frame: &Image, motion: &MotionField, ctx: &mut OperatorCtx) -> McResult {
     let (width, height) = (frame.width(), frame.height());
     let mut pixels = vec![0u8; width * height];
     for y in 0..height {
@@ -248,7 +239,7 @@ pub fn motion_compensate<C: ArithContext + ?Sized>(
 /// (`16 − #zero-taps` multiplies and the matching adds per 2-pass pixel).
 #[must_use]
 pub fn ops_per_fractional_pixel() -> OpCounts {
-    let mut ctx = ExactCtx::new();
+    let mut ctx = OperatorCtx::exact();
     let samples = [0i64; 8];
     // horizontal: 8 intermediate rows with a quarter-pel filter
     for _ in 0..8 {
@@ -280,7 +271,7 @@ mod tests {
             block_size: 16,
             vectors: vec![(8, 4); 4], // +2 px right, +1 px down, no fraction
         };
-        let mut ctx = ExactCtx::new();
+        let mut ctx = OperatorCtx::exact();
         let result = motion_compensate(&frame, &motion, &mut ctx);
         assert_eq!(result.counts.muls, 0, "integer phases use no filter");
         // interior pixels are plain copies
@@ -296,7 +287,7 @@ mod tests {
             block_size: 16,
             vectors: vec![(2, 2); 4], // half-pel both axes
         };
-        let mut ctx = ExactCtx::new();
+        let mut ctx = OperatorCtx::exact();
         let result = motion_compensate(&frame, &motion, &mut ctx);
         // normalized filters reproduce constants exactly
         assert!(result.predicted.pixels().iter().all(|&p| p == 77));
@@ -306,7 +297,7 @@ mod tests {
     #[test]
     fn exact_context_scores_perfect_mssim() {
         let fixture = McFixture::synthetic(32, 4);
-        let mut ctx = ExactCtx::new();
+        let mut ctx = OperatorCtx::exact();
         let (_, score) = fixture.run(&mut ctx);
         assert!((score.value() - 1.0).abs() < 1e-12);
     }
@@ -315,18 +306,15 @@ mod tests {
     fn sized_adders_track_the_paper_quality_band() {
         // Table III: ADDt(16,10) reaches MSSIM ≈ 0.99 on the MC filter.
         let fixture = McFixture::synthetic(64, 4);
-        let mut ctx = OperatorCtx::with_adder(OperatorConfig::AddTrunc { n: 16, q: 10 }.build());
+        let mut ctx = OperatorCtx::for_config(&OperatorConfig::AddTrunc { n: 16, q: 10 });
         let (_, score) = fixture.run(&mut ctx);
         assert!(score.value() > 0.9, "ADDt(16,10) MSSIM {score}");
         // and a brutally approximate adder scores worse
-        let mut harsh = OperatorCtx::with_adder(
-            OperatorConfig::RcaApx {
-                n: 16,
-                m: 1,
-                fa_type: FaType::Three,
-            }
-            .build(),
-        );
+        let mut harsh = OperatorCtx::for_config(&OperatorConfig::RcaApx {
+            n: 16,
+            m: 1,
+            fa_type: FaType::Three,
+        });
         let (_, bad) = fixture.run(&mut harsh);
         assert!(bad < score, "harsh {bad} must be below sized {score}");
         assert!(bad.degradation() > score.degradation());

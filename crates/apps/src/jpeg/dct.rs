@@ -1,7 +1,7 @@
 //! Fixed-point 8×8 DCT-II (the JPEG encoder core) and the exact inverse
 //! used by the decode path.
 
-use crate::ArithContext;
+use crate::OperatorCtx;
 
 /// Call-site tag of the row pass of the 2-D DCT.
 pub const SITE_DCT_ROW: &str = "jpeg.dct_row";
@@ -38,11 +38,11 @@ pub fn dct8_coeffs_q13() -> [[i64; 8]; 8] {
 /// call-site `site` (row or column pass). Each product is rescaled to
 /// Q(guard) before accumulation so that every addition fits the 16-bit
 /// data-path, and the guard bits are dropped at the end.
-pub fn dct8_fixed<C: ArithContext + ?Sized>(
+pub fn dct8_fixed(
     input: &[i64; 8],
     coeffs: &[[i64; 8]; 8],
     site: &'static str,
-    ctx: &mut C,
+    ctx: &mut OperatorCtx,
 ) -> [i64; 8] {
     let mut out = [0i64; 8];
     for (u, coeff_row) in coeffs.iter().enumerate() {
@@ -57,7 +57,7 @@ pub fn dct8_fixed<C: ArithContext + ?Sized>(
 }
 
 /// Two-dimensional 8×8 DCT (rows then columns), through the context.
-pub fn dct8x8_fixed<C: ArithContext + ?Sized>(block: &[[i64; 8]; 8], ctx: &mut C) -> [[i64; 8]; 8] {
+pub fn dct8x8_fixed(block: &[[i64; 8]; 8], ctx: &mut OperatorCtx) -> [[i64; 8]; 8] {
     let coeffs = dct8_coeffs_q13();
     let mut rows = [[0i64; 8]; 8];
     for (r, row) in block.iter().enumerate() {
@@ -105,12 +105,11 @@ pub fn idct8x8_f64(block: &[[f64; 8]; 8]) -> [[f64; 8]; 8] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ExactCtx;
 
     #[test]
     fn dc_of_flat_block_is_the_scaled_mean() {
         let block = [[100i64; 8]; 8];
-        let mut ctx = ExactCtx::new();
+        let mut ctx = OperatorCtx::exact();
         let out = dct8x8_fixed(&block, &mut ctx);
         // orthonormal 2-D DCT of a flat block: DC = 8 * value (α0² · 64/8)
         assert!((out[0][0] - 800).abs() <= 25, "DC={}", out[0][0]);
@@ -134,7 +133,7 @@ mod tests {
                 *v = (((r * 37 + c * 101 + 13) % 255) as i64) - 128;
             }
         }
-        let mut ctx = ExactCtx::new();
+        let mut ctx = OperatorCtx::exact();
         let fixed = dct8x8_fixed(&block, &mut ctx);
         // float reference
         let mut float_in = [[0.0f64; 8]; 8];
@@ -183,7 +182,7 @@ mod tests {
                 *v = (((r * 53 + c * 29) % 200) as i64) - 100;
             }
         }
-        let mut ctx = ExactCtx::new();
+        let mut ctx = OperatorCtx::exact();
         let coeffs = dct8x8_fixed(&block, &mut ctx);
         let mut as_float = [[0.0f64; 8]; 8];
         for r in 0..8 {

@@ -1,7 +1,7 @@
 //! JPEG encoder with pluggable DCT arithmetic (§V-B, Fig. 6).
 //!
 //! The pipeline is the baseline JPEG luminance path: 8×8 block split,
-//! level shift, fixed-point 2-D DCT (**through the [`ArithContext`] — the
+//! level shift, fixed-point 2-D DCT (**through the [`OperatorCtx`] — the
 //! operators under test**), quality-scaled quantization, zigzag, DC
 //! differential + AC run/size symbolization, canonical Huffman entropy
 //! coding. A full decoder reverses the lossless back end and applies an
@@ -21,7 +21,7 @@ pub use entropy::{
 pub use quant::{quality_table, quantize, zigzag_order, LUMA_Q50};
 
 use crate::workload::{Workload, WorkloadRun};
-use crate::{ArithContext, ExactCtx, OpCounts};
+use crate::{OpCounts, OperatorCtx};
 use apx_fixture::image::Image;
 use apx_metrics::QualityScore;
 use apx_operators::{SiteOps, SiteSpec};
@@ -78,7 +78,7 @@ impl JpegFixture {
             "size must be a multiple of 8"
         );
         let image = apx_fixture::image::synthetic_photo(size, size, seed);
-        let mut exact = ExactCtx::new();
+        let mut exact = OperatorCtx::exact();
         let reference = encode_decode(&image, quality, &mut exact).decoded;
         JpegFixture {
             image,
@@ -95,7 +95,7 @@ impl JpegFixture {
 
     /// Runs the encoder through `ctx` and returns the result together with
     /// the MSSIM against the exact-arithmetic encoding.
-    pub fn run<C: ArithContext + ?Sized>(&self, ctx: &mut C) -> (JpegResult, QualityScore) {
+    pub fn run(&self, ctx: &mut OperatorCtx) -> (JpegResult, QualityScore) {
         ctx.reset_counts();
         let result = encode_decode(&self.image, self.quality, ctx);
         let score = QualityScore::mssim(
@@ -151,7 +151,7 @@ impl Workload for JpegWorkload {
         SITES
     }
 
-    fn run(&self, seed: u64, ctx: &mut dyn ArithContext) -> WorkloadRun {
+    fn run(&self, seed: u64, ctx: &mut OperatorCtx) -> WorkloadRun {
         let fixture = JpegFixture::synthetic(self.size, self.quality, seed);
         let (result, score) = fixture.run(ctx);
         WorkloadRun {
@@ -167,11 +167,7 @@ impl Workload for JpegWorkload {
 ///
 /// # Panics
 /// Panics if the image dimensions are not multiples of 8.
-pub fn encode_decode<C: ArithContext + ?Sized>(
-    image: &Image,
-    quality: u32,
-    ctx: &mut C,
-) -> JpegResult {
+pub fn encode_decode(image: &Image, quality: u32, ctx: &mut OperatorCtx) -> JpegResult {
     let blocks = forward_blocks(image, quality, ctx);
     let bytes = entropy_encode(&blocks);
     let coeffs = entropy_decode(&bytes, blocks.len()).expect("self-produced stream must decode");
@@ -185,11 +181,7 @@ pub fn encode_decode<C: ArithContext + ?Sized>(
 
 /// Level shift + DCT (through `ctx`) + quantization for every 8×8 block,
 /// in raster order.
-fn forward_blocks<C: ArithContext + ?Sized>(
-    image: &Image,
-    quality: u32,
-    ctx: &mut C,
-) -> CoeffBlocks {
+fn forward_blocks(image: &Image, quality: u32, ctx: &mut OperatorCtx) -> CoeffBlocks {
     assert!(
         image.width().is_multiple_of(8) && image.height().is_multiple_of(8),
         "dimensions must be multiples of 8"
@@ -393,7 +385,7 @@ mod tests {
     #[test]
     fn exact_encoding_scores_perfect_mssim_against_itself() {
         let fixture = JpegFixture::synthetic(64, 90, 5);
-        let mut ctx = ExactCtx::new();
+        let mut ctx = OperatorCtx::exact();
         let (result, score) = fixture.run(&mut ctx);
         assert!((score.value() - 1.0).abs() < 1e-12);
         assert!(!result.bytes.is_empty());
@@ -402,7 +394,7 @@ mod tests {
     #[test]
     fn quality_90_reconstruction_is_visually_close_to_the_source() {
         let fixture = JpegFixture::synthetic(64, 90, 5);
-        let mut ctx = ExactCtx::new();
+        let mut ctx = OperatorCtx::exact();
         let (result, _) = fixture.run(&mut ctx);
         let score_vs_source =
             apx_metrics::mssim(fixture.image().pixels(), result.decoded.pixels(), 64, 64);
@@ -415,7 +407,7 @@ mod tests {
     #[test]
     fn compressed_stream_is_smaller_than_raw() {
         let fixture = JpegFixture::synthetic(128, 90, 6);
-        let mut ctx = ExactCtx::new();
+        let mut ctx = OperatorCtx::exact();
         let (result, _) = fixture.run(&mut ctx);
         assert!(
             result.bytes.len() < 128 * 128,
@@ -428,7 +420,7 @@ mod tests {
     #[test]
     fn dct_ops_are_counted() {
         let fixture = JpegFixture::synthetic(32, 90, 2);
-        let mut ctx = ExactCtx::new();
+        let mut ctx = OperatorCtx::exact();
         let (result, _) = fixture.run(&mut ctx);
         // 16 blocks * 16 1-D DCTs * 8 outputs * 8 muls
         assert_eq!(result.counts.muls, 16 * 16 * 64);
@@ -438,15 +430,12 @@ mod tests {
     #[test]
     fn heavy_approximation_hurts_mssim() {
         let fixture = JpegFixture::synthetic(64, 90, 5);
-        let mut gentle = OperatorCtx::with_adder(OperatorConfig::AddTrunc { n: 16, q: 15 }.build());
-        let mut harsh = OperatorCtx::with_adder(
-            OperatorConfig::RcaApx {
-                n: 16,
-                m: 2,
-                fa_type: FaType::Three,
-            }
-            .build(),
-        );
+        let mut gentle = OperatorCtx::for_config(&OperatorConfig::AddTrunc { n: 16, q: 15 });
+        let mut harsh = OperatorCtx::for_config(&OperatorConfig::RcaApx {
+            n: 16,
+            m: 2,
+            fa_type: FaType::Three,
+        });
         let (_, good) = fixture.run(&mut gentle);
         let (_, bad) = fixture.run(&mut harsh);
         assert!(good > bad, "gentle {good} must beat harsh {bad}");

@@ -2,13 +2,13 @@
 //! Tables V/VI).
 //!
 //! Lloyd's algorithm over 2-D 16-bit fixed-point points. Only the
-//! distance computation runs through the [`ArithContext`] — two
+//! distance computation runs through the [`OperatorCtx`] — two
 //! subtractions, two squarings (fixed-width: the upper 16 product bits)
 //! and one addition per point/centroid pair, exactly the data-path the
 //! paper characterizes. Centroid updates and comparisons are exact.
 
 use crate::workload::{Workload, WorkloadRun};
-use crate::{ArithContext, ExactCtx, OpCounts};
+use crate::{OpCounts, OperatorCtx};
 use apx_fixture::clusters::PointCloud;
 use apx_metrics::QualityScore;
 use apx_operators::{SiteOps, SiteSpec};
@@ -40,7 +40,7 @@ pub const SITES: &[SiteSpec] = &[
 
 /// Squared distance through the context, at the fixed-width product
 /// scale.
-fn distance2<C: ArithContext + ?Sized>(p: [i64; 2], c: [i64; 2], ctx: &mut C) -> i64 {
+fn distance2(p: [i64; 2], c: [i64; 2], ctx: &mut OperatorCtx) -> i64 {
     let dx = ctx.sub_at(SITE_DIST_DIFF, p[0], c[0]);
     let dy = ctx.sub_at(SITE_DIST_DIFF, p[1], c[1]);
     let dx2 = ctx.mul_at(SITE_DIST_ACC, dx, dx) >> SQUARE_SHIFT;
@@ -114,7 +114,7 @@ impl KmeansFixture {
     /// are directly comparable (no permutation matching needed) — the
     /// paper's success rate is the fraction of points landing in their
     /// true cluster.
-    pub fn run<C: ArithContext + ?Sized>(&self, ctx: &mut C) -> KmeansResult {
+    pub fn run(&self, ctx: &mut OperatorCtx) -> KmeansResult {
         // count by delta rather than resetting, so a multi-set driver
         // (KmeansWorkload) keeps its cumulative per-site ledger intact
         let start = ctx.counts();
@@ -169,7 +169,7 @@ impl KmeansFixture {
     /// Convenience: the exact-arithmetic baseline run.
     #[must_use]
     pub fn run_exact(&self) -> KmeansResult {
-        let mut ctx = ExactCtx::new();
+        let mut ctx = OperatorCtx::exact();
         self.run(&mut ctx)
     }
 }
@@ -213,7 +213,7 @@ impl Workload for KmeansWorkload {
         SITES
     }
 
-    fn run(&self, seed: u64, ctx: &mut dyn ArithContext) -> WorkloadRun {
+    fn run(&self, seed: u64, ctx: &mut OperatorCtx) -> WorkloadRun {
         ctx.reset_counts();
         let mut success = 0.0;
         let mut counts = OpCounts::default();
@@ -262,7 +262,7 @@ mod tests {
     fn moderately_sized_adders_keep_high_success() {
         // Table V: ADDt(16,11) ≈ 99 %.
         let fixture = KmeansFixture::synthetic(10, 200, 21);
-        let mut ctx = OperatorCtx::with_adder(OperatorConfig::AddTrunc { n: 16, q: 11 }.build());
+        let mut ctx = OperatorCtx::for_config(&OperatorConfig::AddTrunc { n: 16, q: 11 });
         let result = fixture.run(&mut ctx);
         assert!(result.score.value() > 0.9, "got {}", result.score);
     }
@@ -271,7 +271,7 @@ mod tests {
     fn aggressive_truncation_degrades_success() {
         let fixture = KmeansFixture::synthetic(10, 200, 21);
         let run_q = |q: u32| {
-            let mut ctx = OperatorCtx::with_adder(OperatorConfig::AddTrunc { n: 16, q }.build());
+            let mut ctx = OperatorCtx::for_config(&OperatorConfig::AddTrunc { n: 16, q });
             fixture.run(&mut ctx).score.value()
         };
         let (hi, lo) = (run_q(11), run_q(4));
@@ -282,10 +282,8 @@ mod tests {
     fn uncorrected_abm_collapses_clustering() {
         // Table VI: ABM success ≈ 10 % (vs ≈ 99 % for MULt/AAM).
         let fixture = KmeansFixture::synthetic(10, 100, 21);
-        let mut good =
-            OperatorCtx::with_multiplier(OperatorConfig::MulTrunc { n: 16, q: 16 }.build());
-        let mut bad =
-            OperatorCtx::with_multiplier(OperatorConfig::AbmUncorrected { n: 16 }.build());
+        let mut good = OperatorCtx::for_config(&OperatorConfig::MulTrunc { n: 16, q: 16 });
+        let mut bad = OperatorCtx::for_config(&OperatorConfig::AbmUncorrected { n: 16 });
         let good_rate = fixture.run(&mut good).score.value();
         let bad_rate = fixture.run(&mut bad).score.value();
         assert!(good_rate > 0.95, "MULt: {good_rate}");

@@ -1,5 +1,5 @@
 //! Application case studies of the paper (§V), written once against
-//! [`ArithContext`] so that exact, carefully-sized fixed-point, and
+//! [`OperatorCtx`] so that exact, carefully-sized fixed-point, and
 //! approximate arithmetic can be swapped in without touching the
 //! algorithms:
 //!
@@ -40,8 +40,5 @@ pub mod sobel;
 pub mod workload;
 
 pub use apx_metrics::QualityScore;
-pub use apx_operators::{
-    ArithContext, CountingCtx, ExactCtx, HeteroCtx, OpCounts, OperatorCtx, SiteCounts, SiteMap,
-    SiteOps, SiteSpec, DEFAULT_SITE,
-};
+pub use apx_operators::{OpCounts, OperatorCtx, SiteCounts, SiteMap, SiteOps, SiteSpec};
 pub use workload::{Workload, WorkloadEntry, WorkloadParams, WorkloadRun, WORKLOADS};

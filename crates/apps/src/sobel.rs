@@ -4,13 +4,13 @@
 //!
 //! The classic 3×3 Sobel gradient pair over a seeded synthetic photo:
 //! every kernel multiply and accumulate runs through the
-//! [`ArithContext`], the gradient magnitude is the L1 approximation
+//! [`OperatorCtx`], the gradient magnitude is the L1 approximation
 //! `|gx| + |gy|` (its final addition also through the context), and the
 //! resulting edge map is scored by MSSIM against the exact-arithmetic
 //! edge map.
 
 use crate::workload::{Workload, WorkloadRun};
-use crate::{ArithContext, ExactCtx};
+use crate::OperatorCtx;
 use apx_fixture::image::Image;
 use apx_metrics::QualityScore;
 use apx_operators::{SiteOps, SiteSpec};
@@ -55,11 +55,7 @@ const SAMPLE_SCALE: u32 = 4;
 /// nonzero taps and accumulates in the sample-scaled domain (zero taps
 /// cost nothing in hardware). The returned gradient carries
 /// [`SAMPLE_SCALE`].
-fn convolve3<C: ArithContext + ?Sized>(
-    window: &[[i64; 3]; 3],
-    kernel: &[[i64; 3]; 3],
-    ctx: &mut C,
-) -> i64 {
+fn convolve3(window: &[[i64; 3]; 3], kernel: &[[i64; 3]; 3], ctx: &mut OperatorCtx) -> i64 {
     let mut acc: Option<i64> = None;
     for (wrow, krow) in window.iter().zip(kernel) {
         for (&s, &t) in wrow.iter().zip(krow) {
@@ -79,7 +75,7 @@ fn convolve3<C: ArithContext + ?Sized>(
 /// Sobel edge map of `image` through `ctx`: per interior pixel the L1
 /// gradient magnitude `min(|gx| + |gy|, 255)`; the one-pixel border is
 /// left at zero in test and reference alike.
-pub fn sobel_edges<C: ArithContext + ?Sized>(image: &Image, ctx: &mut C) -> Image {
+pub fn sobel_edges(image: &Image, ctx: &mut OperatorCtx) -> Image {
     let (width, height) = (image.width(), image.height());
     let mut pixels = vec![0u8; width * height];
     let kernel_y = transpose(&SOBEL_X);
@@ -147,9 +143,9 @@ impl Workload for SobelWorkload {
         SITES
     }
 
-    fn run(&self, seed: u64, ctx: &mut dyn ArithContext) -> WorkloadRun {
+    fn run(&self, seed: u64, ctx: &mut OperatorCtx) -> WorkloadRun {
         let image = apx_fixture::image::synthetic_photo(self.size, self.size, seed);
-        let mut exact = ExactCtx::new();
+        let mut exact = OperatorCtx::exact();
         let reference = sobel_edges(&image, &mut exact);
         ctx.reset_counts();
         let edges = sobel_edges(&image, ctx);
@@ -169,7 +165,7 @@ mod tests {
     #[test]
     fn flat_image_has_no_edges() {
         let image = Image::from_pixels(16, 16, vec![128u8; 256]);
-        let mut ctx = ExactCtx::new();
+        let mut ctx = OperatorCtx::exact();
         let edges = sobel_edges(&image, &mut ctx);
         assert!(edges.pixels().iter().all(|&p| p == 0));
     }
@@ -183,7 +179,7 @@ mod tests {
             }
         }
         let image = Image::from_pixels(16, 16, pixels);
-        let mut ctx = ExactCtx::new();
+        let mut ctx = OperatorCtx::exact();
         let edges = sobel_edges(&image, &mut ctx);
         // the two columns straddling the step carry the full response
         assert_eq!(edges.pixel(7, 8), 255);
@@ -196,7 +192,7 @@ mod tests {
     #[test]
     fn kernel_ops_are_counted_per_interior_pixel() {
         let image = apx_fixture::image::synthetic_photo(16, 16, 1);
-        let mut ctx = ExactCtx::new();
+        let mut ctx = OperatorCtx::exact();
         let _ = sobel_edges(&image, &mut ctx);
         let interior = 14u64 * 14;
         // per pixel: 2 kernels × (6 muls + 5 adds) + 1 magnitude add
@@ -207,7 +203,7 @@ mod tests {
     #[test]
     fn exact_workload_run_scores_perfect_mssim() {
         let workload = SobelWorkload::new(32);
-        let mut ctx = ExactCtx::new();
+        let mut ctx = OperatorCtx::exact();
         let run = workload.run(9, &mut ctx);
         assert!((run.score.value() - 1.0).abs() < 1e-12);
     }

@@ -2,7 +2,7 @@
 //! trait and one registry.
 //!
 //! A [`Workload`] is a deterministic, seeded application run through a
-//! swappable [`ArithContext`], scored against its own exact-arithmetic
+//! swappable [`OperatorCtx`], scored against its own exact-arithmetic
 //! reference with the unified [`QualityScore`]. The registry
 //! ([`WORKLOADS`]) makes workloads addressable by name, exactly like the
 //! operator families of the characterization sweeps — new case studies
@@ -10,7 +10,7 @@
 //! engine-parallel, cache-aware sweep driver of `apx_core::appenergy`
 //! and the `apxperf app <name>` CLI for free.
 
-use crate::{ArithContext, OpCounts};
+use crate::{OpCounts, OperatorCtx};
 use apx_metrics::QualityScore;
 use apx_operators::SiteSpec;
 use serde::{Deserialize, Serialize};
@@ -67,7 +67,7 @@ impl WorkloadRun {
 }
 
 /// One application case study: deterministic seeded input generation,
-/// a run through any [`ArithContext`], and a unified [`QualityScore`]
+/// a run through an [`OperatorCtx`], and a unified [`QualityScore`]
 /// against the workload's own exact-arithmetic reference.
 ///
 /// Implementations must be pure functions of `(self, seed)` up to the
@@ -91,13 +91,12 @@ pub trait Workload: std::fmt::Debug + Send + Sync {
 
     /// The call-sites this workload's arithmetic is tagged with — the
     /// assignment targets of the heterogeneous `tune` search. Every
-    /// tagged call in [`Workload::run`] must use one of these tags, and
-    /// no arithmetic may reach the untagged default site.
+    /// call in [`Workload::run`] must use one of these tags.
     fn sites(&self) -> &'static [SiteSpec];
 
     /// Generates the seeded input, runs the application through `ctx`
     /// and scores it against the exact-arithmetic reference.
-    fn run(&self, seed: u64, ctx: &mut dyn ArithContext) -> WorkloadRun;
+    fn run(&self, seed: u64, ctx: &mut OperatorCtx) -> WorkloadRun;
 }
 
 /// One registry entry: the addressable name, a one-line description (for
@@ -192,7 +191,6 @@ pub fn find(name: &str) -> Option<&'static WorkloadEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ExactCtx;
 
     #[test]
     fn registry_names_are_unique_and_findable() {
@@ -235,7 +233,7 @@ mod tests {
         };
         for entry in WORKLOADS {
             let workload = (entry.build)(&params).expect(entry.name);
-            let mut ctx = ExactCtx::new();
+            let mut ctx = OperatorCtx::exact();
             let run = workload.run(workload.default_seed(), &mut ctx);
             match run.score {
                 // K-means scores against the ground-truth labels, not the
@@ -264,8 +262,8 @@ mod tests {
                 points: 20,
             })
             .expect(entry.name);
-            let mut a = ExactCtx::new();
-            let mut b = ExactCtx::new();
+            let mut a = OperatorCtx::exact();
+            let mut b = OperatorCtx::exact();
             assert_eq!(
                 workload.run(7, &mut a),
                 workload.run(7, &mut b),
@@ -327,20 +325,14 @@ mod tests {
                 );
                 assert!(!spec.summary.is_empty(), "{}: {}", entry.name, spec.tag);
             }
-            // run through a site-recording context and reconcile the ledger
-            let mut ctx = crate::OperatorCtx::exact();
+            // run exact and reconcile the ledger with the declared sites
+            let mut ctx = OperatorCtx::exact();
             let run = workload.run(workload.default_seed(), &mut ctx);
             let recorded = ctx.site_counts();
             assert_eq!(
                 recorded.total(),
                 run.counts,
                 "{}: per-site ledger must cover every counted op",
-                entry.name
-            );
-            assert_eq!(
-                recorded.get(apx_operators::DEFAULT_SITE),
-                OpCounts::default(),
-                "{}: arithmetic leaked to the untagged default site",
                 entry.name
             );
             for (site, counts) in recorded.iter() {

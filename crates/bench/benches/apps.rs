@@ -3,7 +3,7 @@
 use apx_apps::fft::FftFixture;
 use apx_apps::jpeg::dct8x8_fixed;
 use apx_apps::kmeans::KmeansFixture;
-use apx_apps::{ExactCtx, OperatorCtx};
+use apx_apps::OperatorCtx;
 use apx_operators::OperatorConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -11,16 +11,16 @@ use std::hint::black_box;
 fn bench_apps(c: &mut Criterion) {
     let fft = FftFixture::radix2_32(1);
     c.bench_function("fft32_exact", |b| {
-        let mut ctx = ExactCtx::new();
+        let mut ctx = OperatorCtx::exact();
         b.iter(|| black_box(fft.run(&mut ctx)))
     });
     c.bench_function("fft32_trunc_adder", |b| {
-        let mut ctx = OperatorCtx::with_adder(OperatorConfig::AddTrunc { n: 16, q: 10 }.build());
+        let mut ctx = OperatorCtx::for_config(&OperatorConfig::AddTrunc { n: 16, q: 10 });
         b.iter(|| black_box(fft.run(&mut ctx)))
     });
 
     c.bench_function("dct8x8_exact", |b| {
-        let mut ctx = ExactCtx::new();
+        let mut ctx = OperatorCtx::exact();
         let block = [[37i64; 8]; 8];
         b.iter(|| black_box(dct8x8_fixed(&block, &mut ctx)))
     });

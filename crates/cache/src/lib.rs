@@ -416,20 +416,6 @@ impl Cache {
         CacheConfig::default()
     }
 
-    /// A cache rooted at `dir` (created on first write).
-    #[deprecated(note = "use `Cache::builder().dir(dir).open()`")]
-    #[must_use]
-    pub fn at(dir: impl Into<PathBuf>) -> Self {
-        Cache::builder().dir(dir).open()
-    }
-
-    /// A disabled cache: every `get` misses, every `put` is dropped.
-    #[deprecated(note = "use `Cache::default()` (or `Cache::builder().open()`)")]
-    #[must_use]
-    pub fn disabled() -> Self {
-        Cache::default()
-    }
-
     /// The default on-disk location, in precedence order:
     /// `$APXPERF_CACHE_DIR`, `$XDG_CACHE_HOME/apxperf`,
     /// `$HOME/.cache/apxperf`. `None` when none of the variables is set
@@ -445,14 +431,6 @@ impl Cache {
             return Some(PathBuf::from(base).join("apxperf"));
         }
         nonempty("HOME").map(|home| PathBuf::from(home).join(".cache").join("apxperf"))
-    }
-
-    /// A cache at [`Cache::default_dir`], or a disabled one when no
-    /// default location exists.
-    #[deprecated(note = "use `Cache::builder().from_env().open()`")]
-    #[must_use]
-    pub fn from_env() -> Self {
-        Cache::builder().from_env().open()
     }
 
     /// Whether lookups can ever hit (i.e. the cache has a directory).
@@ -754,18 +732,6 @@ mod tests {
         assert_eq!(cache.stats(), CacheStats::default());
         assert_eq!(cache.len(), 0);
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn deprecated_constructors_match_the_builder() {
-        #![allow(deprecated)]
-        let tmp = TempDir::new();
-        assert_eq!(Cache::at(&tmp.0).dir(), cache_at(&tmp.0).dir());
-        assert!(!Cache::disabled().is_enabled());
-        assert_eq!(
-            Cache::from_env().dir(),
-            Cache::builder().from_env().open().dir()
-        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 
 use super::report_cache_use;
 use crate::args::Args;
-use crate::output::{fmt, render};
 use apx_cells::Library;
+use apx_core::output::{fmt, render};
 use apx_core::{sweeps, Characterizer};
 use apx_netlist::power::{self, PowerSettings};
 use apx_netlist::{verify, HwAnalyzer};

@@ -3,7 +3,7 @@
 
 use super::{report_cache_use, reports_for, workload_cells};
 use crate::args::Args;
-use crate::output::{family, fmt, render};
+use apx_core::output::{family, fmt, render};
 use apx_core::sweeps;
 
 /// `apxperf fig3` — MSE vs power / delay / PDP / area for every 16-bit

@@ -3,9 +3,9 @@
 
 use super::{report_cache_use, reports_for, workload_cells};
 use crate::args::Args;
-use crate::output::{fmt, render};
 use apx_apps::hevc::ops_per_fractional_pixel;
 use apx_apps::OpCounts;
+use apx_core::output::{fmt, render};
 use apx_core::sweeps;
 use apx_operators::{FaType, OperatorConfig};
 

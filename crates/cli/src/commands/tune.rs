@@ -6,8 +6,8 @@
 
 use super::{report_cache_use, resolve_workload};
 use crate::args::Args;
-use crate::output::{family, fmt, render};
 use apx_cells::Library;
+use apx_core::output::{family, fmt, render};
 use apx_core::sweeps;
 use apx_metrics::QualityBudget;
 use apx_operators::OperatorConfig;

@@ -19,15 +19,15 @@
 //!
 //! The crate is a thin shell: all numerical work lives in `apx_core` and
 //! below; [`commands`] only select configurations, format tables
-//! ([`output`]) and decide where results go. Cache statistics print to
-//! stderr so stdout stays byte-identical between cold and warm runs.
+//! ([`apx_core::output`]) and decide where results go. Cache statistics
+//! print to stderr so stdout stays byte-identical between cold and warm
+//! runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;
 pub mod commands;
-pub mod output;
 
 /// Renders the global help: every subcommand with its summary, plus the
 /// shared-flag conventions.

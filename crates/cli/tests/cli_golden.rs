@@ -151,3 +151,25 @@ fn table6_matches_the_pre_registry_output() {
         ],
     );
 }
+
+/// Pins the auto-tuner's per-site ledger (the `adds`/`muls` columns, in
+/// the workload's first-recorded site order) and the `energy_pj` priced
+/// from it, which none of the alias captures above cover.
+#[test]
+fn tune_fft_matches_the_pinned_output() {
+    assert_golden(
+        include_str!("golden/tune_fft.txt"),
+        &[
+            "tune",
+            "--workload",
+            "fft",
+            "--budget",
+            "<=1dB",
+            "--samples",
+            "2000",
+            "--vectors",
+            "100",
+            "--no-cache",
+        ],
+    );
+}

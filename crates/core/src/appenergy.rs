@@ -179,10 +179,10 @@ pub struct WorkloadCell {
 
 /// The single application-sweep driver behind every figure/table case
 /// study and `apxperf app`: runs `workload` once per configuration —
-/// adders fill the adder slot, multipliers the multiplier slot, the
-/// partner operator is sized by the paper's rule — and characterizes
-/// each (workload × config) cell in parallel on `engine`, returning
-/// cells in input order.
+/// an adder config degrades the additions, a multiplier config the
+/// multiplications, the partner operator is sized by the paper's rule —
+/// and characterizes each (workload × config) cell in parallel on
+/// `engine`, returning cells in input order.
 ///
 /// Every cell is a pure function of `(workload fingerprint, seed,
 /// library, settings, config)`: the workload generates its inputs from
@@ -359,7 +359,7 @@ mod tests {
             OperatorConfig::MulTrunc { n: 16, q: 16 },
         ];
         // the manual path: dispatch the model by class, substitute the
-        // config into the right context slot, run, score
+        // config into the context, run, score
         let mut serial = Characterizer::new(&lib)
             .with_settings(settings)
             .with_engine(Engine::single_threaded());

@@ -4,8 +4,8 @@
 //! The uniform application sweeps ([`crate::appenergy`]) substitute one
 //! operator configuration into *every* arithmetic site of a workload.
 //! This module relaxes that: each declared call-site
-//! ([`Workload::sites`]) gets its own configuration, routed through a
-//! [`HeteroCtx`], and a greedy per-site descent searches for the
+//! ([`Workload::sites`]) gets its own configuration, routed through an
+//! [`OperatorCtx`] built from a [`SiteMap`], and a greedy per-site descent searches for the
 //! minimum-energy assignment that still meets a parsed
 //! [`QualityBudget`] (`>=30dB`, `<=1dB`, `>=95%`).
 //!
@@ -21,12 +21,12 @@
 
 use crate::appenergy::{model_for, AppEnergyModel};
 use crate::characterizer::{Characterizer, CharacterizerSettings};
-use apx_apps::{ArithContext, Workload, WorkloadRun};
+use apx_apps::{Workload, WorkloadRun};
 use apx_cache::Cache;
 use apx_cells::Library;
 use apx_engine::Engine;
 use apx_metrics::{QualityBudget, QualityScore};
-use apx_operators::{HeteroCtx, OperatorConfig, SiteCounts, SiteMap};
+use apx_operators::{OperatorConfig, OperatorCtx, SiteCounts, SiteMap};
 use serde::{Deserialize, Serialize};
 
 /// The configuration an unassigned site is priced at: sites the
@@ -121,7 +121,7 @@ fn price_sites(
 }
 
 /// Evaluates one heterogeneous cell, through the cache when warm: run
-/// the workload under a [`HeteroCtx`] built from `assignment`, then
+/// the workload under an [`OperatorCtx`] built from `assignment`, then
 /// price each site's traffic by its own configuration's model. Inner
 /// characterizations go through the report cache, so distinct
 /// assignments sharing configurations share the operator models.
@@ -141,7 +141,7 @@ fn evaluate_cell(
             return cell;
         }
     }
-    let mut ctx = HeteroCtx::new(assignment);
+    let mut ctx = OperatorCtx::new(assignment);
     let run = workload.run(seed, &mut ctx);
     let site_counts = ctx.site_counts();
     let mut chz = Characterizer::new(lib)
@@ -389,27 +389,49 @@ mod tests {
 
     #[test]
     fn uniform_hetero_cell_matches_the_uniform_context() {
-        // one uniform SiteMap cell must score exactly like the classic
-        // OperatorCtx sweep cell — the hetero machinery adds routing,
-        // not arithmetic
+        // a uniform SiteMap routes every site to one config, so it must run
+        // exactly like `for_config` of that config: same run, same ledger
+        // in the same first-recorded order, for every registered workload
         let lib = Library::fdsoi28();
         let settings = quick_settings();
-        let workload = build("fir");
-        let config = OperatorConfig::AddTrunc { n: 16, q: 12 };
-        let uniform = SiteMap::uniform(workload.sites(), config);
-        let cell = evaluate_cell(
-            workload.as_ref(),
-            7,
-            &lib,
-            settings,
-            &uniform,
-            &Engine::single_threaded(),
-            &Cache::default(),
-        );
-        let mut classic = apx_apps::OperatorCtx::for_config(&config);
-        let classic_run = workload.run(7, &mut classic);
-        assert_eq!(cell.run, classic_run, "same score, counts and aux");
-        assert_eq!(cell.site_counts.total(), classic_run.counts);
+        let configs = [
+            OperatorConfig::AddTrunc { n: 16, q: 12 },
+            OperatorConfig::MulTrunc { n: 16, q: 16 },
+        ];
+        for config in configs {
+            for entry in apx_apps::WORKLOADS {
+                let workload = build(entry.name);
+                let sites = workload.sites();
+                let uniform = SiteMap::uniform(sites, config);
+                let mut mapped = OperatorCtx::new(&uniform);
+                let mut classic = OperatorCtx::for_config(&config);
+                let run = workload.run(7, &mut mapped);
+                let ledger = mapped.site_counts();
+                let what = format!("{} under {config}", entry.name);
+                assert_eq!(run, workload.run(7, &mut classic), "{what}: runs");
+                assert_eq!(ledger, classic.site_counts(), "{what}: ledgers");
+                // the ledger covers every counted op, at declared sites only
+                assert_eq!(ledger.total(), run.counts, "{what}");
+                for (site, _) in ledger.iter() {
+                    assert!(
+                        sites.iter().any(|spec| spec.tag == site),
+                        "{what}: undeclared site `{site}`"
+                    );
+                }
+                // and the cell the search evaluates carries the same run
+                let cell = evaluate_cell(
+                    workload.as_ref(),
+                    7,
+                    &lib,
+                    settings,
+                    &uniform,
+                    &Engine::single_threaded(),
+                    &Cache::default(),
+                );
+                assert_eq!(cell.run, run, "{what}: cell run");
+                assert_eq!(cell.site_counts, ledger, "{what}: cell ledger");
+            }
+        }
     }
 
     #[test]

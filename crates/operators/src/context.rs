@@ -1,26 +1,25 @@
-//! Arithmetic contexts: pluggable add/mul with operation counting.
+//! The arithmetic context: pluggable add/mul with per-site operation
+//! counting.
 //!
 //! Applications (FFT, DCT, HEVC MC, K-means) are written once against
-//! [`ArithContext`]; substituting an [`OperatorCtx`] carrying approximate
-//! or sized fixed-point operators degrades the arithmetic exactly as the
-//! hardware would, while the operation counters feed the application-level
-//! energy model (eq. (1) of the paper).
+//! [`OperatorCtx`]. Built exact, around one sized fixed-point or
+//! approximate configuration, or from a per-site [`SiteMap`], it degrades
+//! the arithmetic exactly as the hardware would, while its operation
+//! counters feed the application-level energy model (eq. (1) of the
+//! paper).
 //!
 //! # Call-sites
 //!
 //! Every arithmetic call in a workload carries a stable *site tag*
-//! (`"fft.butterfly"`, `"jpeg.dct_row"`, …) through the `*_at` methods.
-//! The untagged [`ArithContext::add`]/[`ArithContext::mul`] delegate to
-//! the [`DEFAULT_SITE`], so uniform contexts behave exactly as before,
-//! while a [`HeteroCtx`] built from a [`SiteMap`] can route each site to
-//! its own operator configuration and report per-site [`SiteCounts`] for
-//! independent energy pricing.
+//! (`"fft.butterfly"`, `"jpeg.dct_row"`, …). A site runs on the
+//! configuration its [`SiteMap`] assigns, otherwise on the context's
+//! fallback, and a configuration degrades only its own operation class.
+//! The per-site ledger ([`OperatorCtx::site_counts`]) lets each site's
+//! traffic be priced independently.
 
 use crate::traits::{ApxOperator, OpClass};
+use crate::OperatorConfig;
 use serde::{Deserialize, Serialize};
-
-/// Site tag under which untagged operations are recorded.
-pub const DEFAULT_SITE: &str = "default";
 
 /// Counters of arithmetic operations executed through a context.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -49,38 +48,6 @@ pub struct SiteCounts {
 }
 
 impl SiteCounts {
-    /// An empty per-site ledger.
-    #[must_use]
-    pub fn new() -> Self {
-        SiteCounts::default()
-    }
-
-    /// A ledger attributing `counts` wholesale to one `site`.
-    #[must_use]
-    pub fn single_site(site: &str, counts: OpCounts) -> Self {
-        SiteCounts {
-            entries: vec![(site.to_owned(), counts)],
-        }
-    }
-
-    fn entry(&mut self, site: &str) -> &mut OpCounts {
-        if let Some(idx) = self.entries.iter().position(|(tag, _)| tag == site) {
-            return &mut self.entries[idx].1;
-        }
-        self.entries.push((site.to_owned(), OpCounts::default()));
-        &mut self.entries.last_mut().expect("just pushed").1
-    }
-
-    /// Records one addition/subtraction at `site`.
-    pub fn record_add(&mut self, site: &str) {
-        self.entry(site).adds += 1;
-    }
-
-    /// Records one multiplication at `site`.
-    pub fn record_mul(&mut self, site: &str) {
-        self.entry(site).muls += 1;
-    }
-
     /// Counters recorded at `site` (zero if the site never fired).
     #[must_use]
     pub fn get(&self, site: &str) -> OpCounts {
@@ -91,16 +58,10 @@ impl SiteCounts {
             .unwrap_or_default()
     }
 
-    /// Sum over every site — must equal the context's untyped
-    /// [`ArithContext::counts`] when all calls are tagged.
+    /// Sum over every site — equals the context's [`OperatorCtx::counts`].
     #[must_use]
     pub fn total(&self) -> OpCounts {
-        let mut total = OpCounts::default();
-        for (_, counts) in &self.entries {
-            total.adds += counts.adds;
-            total.muls += counts.muls;
-        }
-        total
+        sum(self.entries.iter().map(|(_, counts)| counts))
     }
 
     /// Iterates `(site, counts)` in first-recorded order.
@@ -121,11 +82,13 @@ impl SiteCounts {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+}
 
-    /// Forgets every recorded site.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
+fn sum<'a>(counts: impl Iterator<Item = &'a OpCounts>) -> OpCounts {
+    counts.fold(OpCounts::default(), |total, c| OpCounts {
+        adds: total.adds + c.adds,
+        muls: total.muls + c.muls,
+    })
 }
 
 /// Operation classes routed through a declared call-site.
@@ -176,243 +139,14 @@ pub struct SiteSpec {
     pub summary: &'static str,
 }
 
-/// Abstract integer arithmetic with operation counting.
-///
-/// Values are plain `i64`; implementations may quantize or corrupt results
-/// exactly as their hardware counterpart would. Subtraction is provided as
-/// negated addition (hardware cost of an adder).
-pub trait ArithContext {
-    /// `a + b` through the context's adder.
-    fn add(&mut self, a: i64, b: i64) -> i64;
-
-    /// `a * b` through the context's multiplier.
-    fn mul(&mut self, a: i64, b: i64) -> i64;
-
-    /// `a - b`, counted as one addition.
-    fn sub(&mut self, a: i64, b: i64) -> i64 {
-        self.add(a, -b)
-    }
-
-    /// `a + b` at the call-site `site`. Contexts without per-site routing
-    /// ignore the tag and fall through to [`ArithContext::add`].
-    fn add_at(&mut self, site: &'static str, a: i64, b: i64) -> i64 {
-        let _ = site;
-        self.add(a, b)
-    }
-
-    /// `a * b` at the call-site `site`. Contexts without per-site routing
-    /// ignore the tag and fall through to [`ArithContext::mul`].
-    fn mul_at(&mut self, site: &'static str, a: i64, b: i64) -> i64 {
-        let _ = site;
-        self.mul(a, b)
-    }
-
-    /// `a - b` at the call-site `site`, counted as one addition there.
-    fn sub_at(&mut self, site: &'static str, a: i64, b: i64) -> i64 {
-        self.add_at(site, a, -b)
-    }
-
-    /// Operations executed so far.
-    fn counts(&self) -> OpCounts;
-
-    /// Per-site breakdown of [`ArithContext::counts`]. Contexts without
-    /// per-site routing report everything under [`DEFAULT_SITE`].
-    fn site_counts(&self) -> SiteCounts {
-        SiteCounts::single_site(DEFAULT_SITE, self.counts())
-    }
-
-    /// Resets the operation counters (per-site counters included).
-    fn reset_counts(&mut self);
-}
-
-/// Ideal (infinite-precision `i64`) arithmetic with counting — the golden
-/// reference for application quality metrics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExactCtx {
-    counts: OpCounts,
-}
-
-impl ExactCtx {
-    /// Creates an exact context.
-    #[must_use]
-    pub fn new() -> Self {
-        ExactCtx::default()
-    }
-}
-
-impl ArithContext for ExactCtx {
-    fn add(&mut self, a: i64, b: i64) -> i64 {
-        self.counts.adds += 1;
-        a.wrapping_add(b)
-    }
-    fn mul(&mut self, a: i64, b: i64) -> i64 {
-        self.counts.muls += 1;
-        a.wrapping_mul(b)
-    }
-    fn counts(&self) -> OpCounts {
-        self.counts
-    }
-    fn reset_counts(&mut self) {
-        self.counts = OpCounts::default();
-    }
-}
-
-/// Exact arithmetic that only counts (alias of [`ExactCtx`] kept for
-/// call-site clarity when the caller never reads the values).
-pub type CountingCtx = ExactCtx;
-
-fn checked_adder(op: Box<dyn ApxOperator>) -> Box<dyn ApxOperator> {
-    assert_eq!(op.op_class(), OpClass::Adder, "adder slot needs an adder");
-    op
-}
-
-fn checked_multiplier(op: Box<dyn ApxOperator>) -> Box<dyn ApxOperator> {
-    assert_eq!(
-        op.op_class(),
-        OpClass::Multiplier,
-        "multiplier slot needs a multiplier"
-    );
-    op
-}
-
-/// Arithmetic context executing through [`ApxOperator`] models.
-///
-/// Either operator may be absent, in which case that operation is exact.
-/// The adder is applied at its operand width (`n` bits, wrapping) and its
-/// aligned output is sign-extended back; the multiplier likewise at
-/// `n×n → 2n`. The same operators serve every call-site; per-site traffic
-/// is still recorded and available through
-/// [`ArithContext::site_counts`].
-///
-/// # Example
-/// ```
-/// use apx_operators::{ArithContext, OperatorCtx, OperatorConfig};
-/// let mut ctx = OperatorCtx::with_adder(OperatorConfig::AddTrunc { n: 16, q: 8 }.build());
-/// // low bits quantized away by the 8-bit adder
-/// assert_eq!(ctx.add(0x0101, 0x0101), 0x0200);
-/// assert_eq!(ctx.counts().adds, 1);
-/// ```
-pub struct OperatorCtx {
-    adder: Option<Box<dyn ApxOperator>>,
-    multiplier: Option<Box<dyn ApxOperator>>,
-    counts: OpCounts,
-    site_counts: SiteCounts,
-}
-
-impl OperatorCtx {
-    fn from_slots(
-        adder: Option<Box<dyn ApxOperator>>,
-        multiplier: Option<Box<dyn ApxOperator>>,
-    ) -> Self {
-        OperatorCtx {
-            adder: adder.map(checked_adder),
-            multiplier: multiplier.map(checked_multiplier),
-            counts: OpCounts::default(),
-            site_counts: SiteCounts::default(),
-        }
-    }
-
-    /// A fully exact context (both slots empty) that still counts.
-    #[must_use]
-    pub fn exact() -> Self {
-        OperatorCtx::from_slots(None, None)
-    }
-
-    /// Context with `adder` under test; multiplications stay exact.
-    ///
-    /// # Panics
-    /// Panics if `adder` is not an adder model.
-    #[must_use]
-    pub fn with_adder(adder: Box<dyn ApxOperator>) -> Self {
-        OperatorCtx::from_slots(Some(adder), None)
-    }
-
-    /// Context with `multiplier` under test; additions stay exact.
-    ///
-    /// # Panics
-    /// Panics if `multiplier` is not a multiplier model.
-    #[must_use]
-    pub fn with_multiplier(multiplier: Box<dyn ApxOperator>) -> Self {
-        OperatorCtx::from_slots(None, Some(multiplier))
-    }
-
-    /// Builds the context that puts `config` **under test**: an adder
-    /// configuration fills the adder slot (multiplications stay exact), a
-    /// multiplier configuration the multiplier slot — the substitution
-    /// rule of every application experiment in the paper.
-    ///
-    /// # Example
-    /// ```
-    /// use apx_operators::{ArithContext, OperatorConfig, OperatorCtx};
-    /// let mut ctx = OperatorCtx::for_config(&OperatorConfig::MulTrunc { n: 16, q: 16 });
-    /// assert_eq!(ctx.add(3, 4), 7); // adder slot stays exact
-    /// ```
-    #[must_use]
-    pub fn for_config(config: &crate::OperatorConfig) -> Self {
-        match config.op_class() {
-            OpClass::Adder => OperatorCtx::with_adder(config.build()),
-            OpClass::Multiplier => OperatorCtx::with_multiplier(config.build()),
-        }
-    }
-
-    /// The adder model, if any.
-    #[must_use]
-    pub fn adder(&self) -> Option<&dyn ApxOperator> {
-        self.adder.as_deref()
-    }
-
-    /// The multiplier model, if any.
-    #[must_use]
-    pub fn multiplier(&self) -> Option<&dyn ApxOperator> {
-        self.multiplier.as_deref()
-    }
-}
-
-impl ArithContext for OperatorCtx {
-    fn add(&mut self, a: i64, b: i64) -> i64 {
-        self.add_at(DEFAULT_SITE, a, b)
-    }
-    fn mul(&mut self, a: i64, b: i64) -> i64 {
-        self.mul_at(DEFAULT_SITE, a, b)
-    }
-    fn add_at(&mut self, site: &'static str, a: i64, b: i64) -> i64 {
-        self.counts.adds += 1;
-        self.site_counts.record_add(site);
-        match &self.adder {
-            Some(op) => op.eval_signed(a, b),
-            None => a.wrapping_add(b),
-        }
-    }
-    fn mul_at(&mut self, site: &'static str, a: i64, b: i64) -> i64 {
-        self.counts.muls += 1;
-        self.site_counts.record_mul(site);
-        match &self.multiplier {
-            Some(op) => op.eval_signed(a, b),
-            None => a.wrapping_mul(b),
-        }
-    }
-    fn counts(&self) -> OpCounts {
-        self.counts
-    }
-    fn site_counts(&self) -> SiteCounts {
-        self.site_counts.clone()
-    }
-    fn reset_counts(&mut self) {
-        self.counts = OpCounts::default();
-        self.site_counts.clear();
-    }
-}
-
 /// An ordered map from call-site tag to the [`OperatorConfig`] assigned
 /// there — the heterogeneous-assignment half of the `tune` search space.
 ///
 /// Entry order is preserved (and is the serialized order), so building a
 /// map in a fixed site order yields a deterministic cache key.
-///
-/// [`OperatorConfig`]: crate::OperatorConfig
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SiteMap {
-    entries: Vec<(String, crate::OperatorConfig)>,
+    entries: Vec<(String, OperatorConfig)>,
 }
 
 impl SiteMap {
@@ -424,7 +158,7 @@ impl SiteMap {
 
     /// A map assigning `config` to every one of `sites`.
     #[must_use]
-    pub fn uniform(sites: &[SiteSpec], config: crate::OperatorConfig) -> Self {
+    pub fn uniform(sites: &[SiteSpec], config: OperatorConfig) -> Self {
         let mut map = SiteMap::new();
         for spec in sites {
             map.set(spec.tag, config);
@@ -433,7 +167,7 @@ impl SiteMap {
     }
 
     /// Assigns `config` to `site`, replacing any previous assignment.
-    pub fn set(&mut self, site: &str, config: crate::OperatorConfig) {
+    pub fn set(&mut self, site: &str, config: OperatorConfig) {
         if let Some(idx) = self.entries.iter().position(|(tag, _)| tag == site) {
             self.entries[idx].1 = config;
         } else {
@@ -443,7 +177,7 @@ impl SiteMap {
 
     /// The configuration assigned to `site`, if any.
     #[must_use]
-    pub fn get(&self, site: &str) -> Option<&crate::OperatorConfig> {
+    pub fn get(&self, site: &str) -> Option<&OperatorConfig> {
         self.entries
             .iter()
             .find(|(tag, _)| tag == site)
@@ -451,7 +185,7 @@ impl SiteMap {
     }
 
     /// Iterates `(site, config)` in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &crate::OperatorConfig)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &OperatorConfig)> {
         self.entries
             .iter()
             .map(|(tag, config)| (tag.as_str(), config))
@@ -470,160 +204,225 @@ impl SiteMap {
     }
 }
 
-struct SiteSlot {
-    adder: Option<Box<dyn ApxOperator>>,
-    multiplier: Option<Box<dyn ApxOperator>>,
+/// One ledger entry: a recorded site, the operators serving its
+/// additions and multiplications (indices into `OperatorCtx::ops`, `None`
+/// for exact), and its counters.
+struct Site {
+    tag: &'static str,
+    adder: Option<usize>,
+    multiplier: Option<usize>,
+    counts: OpCounts,
 }
 
-/// Arithmetic context routing each call-site to its own operator.
+/// The arithmetic context: integer add/mul through [`ApxOperator`]
+/// models, routed per call-site, with a per-site operation ledger.
 ///
-/// Built from a [`SiteMap`]; each mapped site gets the
-/// [`OperatorCtx::for_config`] substitution rule applied *locally* (an
-/// adder config degrades that site's additions, its multiplications stay
-/// exact, and vice versa). Unmapped sites — and untagged calls, which
-/// arrive at [`DEFAULT_SITE`] — execute exactly. A map assigning the same
-/// configuration to every declared site is bit-for-bit equivalent to the
-/// uniform [`OperatorCtx::for_config`] context.
+/// A site runs on the configuration mapped to it, otherwise on the
+/// context's fallback ([`OperatorCtx::for_config`]'s configuration, or
+/// exact). A configuration degrades only its own operation class: an
+/// adder config leaves the site's multiplications exact, and vice versa.
+/// An adder is applied at its operand width (`n` bits, wrapping) and its
+/// aligned output is sign-extended back; a multiplier likewise at
+/// `n×n → 2n`. Exact operations wrap in `i64`.
+///
+/// A map assigning one configuration to every declared site is
+/// bit-for-bit equivalent to [`OperatorCtx::for_config`] of it.
 ///
 /// # Example
 /// ```
-/// use apx_operators::{ArithContext, HeteroCtx, OperatorConfig, SiteMap};
+/// use apx_operators::{OperatorConfig, OperatorCtx, SiteMap};
 /// let mut map = SiteMap::new();
 /// map.set("fir.mac", OperatorConfig::AddTrunc { n: 16, q: 8 });
-/// let mut ctx = HeteroCtx::new(&map);
+/// let mut ctx = OperatorCtx::new(&map);
+/// // low bits quantized away by the 8-bit adder
 /// assert_eq!(ctx.add_at("fir.mac", 0x0101, 0x0101), 0x0200);
 /// assert_eq!(ctx.add_at("fir.tap", 1, 2), 3); // unmapped sites stay exact
 /// assert_eq!(ctx.site_counts().get("fir.mac").adds, 1);
 /// ```
-pub struct HeteroCtx {
-    slots: Vec<(String, SiteSlot)>,
-    counts: OpCounts,
-    site_counts: SiteCounts,
+pub struct OperatorCtx {
+    /// One model per mapped site, in map order, then the fallback's
+    /// unless the fallback is exact.
+    ops: Vec<Box<dyn ApxOperator>>,
+    /// Mapped site tags: `ops[i]` serves `mapped[i]`.
+    mapped: Vec<String>,
+    /// Every site recorded since the last reset, in first-recorded order.
+    ledger: Vec<Site>,
 }
 
-impl HeteroCtx {
-    /// Builds a context routing each site of `map` to its configuration.
+impl OperatorCtx {
+    /// A fully exact context that still counts — the golden reference for
+    /// application quality metrics.
+    #[must_use]
+    pub fn exact() -> Self {
+        OperatorCtx::new(&SiteMap::new())
+    }
+
+    /// Builds the context that puts `config` **under test** at every
+    /// site: an adder configuration degrades the additions
+    /// (multiplications stay exact), a multiplier configuration the
+    /// multiplications — the substitution rule of every application
+    /// experiment in the paper.
+    ///
+    /// # Example
+    /// ```
+    /// use apx_operators::{OperatorConfig, OperatorCtx};
+    /// let mut ctx = OperatorCtx::for_config(&OperatorConfig::MulTrunc { n: 16, q: 16 });
+    /// assert_eq!(ctx.add_at("w.sum", 3, 4), 7); // additions stay exact
+    /// assert_eq!(ctx.counts().adds, 1);
+    /// ```
+    #[must_use]
+    pub fn for_config(config: &OperatorConfig) -> Self {
+        let mut ctx = OperatorCtx::exact();
+        ctx.ops.push(config.build());
+        ctx
+    }
+
+    /// Builds a context routing each site of `map` to its configuration;
+    /// unmapped sites stay exact.
     #[must_use]
     pub fn new(map: &SiteMap) -> Self {
-        let slots = map
+        let (mapped, ops) = map
             .iter()
-            .map(|(site, config)| {
-                let slot = match config.op_class() {
-                    OpClass::Adder => SiteSlot {
-                        adder: Some(checked_adder(config.build())),
-                        multiplier: None,
-                    },
-                    OpClass::Multiplier => SiteSlot {
-                        adder: None,
-                        multiplier: Some(checked_multiplier(config.build())),
-                    },
-                };
-                (site.to_owned(), slot)
-            })
-            .collect();
-        HeteroCtx {
-            slots,
-            counts: OpCounts::default(),
-            site_counts: SiteCounts::default(),
+            .map(|(site, config)| (site.to_owned(), config.build()))
+            .unzip();
+        OperatorCtx {
+            ops,
+            mapped,
+            ledger: Vec::new(),
         }
     }
 
-    fn slot(&self, site: &str) -> Option<&SiteSlot> {
-        self.slots
-            .iter()
-            .find(|(tag, _)| tag == site)
-            .map(|(_, slot)| slot)
-    }
-}
-
-impl ArithContext for HeteroCtx {
-    fn add(&mut self, a: i64, b: i64) -> i64 {
-        self.add_at(DEFAULT_SITE, a, b)
-    }
-    fn mul(&mut self, a: i64, b: i64) -> i64 {
-        self.mul_at(DEFAULT_SITE, a, b)
-    }
-    fn add_at(&mut self, site: &'static str, a: i64, b: i64) -> i64 {
-        self.counts.adds += 1;
-        self.site_counts.record_add(site);
-        match self.slot(site).and_then(|slot| slot.adder.as_deref()) {
-            Some(op) => op.eval_signed(a, b),
+    /// `a + b` at the call-site `site`.
+    #[inline]
+    pub fn add_at(&mut self, site: &'static str, a: i64, b: i64) -> i64 {
+        let site = self.site(site);
+        site.counts.adds += 1;
+        match site.adder {
+            Some(op) => self.ops[op].eval_signed(a, b),
             None => a.wrapping_add(b),
         }
     }
-    fn mul_at(&mut self, site: &'static str, a: i64, b: i64) -> i64 {
-        self.counts.muls += 1;
-        self.site_counts.record_mul(site);
-        match self.slot(site).and_then(|slot| slot.multiplier.as_deref()) {
-            Some(op) => op.eval_signed(a, b),
+
+    /// `a - b` at the call-site `site`, counted as one addition there.
+    #[inline]
+    pub fn sub_at(&mut self, site: &'static str, a: i64, b: i64) -> i64 {
+        self.add_at(site, a, -b)
+    }
+
+    /// `a * b` at the call-site `site`.
+    #[inline]
+    pub fn mul_at(&mut self, site: &'static str, a: i64, b: i64) -> i64 {
+        let site = self.site(site);
+        site.counts.muls += 1;
+        match site.multiplier {
+            Some(op) => self.ops[op].eval_signed(a, b),
             None => a.wrapping_mul(b),
         }
     }
-    fn counts(&self) -> OpCounts {
-        self.counts
+
+    /// Operations executed since the last reset.
+    #[must_use]
+    pub fn counts(&self) -> OpCounts {
+        sum(self.ledger.iter().map(|site| &site.counts))
     }
-    fn site_counts(&self) -> SiteCounts {
-        self.site_counts.clone()
+
+    /// Per-site breakdown of [`OperatorCtx::counts`], in first-recorded
+    /// order.
+    #[must_use]
+    pub fn site_counts(&self) -> SiteCounts {
+        SiteCounts {
+            entries: self
+                .ledger
+                .iter()
+                .map(|site| (site.tag.to_owned(), site.counts))
+                .collect(),
+        }
     }
-    fn reset_counts(&mut self) {
-        self.counts = OpCounts::default();
-        self.site_counts.clear();
+
+    /// Resets the operation counters, per-site ledger included.
+    pub fn reset_counts(&mut self) {
+        self.ledger.clear();
+    }
+
+    /// The ledger entry of `tag`, recording the site on first use. Tags
+    /// are `&'static str` constants, so comparing addresses finds the
+    /// entry without a string compare; string equality is the fallback
+    /// for a tag whose constant was instantiated at another address.
+    #[inline]
+    fn site(&mut self, tag: &'static str) -> &mut Site {
+        let idx = match self.ledger.iter().position(|s| std::ptr::eq(s.tag, tag)) {
+            Some(idx) => idx,
+            None => self.find_or_record(tag),
+        };
+        &mut self.ledger[idx]
+    }
+
+    /// The ledger index of `tag` by string equality, appending the site
+    /// with the operators that serve it when it is new.
+    #[cold]
+    fn find_or_record(&mut self, tag: &'static str) -> usize {
+        if let Some(idx) = self.ledger.iter().position(|s| s.tag == tag) {
+            return idx;
+        }
+        let fallback = (self.ops.len() > self.mapped.len()).then_some(self.mapped.len());
+        let op = self.mapped.iter().position(|site| site == tag).or(fallback);
+        let serving = |class| op.filter(|&i| self.ops[i].op_class() == class);
+        let site = Site {
+            tag,
+            adder: serving(OpClass::Adder),
+            multiplier: serving(OpClass::Multiplier),
+            counts: OpCounts::default(),
+        };
+        self.ledger.push(site);
+        self.ledger.len() - 1
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::OperatorConfig;
 
     #[test]
     fn exact_ctx_counts_and_computes() {
-        let mut ctx = ExactCtx::new();
-        assert_eq!(ctx.add(2, 3), 5);
-        assert_eq!(ctx.mul(4, -5), -20);
-        assert_eq!(ctx.sub(10, 3), 7);
+        let mut ctx = OperatorCtx::exact();
+        assert_eq!(ctx.add_at("w.a", 2, 3), 5);
+        assert_eq!(ctx.mul_at("w.a", 4, -5), -20);
+        assert_eq!(ctx.sub_at("w.b", 10, 3), 7);
         assert_eq!(ctx.counts(), OpCounts { adds: 2, muls: 1 });
-        // contexts without routing report everything at the default site
-        assert_eq!(ctx.site_counts().get(DEFAULT_SITE), ctx.counts());
         ctx.reset_counts();
         assert_eq!(ctx.counts().total(), 0);
     }
 
     #[test]
     fn operator_ctx_with_exact_models_matches_exact_ctx() {
-        let mut ctx = OperatorCtx::with_adder(OperatorConfig::AddExact { n: 16 }.build());
+        let mut ctx = OperatorCtx::for_config(&OperatorConfig::AddExact { n: 16 });
         // stay within 16-bit operand range
-        assert_eq!(ctx.add(1000, -250), 750);
-        assert_eq!(ctx.mul(-123, 45), -123 * 45);
+        assert_eq!(ctx.add_at("w.a", 1000, -250), 750);
+        assert_eq!(ctx.mul_at("w.a", -123, 45), -123 * 45);
     }
 
     #[test]
     fn truncated_multiplier_quantizes_products() {
-        let mut ctx =
-            OperatorCtx::with_multiplier(OperatorConfig::MulTrunc { n: 16, q: 16 }.build());
-        let p = ctx.mul(0x1234, 0x0321);
+        let mut ctx = OperatorCtx::for_config(&OperatorConfig::MulTrunc { n: 16, q: 16 });
+        let p = ctx.mul_at("w.a", 0x1234, 0x0321);
         let exact = 0x1234i64 * 0x0321;
         assert_eq!(p, exact & !0xFFFF, "low 16 product bits truncated");
     }
 
     #[test]
-    #[should_panic(expected = "adder slot needs an adder")]
-    fn wrong_class_is_rejected() {
-        let _ = OperatorCtx::with_adder(OperatorConfig::MulExact { n: 8 }.build());
-    }
-
-    #[test]
-    fn operator_ctx_records_per_site_traffic() {
+    fn operator_ctx_records_per_site_traffic_in_first_recorded_order() {
         let mut ctx = OperatorCtx::for_config(&OperatorConfig::AddTrunc { n: 16, q: 8 });
         ctx.add_at("w.alpha", 1, 2);
         ctx.add_at("w.alpha", 3, 4);
         ctx.sub_at("w.beta", 9, 4);
         ctx.mul_at("w.beta", 2, 3);
-        ctx.mul(5, 6); // untagged — lands at the default site
+        // the same tag at another address lands in the same entry
+        ctx.mul_at(String::from("w.alpha").leak(), 5, 6);
         let sites = ctx.site_counts();
-        assert_eq!(sites.get("w.alpha"), OpCounts { adds: 2, muls: 0 });
+        assert_eq!(sites.get("w.alpha"), OpCounts { adds: 2, muls: 1 });
         assert_eq!(sites.get("w.beta"), OpCounts { adds: 1, muls: 1 });
-        assert_eq!(sites.get(DEFAULT_SITE), OpCounts { adds: 0, muls: 1 });
+        let order: Vec<&str> = sites.iter().map(|(site, _)| site).collect();
+        assert_eq!(order, ["w.alpha", "w.beta"]);
         assert_eq!(sites.total(), ctx.counts());
         ctx.reset_counts();
         assert!(ctx.site_counts().is_empty());
@@ -645,11 +444,11 @@ mod tests {
     }
 
     #[test]
-    fn hetero_ctx_routes_per_site_and_leaves_unmapped_sites_exact() {
+    fn site_map_routes_per_site_and_leaves_unmapped_sites_exact() {
         let mut map = SiteMap::new();
         map.set("w.coarse", OperatorConfig::AddTrunc { n: 16, q: 8 });
         map.set("w.prod", OperatorConfig::MulTrunc { n: 16, q: 16 });
-        let mut ctx = HeteroCtx::new(&map);
+        let mut ctx = OperatorCtx::new(&map);
         // mapped adder site quantizes
         assert_eq!(ctx.add_at("w.coarse", 0x0101, 0x0101), 0x0200);
         // an adder-config site leaves its multiplications exact
@@ -657,15 +456,14 @@ mod tests {
         // mapped multiplier site truncates the product
         let exact = 0x1234i64 * 0x0321;
         assert_eq!(ctx.mul_at("w.prod", 0x1234, 0x0321), exact & !0xFFFF);
-        // unmapped site and untagged calls stay exact
+        // unmapped sites stay exact
         assert_eq!(ctx.add_at("w.other", 0x0101, 0x0101), 0x0202);
-        assert_eq!(ctx.add(0x0101, 0x0101), 0x0202);
-        assert_eq!(ctx.counts(), OpCounts { adds: 3, muls: 2 });
+        assert_eq!(ctx.counts(), OpCounts { adds: 2, muls: 2 });
         assert_eq!(ctx.site_counts().total(), ctx.counts());
     }
 
     #[test]
-    fn uniform_site_map_matches_uniform_operator_ctx() {
+    fn uniform_site_map_matches_for_config() {
         const SITES: &[SiteSpec] = &[
             SiteSpec {
                 tag: "w.a",
@@ -679,18 +477,18 @@ mod tests {
             },
         ];
         let config = OperatorConfig::AddTrunc { n: 16, q: 9 };
-        let mut hetero = HeteroCtx::new(&SiteMap::uniform(SITES, config));
+        let mut mapped = OperatorCtx::new(&SiteMap::uniform(SITES, config));
         let mut uniform = OperatorCtx::for_config(&config);
         for (a, b) in [(0x0101, 0x0303), (-77, 1234), (0x7FFF, 1)] {
             assert_eq!(
-                hetero.add_at("w.a", a, b),
+                mapped.add_at("w.a", a, b),
                 uniform.add_at("w.a", a, b),
                 "adds must agree at ({a},{b})"
             );
-            assert_eq!(hetero.mul_at("w.a", a, b), uniform.mul_at("w.a", a, b));
-            assert_eq!(hetero.sub_at("w.b", a, b), uniform.sub_at("w.b", a, b));
+            assert_eq!(mapped.mul_at("w.a", a, b), uniform.mul_at("w.a", a, b));
+            assert_eq!(mapped.sub_at("w.b", a, b), uniform.sub_at("w.b", a, b));
         }
-        assert_eq!(hetero.counts(), uniform.counts());
-        assert_eq!(hetero.site_counts(), uniform.site_counts());
+        assert_eq!(mapped.counts(), uniform.counts());
+        assert_eq!(mapped.site_counts(), uniform.site_counts());
     }
 }

@@ -58,10 +58,7 @@ pub(crate) mod util;
 
 pub use adders::{Aca, AddExact, AddRound, AddTrunc, EtaIi, EtaIv, FaType, RcaApx};
 pub use config::{OperatorConfig, ParseConfigError};
-pub use context::{
-    ArithContext, CountingCtx, ExactCtx, HeteroCtx, OpCounts, OperatorCtx, SiteCounts, SiteMap,
-    SiteOps, SiteSpec, DEFAULT_SITE,
-};
+pub use context::{OpCounts, OperatorCtx, SiteCounts, SiteMap, SiteOps, SiteSpec};
 pub use mul_array::{Aam, MulExact, MulRound, MulTrunc};
 pub use mul_booth::{Abm, AbmUncorrected, MulBoothExact};
 pub use sized::{QuantMode, SizedAdd, SizedMul};

@@ -29,7 +29,7 @@ fn main() {
     println!("JPEG q90, 128x128 synthetic photo:");
     for (name, config) in contexts {
         let mut ctx = match config {
-            Some(c) => OperatorCtx::with_adder(c.build()),
+            Some(c) => OperatorCtx::for_config(&c),
             None => OperatorCtx::exact(),
         };
         let (result, score) = jpeg.run(&mut ctx);
@@ -53,7 +53,7 @@ fn main() {
         ("ETAIV(16,4)", Some(OperatorConfig::EtaIv { n: 16, x: 4 })),
     ] {
         let mut ctx = match config {
-            Some(c) => OperatorCtx::with_adder(c.build()),
+            Some(c) => OperatorCtx::for_config(&c),
             None => OperatorCtx::exact(),
         };
         let (result, score) = mc.run(&mut ctx);

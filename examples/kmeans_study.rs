@@ -18,7 +18,7 @@ fn main() {
 
     println!("\ntruncated-adder width sweep:");
     for q in (4..=15).rev() {
-        let mut ctx = OperatorCtx::with_adder(OperatorConfig::AddTrunc { n: 16, q }.build());
+        let mut ctx = OperatorCtx::for_config(&OperatorConfig::AddTrunc { n: 16, q });
         let r = fixture.run(&mut ctx);
         let bar = "#".repeat((r.score.value() * 40.0) as usize);
         println!("  ADDt(16,{q:>2}): {:>6.2}% {bar}", r.score.value() * 100.0);
@@ -32,7 +32,7 @@ fn main() {
         OperatorConfig::AbmUncorrected { n: 16 },
         OperatorConfig::MulTrunc { n: 16, q: 4 },
     ] {
-        let mut ctx = OperatorCtx::with_multiplier(config.build());
+        let mut ctx = OperatorCtx::for_config(&config);
         let r = fixture.run(&mut ctx);
         println!(
             "  {:<12} {:>6.2}%",

@@ -25,7 +25,7 @@ fn main() {
         OperatorConfig::Aca { n: 16, p: 12 },
     ] {
         let model = appenergy::model_for_adder(&mut chz, &config);
-        let mut ctx = apxperf::operators::OperatorCtx::with_adder(config.build());
+        let mut ctx = apxperf::operators::OperatorCtx::for_config(&config);
         let result = fixture.run(&mut ctx);
         println!(
             "{}: PSNR {:.1} dB, FFT energy {:.3} pJ",

@@ -35,8 +35,8 @@ pub use apx_operators as operators;
 /// Convenience prelude bringing the commonly used types into scope.
 pub mod prelude {
     pub use apx_apps::{
-        fft::FftFixture, hevc::McFixture, jpeg::JpegFixture, kmeans::KmeansFixture, ArithContext,
-        CountingCtx, ExactCtx, OpCounts,
+        fft::FftFixture, hevc::McFixture, jpeg::JpegFixture, kmeans::KmeansFixture, OpCounts,
+        OperatorCtx,
     };
     pub use apx_cache::{Cache, CacheKey, CacheStats, KeyBuilder};
     pub use apx_cells::{CellKind, CellSpec, Library, OperatingPoint};

@@ -103,7 +103,7 @@ fn tables_3_to_6_shape_hidden_cost_of_full_width_datapath() {
 fn table6_shape_abm_collapse() {
     let fixture = KmeansFixture::synthetic(10, 300, 5);
     let run = |config: OperatorConfig| {
-        let mut ctx = OperatorCtx::with_multiplier(config.build());
+        let mut ctx = OperatorCtx::for_config(&config);
         fixture.run(&mut ctx).score.value()
     };
     let mult = run(OperatorConfig::MulTrunc { n: 16, q: 16 });
@@ -126,7 +126,7 @@ fn fig5_shape_fxp_dominates_fft_energy() {
 
     let run = |chz: &mut Characterizer<'_>, config: OperatorConfig| {
         let model = appenergy::model_for_adder(chz, &config);
-        let mut ctx = OperatorCtx::with_adder(config.build());
+        let mut ctx = OperatorCtx::for_config(&config);
         let result = fixture.run(&mut ctx);
         (result.score.value(), model.energy_pj(result.counts))
     };

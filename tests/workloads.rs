@@ -8,7 +8,7 @@ use apxperf::cells::Library;
 use apxperf::core::appenergy::sweep_workload;
 use apxperf::core::{CharacterizerSettings, Engine};
 use apxperf::metrics::QualityScore;
-use apxperf::operators::{ExactCtx, FaType, OperatorConfig, OperatorCtx};
+use apxperf::operators::{FaType, OperatorConfig, OperatorCtx};
 use proptest::prelude::*;
 
 /// Small parameters so every workload runs in milliseconds: 16-pixel
@@ -93,7 +93,7 @@ proptest! {
         seed in 0u64..8,
     ) {
         let workload = (WORKLOADS[workload_idx].build)(&tiny_params()).expect("tiny params are valid");
-        let mut exact_ctx = ExactCtx::new();
+        let mut exact_ctx = OperatorCtx::exact();
         let exact = workload.run(seed, &mut exact_ctx).score;
         let mut approx_ctx = OperatorCtx::for_config(&CONFIGS[config_idx]);
         let approx = workload.run(seed, &mut approx_ctx).score;
