@@ -4,16 +4,7 @@
 
 use super::{report_cache_use, workload_cells};
 use crate::args::Args;
-use apx_core::appenergy::WorkloadCell;
 use apx_core::{query, sweeps};
-
-/// The uniform workload result table shared by `app` and
-/// `sweep --workload` — rendered by [`query::workload_table`], the same
-/// function the serve daemon uses, so served sweeps match this stdout
-/// byte for byte.
-pub(super) fn render_workload_table(args: &Args, cells: &[WorkloadCell]) -> String {
-    query::workload_table(args.format, cells)
-}
 
 /// `apxperf app <WORKLOAD>` — runs one registered workload over an
 /// operator family (default: the named operating points of Tables
@@ -37,7 +28,9 @@ pub(super) fn app(args: &Args) -> Result<(), String> {
         sweep_family.name,
         configs.len()
     );
-    print!("{}", render_workload_table(args, &cells));
+    // the serve daemon renders through the same function, so served
+    // sweeps match this stdout byte for byte
+    print!("{}", query::workload_table(args.format, &cells));
     report_cache_use(&cache);
     Ok(())
 }

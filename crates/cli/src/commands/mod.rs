@@ -7,7 +7,7 @@ use apx_apps::Workload;
 use apx_cache::Cache;
 use apx_cells::Library;
 use apx_core::appenergy::{self, WorkloadCell};
-use apx_core::{sweeps, OperatorReport};
+use apx_core::{query, sweeps, OperatorReport};
 use apx_operators::OperatorConfig;
 
 mod apps;
@@ -334,20 +334,9 @@ pub(crate) fn reports_for(
     sweeps::characterize_all_cached(&lib, args.settings(), configs, &args.engine(), cache)
 }
 
-/// Resolves a workload name against the registry, builds the instance
-/// from the shared CLI parameters, and picks its legacy fixture seed
-/// unless `--seed` was given explicitly — the common front half of
-/// [`workload_cells`] and the `pareto` overlay.
-pub(crate) fn resolve_workload(
-    args: &Args,
-    name: &str,
-) -> Result<(Box<dyn Workload>, u64), String> {
-    apx_core::query::resolve_workload(&args.query_params(), name)
-}
-
 /// The standard application-sweep runner behind `app`, `sweep
 /// --workload` and every figure/table case-study alias: resolve the
-/// named workload ([`resolve_workload`]) and run the engine-parallel,
+/// named workload ([`query::resolve_workload`]) and run the engine-parallel,
 /// cache-aware cell sweep of `apx_core::appenergy`.
 pub(crate) fn workload_cells(
     args: &Args,
@@ -355,7 +344,7 @@ pub(crate) fn workload_cells(
     name: &str,
     configs: &[OperatorConfig],
 ) -> Result<(Box<dyn Workload>, Vec<WorkloadCell>), String> {
-    let (workload, seed) = resolve_workload(args, name)?;
+    let (workload, seed) = query::resolve_workload(&args.query_params(), name)?;
     let lib = Library::fdsoi28();
     let cells = appenergy::sweep_workload_cached(
         workload.as_ref(),

@@ -197,7 +197,7 @@ fn pack_selection(args: &Args) -> Result<Option<Vec<apx_cache::CacheKey>>, Strin
     let settings = args.settings();
     let keys = match &args.workload {
         Some(name) => {
-            let (workload, seed) = super::resolve_workload(args, name)?;
+            let (workload, seed) = query::resolve_workload(&args.query_params(), name)?;
             core_cache::sweep_key_closure(
                 &lib,
                 &settings,

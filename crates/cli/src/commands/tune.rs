@@ -4,11 +4,11 @@
 //! quality still meets a parsed budget, and report it against the best
 //! uniform configuration.
 
-use super::{report_cache_use, resolve_workload};
+use super::report_cache_use;
 use crate::args::Args;
 use apx_cells::Library;
 use apx_core::output::{family, fmt, render};
-use apx_core::sweeps;
+use apx_core::{query, sweeps};
 use apx_metrics::QualityBudget;
 use apx_operators::OperatorConfig;
 
@@ -49,7 +49,7 @@ pub(super) fn tune(args: &Args) -> Result<(), String> {
     })?;
     let budget: QualityBudget = budget_text.parse()?;
     let configs = candidate_configs(args)?;
-    let (workload, seed) = resolve_workload(args, name)?;
+    let (workload, seed) = query::resolve_workload(&args.query_params(), name)?;
     let cache = args.cache();
     let lib = Library::fdsoi28();
     let outcome = apx_core::tune::tune(

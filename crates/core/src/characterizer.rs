@@ -138,7 +138,7 @@ impl<'a> Characterizer<'a> {
     /// replaces. A fresh result is stored before being returned.
     pub fn characterize(&mut self, config: &OperatorConfig) -> OperatorReport {
         if !self.cache.is_enabled() {
-            return self.characterize_uncached(config);
+            return self.characterize_uncached(config, config.build().as_ref());
         }
         let key = crate::cache::report_cache_key(self.lib, &self.settings, config);
         if let Some(report) = self.cache.get::<OperatorReport>(&key) {
@@ -148,18 +148,21 @@ impl<'a> Characterizer<'a> {
                 return report;
             }
         }
-        let report = self.characterize_uncached(config);
+        let report = self.characterize_uncached(config, config.build().as_ref());
         self.cache.put(&key, &report);
         report
     }
 
     /// [`Characterizer::characterize`] without the cache lookup: always
-    /// runs the full pipeline.
-    fn characterize_uncached(&mut self, config: &OperatorConfig) -> OperatorReport {
-        let op = config.build();
-        let verified = self.verify(op.as_ref());
-        let error = self.error_stats(op.as_ref());
-        let hw = self.hardware(op.as_ref());
+    /// runs the full pipeline on `op`, the operator `config` builds.
+    fn characterize_uncached(
+        &self,
+        config: &OperatorConfig,
+        op: &dyn ApxOperator,
+    ) -> OperatorReport {
+        let verified = self.verify(op);
+        let error = self.error_stats(op);
+        let hw = self.hardware(op);
         OperatorReport {
             config: *config,
             name: op.name(),
@@ -256,7 +259,8 @@ impl<'a> Characterizer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apx_operators::FaType;
+    use apx_netlist::Netlist;
+    use apx_operators::{FaType, OpClass};
 
     fn quick(lib: &Library) -> Characterizer<'_> {
         Characterizer::new(lib).with_settings(CharacterizerSettings {
@@ -330,6 +334,48 @@ mod tests {
             fa_type: FaType::Three,
         });
         assert!(trunc.error.mse_db < rca.error.mse_db - 10.0);
+    }
+
+    /// A real operator whose functional model is wrong whenever the low
+    /// byte of `a` is `0x5A` — one operand pair in 256.
+    struct Corrupted(Box<dyn ApxOperator>);
+
+    impl ApxOperator for Corrupted {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+        fn op_class(&self) -> OpClass {
+            self.0.op_class()
+        }
+        fn input_bits(&self) -> u32 {
+            self.0.input_bits()
+        }
+        fn output_bits(&self) -> u32 {
+            self.0.output_bits()
+        }
+        fn eval_u(&self, a: u64, b: u64) -> u64 {
+            self.0.eval_u(a, b) ^ u64::from(a & 0xFF == 0x5A)
+        }
+        fn netlist(&self) -> Netlist {
+            self.0.netlist()
+        }
+    }
+
+    #[test]
+    fn a_model_netlist_mismatch_reaches_the_report() {
+        let lib = Library::fdsoi28();
+        let chz = quick(&lib).with_settings(CharacterizerSettings {
+            verify_samples: 2_000,
+            ..quick(&lib).settings()
+        });
+        // ADD(8) takes the exhaustive path, ADD(16) the random one
+        for n in [8, 16] {
+            let config = OperatorConfig::AddExact { n };
+            let clean = chz.characterize_uncached(&config, config.build().as_ref());
+            assert!(clean.verified, "n={n}");
+            let report = chz.characterize_uncached(&config, &Corrupted(config.build()));
+            assert!(!report.verified, "n={n}");
+        }
     }
 
     #[test]

@@ -372,7 +372,14 @@ impl NetlistBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::verify_exhaustive2;
+    use crate::verify::{batched, verify_exhaustive2_batch_with};
+    use apx_engine::Engine;
+
+    /// Exhaustively checks a two-bus netlist against `f(a, b)`.
+    fn assert_exact(nl: &Netlist, f: impl Fn(u64, u64) -> u64 + Sync) {
+        verify_exhaustive2_batch_with(nl, &Engine::single_threaded(), batched(f))
+            .unwrap_or_else(|e| panic!("{}: {e}", nl.name()));
+    }
 
     #[test]
     fn ripple_adder_is_exact() {
@@ -387,7 +394,7 @@ mod tests {
             b.output_bus("y", &out);
             let nl = b.finish();
             let mask = (1u64 << (width + 1)) - 1;
-            verify_exhaustive2(&nl, |x, y| (x + y) & mask).expect("adder must be exact");
+            assert_exact(&nl, |x, y| (x + y) & mask);
         }
     }
 
@@ -396,16 +403,17 @@ mod tests {
         // columns encode 3*1 + 2*2 + 1*4 = 3 + 4 + 4: verify against a
         // closure that recomputes the column sum from the inputs.
         let mut b = NetlistBuilder::new("columns");
-        let x = b.input_bus("a", 6);
-        let columns = vec![vec![x[0], x[1], x[2]], vec![x[3], x[4]], vec![x[5]]];
+        let lo = b.input_bus("a", 3);
+        let hi = b.input_bus("b", 3);
+        let columns = vec![vec![lo[0], lo[1], lo[2]], vec![hi[0], hi[1]], vec![hi[2]]];
         let out = b.compress_columns(columns, 4);
         b.output_bus("y", &out);
         let nl = b.finish();
-        crate::verify::verify_exhaustive1(&nl, |v| {
+        assert_exact(&nl, |lo, hi| {
+            let v = lo | hi << 3;
             let bit = |i: usize| (v >> i) & 1;
             (bit(0) + bit(1) + bit(2) + 2 * (bit(3) + bit(4)) + 4 * bit(5)) & 0xF
-        })
-        .expect("compressor must be exact");
+        });
     }
 
     #[test]
@@ -418,12 +426,7 @@ mod tests {
         out.push(cout);
         b.output_bus("y", &out);
         let nl = b.finish();
-        crate::verify::verify_exhaustive1(&nl, |v| {
-            let a = v & 0xF;
-            let inc = (v >> 4) & 1;
-            (a + inc) & 0x1F
-        })
-        .expect("increment row must be exact");
+        assert_exact(&nl, |a, inc| (a + inc) & 0x1F);
     }
 
     #[test]

@@ -24,8 +24,10 @@
 //! # Example
 //!
 //! ```
-//! use apx_netlist::{HwAnalyzer, NetlistBuilder};
 //! use apx_cells::Library;
+//! use apx_engine::Engine;
+//! use apx_netlist::verify::verify_exhaustive2_batch_with;
+//! use apx_netlist::{HwAnalyzer, NetlistBuilder};
 //!
 //! // A 4-bit ripple-carry adder.
 //! let mut b = NetlistBuilder::new("rca4");
@@ -42,8 +44,14 @@
 //! b.output_bus("cout", &[carry]);
 //! let nl = b.finish();
 //!
-//! // Verify against integer addition, then characterize.
-//! apx_netlist::verify::verify_exhaustive2(&nl, |a, b| (a + b) & 0x1F).unwrap();
+//! // Verify against integer addition (a whole batch of expected
+//! // outputs at a time), then characterize.
+//! verify_exhaustive2_batch_with(&nl, &Engine::single_threaded(), |a, b, out| {
+//!     for ((&a, &b), o) in a.iter().zip(b).zip(out.iter_mut()) {
+//!         *o = (a + b) & 0x1F;
+//!     }
+//! })
+//! .unwrap();
 //! let lib = Library::fdsoi28();
 //! let report = HwAnalyzer::new(&lib).analyze(&nl);
 //! assert!(report.area_um2 > 10.0 && report.delay_ns > 0.05);
@@ -63,4 +71,4 @@ pub mod verify;
 pub use analyzer::{AnalysisSettings, HwAnalyzer, HwReport};
 pub use builder::NetlistBuilder;
 pub use ir::{Gate, NetId, Netlist, NetlistStats};
-pub use sim::{pack_operand, pack_operand_into, unpack_outputs, unpack_outputs_into, Sim64};
+pub use sim::Sim64;

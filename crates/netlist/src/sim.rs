@@ -9,64 +9,20 @@
 
 use crate::ir::{NetId, Netlist};
 
-/// Packs up to 64 operand values into per-bit lane words.
-///
-/// `words[bit]` has lane `l` set iff bit `bit` of `values[l]` is set.
-///
-/// # Example
-/// ```
-/// let words = apx_netlist::pack_operand(2, &[0b01, 0b10, 0b11]);
-/// assert_eq!(words[0], 0b101); // bit0 of vectors 0 and 2
-/// assert_eq!(words[1], 0b110); // bit1 of vectors 1 and 2
-/// ```
+/// Packs up to 64 operand values into per-bit lane words, clearing and
+/// filling `words` without allocating when its capacity already
+/// suffices: `words[bit]` has lane `l` set iff bit `bit` of `values[l]`
+/// is set.
 ///
 /// # Panics
 /// Panics if more than 64 values are supplied.
-#[must_use]
-pub fn pack_operand(width: usize, values: &[u64]) -> Vec<u64> {
-    let mut words = Vec::new();
-    pack_operand_into(width, values, &mut words);
-    words
-}
-
-/// Buffer-reusing form of [`pack_operand`]: clears and fills `words`
-/// without allocating when its capacity already suffices. This is the
-/// variant the characterization hot loops use, where a fresh `Vec` per
-/// 64-lane batch would dominate the simulator's own work.
-///
-/// # Panics
-/// Panics if more than 64 values are supplied.
-pub fn pack_operand_into(width: usize, values: &[u64], words: &mut Vec<u64>) {
+fn pack_operand_into(width: usize, values: &[u64], words: &mut Vec<u64>) {
     assert!(values.len() <= 64, "at most 64 lanes");
     words.clear();
     words.resize(width, 0);
     for (lane, &v) in values.iter().enumerate() {
         for (bit, word) in words.iter_mut().enumerate() {
             *word |= ((v >> bit) & 1) << lane;
-        }
-    }
-}
-
-/// Inverse of [`pack_operand`]: converts per-bit lane words back into
-/// `lanes` output values.
-#[must_use]
-pub fn unpack_outputs(words: &[u64], lanes: usize) -> Vec<u64> {
-    let mut values = Vec::new();
-    unpack_outputs_into(words, lanes, &mut values);
-    values
-}
-
-/// Buffer-reusing form of [`unpack_outputs`] (see [`pack_operand_into`]).
-///
-/// # Panics
-/// Panics if more than 64 lanes are requested.
-pub fn unpack_outputs_into(words: &[u64], lanes: usize, values: &mut Vec<u64>) {
-    assert!(lanes <= 64, "at most 64 lanes");
-    values.clear();
-    values.resize(lanes, 0);
-    for (bit, &word) in words.iter().enumerate() {
-        for (lane, value) in values.iter_mut().enumerate() {
-            *value |= ((word >> lane) & 1) << bit;
         }
     }
 }
@@ -110,17 +66,6 @@ impl<'a> Sim64<'a> {
             values: vec![0; nl.num_nets()],
             pack_buf: Vec::new(),
         }
-    }
-
-    /// Sets the raw 64-lane word of a single net.
-    pub fn set_net(&mut self, net: NetId, word: u64) {
-        self.values[net.index()] = word;
-    }
-
-    /// Raw 64-lane word of a net (valid after [`Sim64::run`]).
-    #[must_use]
-    pub fn net(&self, net: NetId) -> u64 {
-        self.values[net.index()]
     }
 
     /// Loads up to 64 operand values into the named input bus.
@@ -183,29 +128,19 @@ impl<'a> Sim64<'a> {
     /// Panics if the bus does not exist.
     #[must_use]
     pub fn read_bus_lanes(&self, bus: &str, lanes: usize) -> Vec<u64> {
-        let mut values = Vec::new();
-        self.read_bus_lanes_into(bus, lanes, &mut values);
-        values
-    }
-
-    /// Buffer-reusing form of [`Sim64::read_bus_lanes`]: unpacks the
-    /// output bus straight from the net words into `values`, with no
-    /// intermediate word buffer.
-    ///
-    /// # Panics
-    /// Panics if the bus does not exist or more than 64 lanes are
-    /// requested.
-    pub fn read_bus_lanes_into(&self, bus: &str, lanes: usize, values: &mut Vec<u64>) {
         let nets = self
             .nl
             .output_bus(bus)
             .unwrap_or_else(|| panic!("no output bus {bus}"));
-        self.read_bus_lanes_at_into(nets, lanes, values);
+        let mut values = Vec::new();
+        self.read_bus_lanes_at_into(nets, lanes, &mut values);
+        values
     }
 
-    /// Pre-resolved form of [`Sim64::read_bus_lanes_into`]: takes the
-    /// bus's net slice (from [`Netlist::output_bus`]) directly (see
-    /// [`Sim64::set_bus_lanes_at`]).
+    /// Pre-resolved, buffer-reusing form of [`Sim64::read_bus_lanes`]:
+    /// takes the bus's net slice (from [`Netlist::output_bus`]) directly
+    /// (see [`Sim64::set_bus_lanes_at`]) and unpacks the net words
+    /// straight into `values`.
     ///
     /// # Panics
     /// Panics if more than 64 lanes are requested.
@@ -214,7 +149,7 @@ impl<'a> Sim64<'a> {
         values.clear();
         values.resize(lanes, 0);
         for (bit, net) in nets.iter().enumerate() {
-            let word = self.net(*net);
+            let word = self.values[net.index()];
             for (lane, value) in values.iter_mut().enumerate() {
                 *value |= ((word >> lane) & 1) << bit;
             }
@@ -228,22 +163,24 @@ mod tests {
     use crate::NetlistBuilder;
 
     #[test]
-    fn pack_unpack_roundtrip() {
+    fn bus_lanes_round_trip_and_buffers_are_reused_clean() {
+        // a wire netlist: the output bus is the input bus itself
+        let mut b = NetlistBuilder::new("wire");
+        let a = b.input_bus("a", 16);
+        b.output_bus("y", &a);
+        let nl = b.finish();
+        let mut sim = Sim64::new(&nl);
         let values: Vec<u64> = (0..64).map(|i| (i * 2654435761u64) & 0xFFFF).collect();
-        let words = pack_operand(16, &values);
-        assert_eq!(unpack_outputs(&words, 64), values);
-    }
-
-    #[test]
-    fn into_variants_reuse_and_match_the_allocating_forms() {
-        let values: Vec<u64> = (0..40).map(|i| (i * 0x9E37) & 0xFF).collect();
-        let mut words = vec![0xFFFF_FFFF; 3]; // stale content must be cleared
-        pack_operand_into(8, &values, &mut words);
-        assert_eq!(words, pack_operand(8, &values));
+        sim.set_bus_lanes("a", &values);
+        sim.run();
+        assert_eq!(sim.read_bus_lanes("y", 64), values);
+        // stale buffer content must be cleared, not merged
         let mut back = vec![7u64; 99];
-        unpack_outputs_into(&words, 40, &mut back);
-        assert_eq!(back, unpack_outputs(&words, 40));
-        assert_eq!(back, values);
+        sim.read_bus_lanes_at_into(nl.output_bus("y").unwrap(), 40, &mut back);
+        assert_eq!(back, values[..40]);
+        let mut words = vec![0xFFFF_FFFF; 3];
+        pack_operand_into(8, &[0b01, 0b10, 0b11], &mut words);
+        assert_eq!(words, [0b101, 0b110, 0, 0, 0, 0, 0, 0]);
     }
 
     #[test]
@@ -279,7 +216,6 @@ mod tests {
         b.output_bus("y", &sum);
         let nl = b.finish();
         let mut sim = Sim64::new(&nl);
-        let mut out = Vec::new();
         // full 64-lane batch, then a short 3-lane batch
         let full: Vec<u64> = (0..64u64).map(|i| i % 16).collect();
         sim.set_bus_lanes("a", &full);
@@ -288,7 +224,6 @@ mod tests {
         sim.set_bus_lanes("a", &[1, 2, 3]);
         sim.set_bus_lanes("b", &[4, 5, 6]);
         sim.run();
-        sim.read_bus_lanes_into("y", 3, &mut out);
-        assert_eq!(out, vec![5, 7, 9]);
+        assert_eq!(sim.read_bus_lanes("y", 3), vec![5, 7, 9]);
     }
 }

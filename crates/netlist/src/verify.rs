@@ -7,14 +7,14 @@
 //! Both the exhaustive and the random checks are **sharded**: the vector
 //! space (or sample count) is split into fixed-size chunks via
 //! [`apx_engine::plan_shards_sized`], each with its own RNG stream, and
-//! the `_with` variants run the chunks on an [`Engine`]. The shard plan
-//! and streams never depend on the thread count, and a mismatch is always
-//! reported from the lowest-indexed failing shard — so the verdict (and
-//! the reported counterexample) is identical for any worker count.
+//! the chunks run on an [`Engine`]. The shard plan and streams never
+//! depend on the thread count, and a mismatch is always reported from the
+//! lowest-indexed failing shard — so the verdict (and the reported
+//! counterexample) is identical for any worker count.
 
 use crate::ir::{NetId, Netlist};
 use crate::sim::Sim64;
-use apx_engine::{plan_shards_sized, shard_seed, Engine};
+use apx_engine::{plan_shards_sized, shard_seed, Engine, Shard};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,39 +50,30 @@ impl fmt::Display for VerifyMismatchError {
 
 impl Error for VerifyMismatchError {}
 
-fn bus_widths(nl: &Netlist) -> Vec<(String, usize)> {
-    nl.inputs()
-        .iter()
-        .map(|(n, b)| (n.clone(), b.len()))
-        .collect()
-}
-
 /// A reusable batch checker: one simulator plus every per-batch buffer,
 /// allocated once per shard so the 64-lane loop itself never touches the
 /// heap.
 struct BatchChecker<'n> {
     nl: &'n Netlist,
     sim: Sim64<'n>,
-    /// Pre-resolved net slice per input bus, in declaration order —
-    /// resolved once here so the per-window loop never repeats the
-    /// by-name bus lookups.
-    input_nets: Vec<&'n [NetId]>,
+    /// Pre-resolved net slices of the `a` and `b` input buses — resolved
+    /// once here so the per-window loop never repeats the by-name bus
+    /// lookups.
+    input_nets: [&'n [NetId]; 2],
     /// Pre-resolved (net slice, concat shift) per output bus.
     output_nets: Vec<(&'n [NetId], usize)>,
     /// Per-lane concatenated netlist outputs of the current batch.
     got: Vec<u64>,
     /// Scratch for one output bus worth of lane values.
     vals: Vec<u64>,
-    /// One lane-value buffer per input bus.
-    operands: Vec<Vec<u64>>,
+    /// The `a` and `b` lane values of the current batch.
+    operands: [Vec<u64>; 2],
     /// Per-lane expected outputs of the current batch.
     expected: Vec<u64>,
 }
 
 impl<'n> BatchChecker<'n> {
     fn new(nl: &'n Netlist) -> Self {
-        let total: usize = nl.outputs().iter().map(|(_, b)| b.len()).sum();
-        assert!(total <= 64, "concatenated outputs exceed 64 bits");
         let mut shift = 0;
         let output_nets = nl
             .outputs()
@@ -93,22 +84,48 @@ impl<'n> BatchChecker<'n> {
                 entry
             })
             .collect();
+        let inputs = nl.inputs();
         BatchChecker {
             nl,
             sim: Sim64::new(nl),
-            input_nets: nl.inputs().iter().map(|(_, bus)| bus.as_slice()).collect(),
+            input_nets: [inputs[0].1.as_slice(), inputs[1].1.as_slice()],
             output_nets,
             got: Vec::new(),
             vals: Vec::new(),
-            operands: vec![Vec::new(); nl.inputs().len()],
+            operands: [Vec::new(), Vec::new()],
             expected: Vec::new(),
         }
+    }
+
+    /// Checks `len` vectors in 64-lane batches: `source(lanes, a, b)`
+    /// appends each batch's operands to the cleared `a` and `b` buffers,
+    /// and `f` fills the expected outputs from them.
+    fn sweep(
+        &mut self,
+        len: usize,
+        mut source: impl FnMut(usize, &mut Vec<u64>, &mut Vec<u64>),
+        f: impl Fn(&[u64], &[u64], &mut [u64]),
+    ) -> Result<(), VerifyMismatchError> {
+        let mut done = 0;
+        while done < len {
+            let lanes = (len - done).min(64);
+            let [a, b] = &mut self.operands;
+            a.clear();
+            b.clear();
+            source(lanes, a, b);
+            self.expected.clear();
+            self.expected.resize(lanes, 0);
+            f(a, b, &mut self.expected);
+            self.check()?;
+            done += lanes;
+        }
+        Ok(())
     }
 
     /// Simulates the loaded `operands` batch and compares the
     /// concatenated outputs against the loaded `expected` values.
     fn check(&mut self) -> Result<(), VerifyMismatchError> {
-        let lanes = self.operands.first().map_or(0, Vec::len);
+        let lanes = self.expected.len();
         for (nets, vals) in self.input_nets.iter().zip(&self.operands) {
             self.sim.set_bus_lanes_at(nets, vals);
         }
@@ -140,69 +157,43 @@ impl<'n> BatchChecker<'n> {
     }
 }
 
-/// Exhaustively verifies the concatenated-word range `[start, end)` on a
-/// reused simulator — one shard of [`verify_exhaustive1_with`].
-fn verify_exhaustive1_range(
-    nl: &Netlist,
-    widths: &[(String, usize)],
-    start: u64,
-    end: u64,
-    f: impl Fn(u64) -> u64,
-) -> Result<(), VerifyMismatchError> {
-    let mut checker = BatchChecker::new(nl);
-    let mut v = start;
-    while v < end {
-        let lanes = (end - v).min(64);
-        let mut shift = 0;
-        for (operand, (_, w)) in checker.operands.iter_mut().zip(widths) {
-            let mask = if *w == 64 { !0u64 } else { (1u64 << w) - 1 };
-            operand.clear();
-            operand.extend((v..v + lanes).map(|x| (x >> shift) & mask));
-            shift += w;
-        }
-        checker.expected.clear();
-        checker.expected.extend((v..v + lanes).map(&f));
-        checker.check()?;
-        v += lanes;
+/// Widths of the `a` and `b` input buses.
+///
+/// # Panics
+/// Panics if the netlist does not have exactly two input buses or its
+/// concatenated outputs exceed 64 bits.
+fn operand_widths(nl: &Netlist) -> (usize, usize) {
+    let inputs = nl.inputs();
+    assert_eq!(inputs.len(), 2, "expected exactly two input buses");
+    let total: usize = nl.outputs().iter().map(|(_, b)| b.len()).sum();
+    assert!(total <= 64, "concatenated outputs exceed 64 bits");
+    (inputs[0].1.len(), inputs[1].1.len())
+}
+
+/// All-ones mask of the low `width` bits.
+fn mask(width: usize) -> u64 {
+    if width >= 64 {
+        !0
+    } else {
+        (1u64 << width) - 1
     }
-    Ok(())
 }
 
-/// Exhaustively verifies a netlist whose inputs are viewed as one
-/// concatenated word (first declared bus in the low bits).
-///
-/// # Errors
-/// Returns the first mismatching vector.
-///
-/// # Panics
-/// Panics if the total input width exceeds 24 bits (exhaustive sweep would
-/// be too large — use [`verify_random2`]).
-pub fn verify_exhaustive1(nl: &Netlist, f: impl Fn(u64) -> u64) -> Result<(), VerifyMismatchError> {
-    let widths = bus_widths(nl);
-    let total: usize = widths.iter().map(|(_, w)| w).sum();
-    assert!(total <= 24, "exhaustive verification over {total} bits");
-    verify_exhaustive1_range(nl, &widths, 0, 1u64 << total, f)
-}
-
-/// Sharded-parallel form of [`verify_exhaustive1`]: the vector space is
-/// split into fixed chunks verified on `engine`. A mismatch is reported
-/// from the lowest-numbered vector range, so the result is independent of
-/// the worker count.
-///
-/// # Errors
-/// Returns the mismatch of the lowest failing range.
-///
-/// # Panics
-/// Panics if the total input width exceeds 24 bits.
-pub fn verify_exhaustive1_with(
+/// Checks `count` vectors against `f` in [`VERIFY_SHARD`]-sized shards
+/// on `engine`; `source(shard)` yields the shard's operand source (see
+/// [`BatchChecker::sweep`]). Shards above the lowest failing one are
+/// skipped, and the lowest failing shard's mismatch is returned, so the
+/// verdict is independent of the worker count.
+fn verify_sharded<S>(
     nl: &Netlist,
     engine: &Engine,
-    f: impl Fn(u64) -> u64 + Sync,
-) -> Result<(), VerifyMismatchError> {
-    let widths = bus_widths(nl);
-    let total: usize = widths.iter().map(|(_, w)| w).sum();
-    assert!(total <= 24, "exhaustive verification over {total} bits");
-    let count = 1usize << total;
+    count: usize,
+    source: impl Fn(Shard) -> S + Sync,
+    f: impl Fn(&[u64], &[u64], &mut [u64]) + Sync,
+) -> Result<(), VerifyMismatchError>
+where
+    S: FnMut(usize, &mut Vec<u64>, &mut Vec<u64>),
+{
     let shards = plan_shards_sized(count, VERIFY_SHARD);
     let min_failed = AtomicUsize::new(usize::MAX);
     let results = engine.map_indexed(shards.len(), |i| {
@@ -213,13 +204,7 @@ pub fn verify_exhaustive1_with(
             return Ok(());
         }
         let shard = shards[i];
-        let result = verify_exhaustive1_range(
-            nl,
-            &widths,
-            shard.start as u64,
-            (shard.start + shard.len) as u64,
-            &f,
-        );
+        let result = BatchChecker::new(nl).sweep(shard.len, source(shard), &f);
         if result.is_err() {
             min_failed.fetch_min(i, Ordering::Relaxed);
         }
@@ -229,217 +214,55 @@ pub fn verify_exhaustive1_with(
 }
 
 /// Exhaustively verifies a two-operand netlist (buses in declaration
-/// order are `a`, then `b`) against `f(a, b)`.
+/// order are `a`, then `b`) against a batched reference: `f` fills a
+/// whole batch of expected outputs (`out[i] = expected(a[i], b[i])`), so
+/// a bitsliced `eval_batch` override accelerates the expected side of
+/// the equivalence check exactly as it does the error-sampling loop.
 ///
-/// # Errors
-/// Returns the first mismatching vector.
-///
-/// # Panics
-/// Panics if the netlist does not have exactly two input buses, or the
-/// total input width exceeds 24 bits.
-pub fn verify_exhaustive2(
-    nl: &Netlist,
-    f: impl Fn(u64, u64) -> u64,
-) -> Result<(), VerifyMismatchError> {
-    let widths = bus_widths(nl);
-    assert_eq!(widths.len(), 2, "expected exactly two input buses");
-    let wa = widths[0].1;
-    verify_exhaustive1(nl, |v| {
-        let mask_a = if wa == 64 { !0u64 } else { (1u64 << wa) - 1 };
-        f(v & mask_a, v >> wa)
-    })
-}
-
-/// Sharded-parallel form of [`verify_exhaustive2`]
-/// (see [`verify_exhaustive1_with`]).
+/// Vectors are swept in concatenated-word order (`a` in the low bits),
+/// split into fixed chunks verified on `engine`.
 ///
 /// # Errors
 /// Returns the mismatch of the lowest failing range.
 ///
 /// # Panics
-/// Panics if the netlist does not have exactly two input buses, or the
-/// total input width exceeds 24 bits.
-pub fn verify_exhaustive2_with(
-    nl: &Netlist,
-    engine: &Engine,
-    f: impl Fn(u64, u64) -> u64 + Sync,
-) -> Result<(), VerifyMismatchError> {
-    verify_exhaustive2_batch_with(nl, engine, |av, bv, out| {
-        for ((&a, &b), o) in av.iter().zip(bv).zip(out.iter_mut()) {
-            *o = f(a, b);
-        }
-    })
-}
-
-/// Exhaustively verifies the two-operand vector range `[start, end)` of
-/// concatenated words on a reused simulator, with the expected side
-/// filled a whole 64-lane batch at a time — one shard of
-/// [`verify_exhaustive2_batch_with`].
-fn verify_exhaustive2_range(
-    nl: &Netlist,
-    widths: &[(String, usize)],
-    start: u64,
-    end: u64,
-    f: impl Fn(&[u64], &[u64], &mut [u64]),
-) -> Result<(), VerifyMismatchError> {
-    let mut checker = BatchChecker::new(nl);
-    let mut v = start;
-    while v < end {
-        let lanes = (end - v).min(64);
-        let mut shift = 0;
-        for (operand, (_, w)) in checker.operands.iter_mut().zip(widths) {
-            let mask = if *w == 64 { !0u64 } else { (1u64 << w) - 1 };
-            operand.clear();
-            operand.extend((v..v + lanes).map(|x| (x >> shift) & mask));
-            shift += w;
-        }
-        checker.expected.clear();
-        checker.expected.resize(lanes as usize, 0);
-        f(
-            &checker.operands[0],
-            &checker.operands[1],
-            &mut checker.expected,
-        );
-        checker.check()?;
-        v += lanes;
-    }
-    Ok(())
-}
-
-/// Batched form of [`verify_exhaustive2_with`]: the reference closure
-/// fills a whole batch of expected outputs (`out[i] = expected(a[i],
-/// b[i])`) instead of being called per lane, so a bitsliced
-/// `eval_batch` override accelerates the expected side of the
-/// equivalence check exactly as it does the error-sampling loop. Shard
-/// plan, vector order and reported counterexample are identical to the
-/// per-lane form.
-///
-/// # Errors
-/// Returns the mismatch of the lowest failing range.
-///
-/// # Panics
-/// Panics if the netlist does not have exactly two input buses, or the
-/// total input width exceeds 24 bits.
+/// Panics if the netlist does not have exactly two input buses, the
+/// total input width exceeds 24 bits, or the concatenated outputs exceed
+/// 64 bits.
 pub fn verify_exhaustive2_batch_with(
     nl: &Netlist,
     engine: &Engine,
     f: impl Fn(&[u64], &[u64], &mut [u64]) + Sync,
 ) -> Result<(), VerifyMismatchError> {
-    let widths = bus_widths(nl);
-    assert_eq!(widths.len(), 2, "expected exactly two input buses");
-    let total: usize = widths.iter().map(|(_, w)| w).sum();
+    let (wa, wb) = operand_widths(nl);
+    let total = wa + wb;
     assert!(total <= 24, "exhaustive verification over {total} bits");
-    let count = 1usize << total;
-    let shards = plan_shards_sized(count, VERIFY_SHARD);
-    let min_failed = AtomicUsize::new(usize::MAX);
-    let results = engine.map_indexed(shards.len(), |i| {
-        if i > min_failed.load(Ordering::Relaxed) {
-            return Ok(()); // outranked by a lower failing shard already
+    let mask_a = mask(wa);
+    let source = |shard: Shard| {
+        let mut v = shard.start as u64;
+        move |lanes: usize, a: &mut Vec<u64>, b: &mut Vec<u64>| {
+            let words = v..v + lanes as u64;
+            a.extend(words.clone().map(|x| x & mask_a));
+            b.extend(words.map(|x| x >> wa));
+            v += lanes as u64;
         }
-        let shard = shards[i];
-        let result = verify_exhaustive2_range(
-            nl,
-            &widths,
-            shard.start as u64,
-            (shard.start + shard.len) as u64,
-            &f,
-        );
-        if result.is_err() {
-            min_failed.fetch_min(i, Ordering::Relaxed);
-        }
-        result
-    });
-    results.into_iter().find(Result::is_err).unwrap_or(Ok(()))
+    };
+    verify_sharded(nl, engine, 1 << total, source, f)
 }
 
-/// Verifies one shard of random vectors on a reused simulator with its
-/// own seed stream.
-fn verify_random2_shard(
-    nl: &Netlist,
-    samples: usize,
-    seed: u64,
-    widths: &[(String, usize)],
-    f: impl Fn(&[u64], &[u64], &mut [u64]),
-) -> Result<(), VerifyMismatchError> {
-    use rand::{RngExt, SeedableRng};
-    let (wa, wb) = (widths[0].1, widths[1].1);
-    let mask = |w: usize| if w == 64 { !0u64 } else { (1u64 << w) - 1 };
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut checker = BatchChecker::new(nl);
-    let mut done = 0;
-    while done < samples {
-        let lanes = (samples - done).min(64);
-        for (operand, w) in checker.operands.iter_mut().zip([wa, wb]) {
-            operand.clear();
-            operand.extend((0..lanes).map(|_| rng.random::<u64>() & mask(w)));
-        }
-        checker.expected.clear();
-        checker.expected.resize(lanes, 0);
-        f(
-            &checker.operands[0],
-            &checker.operands[1],
-            &mut checker.expected,
-        );
-        checker.check()?;
-        done += lanes;
-    }
-    Ok(())
-}
-
-/// Verifies a two-operand netlist on `samples` uniform random vectors.
+/// Verifies a two-operand netlist on `samples` uniform random vectors
+/// against a batched reference (see [`verify_exhaustive2_batch_with`]).
 ///
-/// The samples are drawn from per-shard streams derived from `seed`
-/// (serially here; [`verify_random2_with`] runs the same shards on an
-/// engine), so the two forms always agree on the verdict.
-///
-/// # Errors
-/// Returns the first mismatching vector.
-///
-/// # Panics
-/// Panics if the netlist does not have exactly two input buses.
-pub fn verify_random2(
-    nl: &Netlist,
-    samples: usize,
-    seed: u64,
-    f: impl Fn(u64, u64) -> u64 + Sync,
-) -> Result<(), VerifyMismatchError> {
-    verify_random2_with(nl, samples, seed, &Engine::single_threaded(), f)
-}
-
-/// Sharded-parallel form of [`verify_random2`]: same shards, same per
-/// shard streams, executed on `engine`; mismatches are reported from the
-/// lowest-indexed failing shard. Bit-identical verdict to
-/// [`verify_random2`] for any thread count.
+/// The samples are split into fixed chunks, each drawn from its own
+/// stream derived from `seed` (per 64-lane batch: every `a` lane, then
+/// every `b` lane) and run on `engine`.
 ///
 /// # Errors
 /// Returns the mismatch of the lowest failing shard.
 ///
 /// # Panics
-/// Panics if the netlist does not have exactly two input buses.
-pub fn verify_random2_with(
-    nl: &Netlist,
-    samples: usize,
-    seed: u64,
-    engine: &Engine,
-    f: impl Fn(u64, u64) -> u64 + Sync,
-) -> Result<(), VerifyMismatchError> {
-    verify_random2_batch_with(nl, samples, seed, engine, |av, bv, out| {
-        for ((&a, &b), o) in av.iter().zip(bv).zip(out.iter_mut()) {
-            *o = f(a, b);
-        }
-    })
-}
-
-/// Batched form of [`verify_random2_with`]: the reference closure fills
-/// a whole 64-lane batch of expected outputs at once (see
-/// [`verify_exhaustive2_batch_with`]). Shard plan, RNG streams and the
-/// reported counterexample are identical to the per-lane form.
-///
-/// # Errors
-/// Returns the mismatch of the lowest failing shard.
-///
-/// # Panics
-/// Panics if the netlist does not have exactly two input buses.
+/// Panics if the netlist does not have exactly two input buses or the
+/// concatenated outputs exceed 64 bits.
 pub fn verify_random2_batch_with(
     nl: &Netlist,
     samples: usize,
@@ -447,28 +270,31 @@ pub fn verify_random2_batch_with(
     engine: &Engine,
     f: impl Fn(&[u64], &[u64], &mut [u64]) + Sync,
 ) -> Result<(), VerifyMismatchError> {
-    let widths = bus_widths(nl);
-    assert_eq!(widths.len(), 2, "expected exactly two input buses");
-    let shards = plan_shards_sized(samples, VERIFY_SHARD);
-    let min_failed = AtomicUsize::new(usize::MAX);
-    let results = engine.map_indexed(shards.len(), |i| {
-        if i > min_failed.load(Ordering::Relaxed) {
-            return Ok(()); // outranked by a lower failing shard already
+    use rand::{RngExt, SeedableRng};
+    let (wa, wb) = operand_widths(nl);
+    let (mask_a, mask_b) = (mask(wa), mask(wb));
+    let source = |shard: Shard| {
+        let shard_seed = shard_seed(seed, STREAM_VERIFY, shard.index as u64);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(shard_seed);
+        move |lanes: usize, a: &mut Vec<u64>, b: &mut Vec<u64>| {
+            a.extend((0..lanes).map(|_| rng.random::<u64>() & mask_a));
+            b.extend((0..lanes).map(|_| rng.random::<u64>() & mask_b));
         }
-        let shard = shards[i];
-        let result = verify_random2_shard(
-            nl,
-            shard.len,
-            shard_seed(seed, STREAM_VERIFY, shard.index as u64),
-            &widths,
-            &f,
-        );
-        if result.is_err() {
-            min_failed.fetch_min(i, Ordering::Relaxed);
+    };
+    verify_sharded(nl, engine, samples, source, f)
+}
+
+/// Test adapter lifting a per-lane reference `f(a, b)` into the batched
+/// form the entry points take.
+#[cfg(test)]
+pub(crate) fn batched(
+    f: impl Fn(u64, u64) -> u64 + Sync,
+) -> impl Fn(&[u64], &[u64], &mut [u64]) + Sync {
+    move |av, bv, out| {
+        for ((&a, &b), o) in av.iter().zip(bv).zip(out.iter_mut()) {
+            *o = f(a, b);
         }
-        result
-    });
-    results.into_iter().find(Result::is_err).unwrap_or(Ok(()))
+    }
 }
 
 #[cfg(test)]
@@ -490,13 +316,16 @@ mod tests {
     #[test]
     fn exhaustive_accepts_correct_reference() {
         let nl = adder(5);
-        verify_exhaustive2(&nl, |a, b| (a + b) & 0x3F).unwrap();
+        let engine = Engine::single_threaded();
+        verify_exhaustive2_batch_with(&nl, &engine, batched(|a, b| (a + b) & 0x3F)).unwrap();
     }
 
     #[test]
     fn exhaustive_rejects_wrong_reference() {
         let nl = adder(3);
-        let err = verify_exhaustive2(&nl, |a, b| (a + b + 1) & 0xF).unwrap_err();
+        let engine = Engine::single_threaded();
+        let err = verify_exhaustive2_batch_with(&nl, &engine, batched(|a, b| (a + b + 1) & 0xF))
+            .unwrap_err();
         assert_eq!(err.inputs.len(), 2);
         // the very first vector (0,0) already mismatches: expected 1, got 0
         assert_eq!(err.expected, 1);
@@ -506,36 +335,36 @@ mod tests {
     #[test]
     fn random_verification_matches_exhaustive_result() {
         let nl = adder(16);
-        verify_random2(&nl, 5_000, 7, |a, b| (a + b) & 0x1_FFFF).unwrap();
+        let engine = Engine::single_threaded();
+        verify_random2_batch_with(&nl, 5_000, 7, &engine, batched(|a, b| (a + b) & 0x1_FFFF))
+            .unwrap();
+        // no samples: nothing to check, and the reference is never called
+        verify_random2_batch_with(&nl, 0, 7, &engine, |_, _, _| panic!("reference called"))
+            .unwrap();
     }
 
     #[test]
-    fn batched_reference_forms_match_the_per_lane_forms() {
-        let nl = adder(8);
-        let good = |a: u64, b: u64| (a + b) & 0x1FF;
-        let bad = |a: u64, b: u64| (a + b + u64::from(a == 3 && b == 5)) & 0x1FF;
-        let bad_often = |a: u64, b: u64| (a + b + u64::from(a == 3)) & 0x1FF;
-        fn batched(f: impl Fn(u64, u64) -> u64) -> impl Fn(&[u64], &[u64], &mut [u64]) {
-            move |av, bv, out| {
-                for ((&a, &b), o) in av.iter().zip(bv).zip(out.iter_mut()) {
-                    *o = f(a, b);
-                }
-            }
-        }
-        for threads in [1, 4] {
-            let engine = Engine::new(threads);
-            verify_exhaustive2_batch_with(&nl, &engine, batched(good)).unwrap();
-            // same counterexample as the serial per-lane sweep
-            assert_eq!(
-                verify_exhaustive2_batch_with(&nl, &engine, batched(bad)).unwrap_err(),
-                verify_exhaustive2(&nl, bad).unwrap_err()
-            );
-            verify_random2_batch_with(&nl, 40_000, 9, &engine, batched(good)).unwrap();
-            assert_eq!(
-                verify_random2_batch_with(&nl, 50_000, 9, &engine, batched(bad_often)).unwrap_err(),
-                verify_random2(&nl, 50_000, 9, bad_often).unwrap_err()
-            );
-        }
+    #[should_panic(expected = "exhaustive verification over 25 bits")]
+    fn exhaustive_rejects_more_than_24_input_bits() {
+        let mut b = NetlistBuilder::new("wide");
+        let a = b.input_bus("a", 13);
+        let _ = b.input_bus("b", 12);
+        b.output_bus("y", &a);
+        let nl = b.finish();
+        let _ = verify_exhaustive2_batch_with(&nl, &Engine::single_threaded(), |_, _, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "expected exactly two input buses")]
+    fn three_input_buses_are_rejected() {
+        let mut b = NetlistBuilder::new("fa");
+        let a = b.input_bus("a", 1);
+        let c = b.input_bus("b", 1);
+        let d = b.input_bus("cin", 1);
+        let (s, co) = b.full_adder(a[0], c[0], d[0]);
+        b.output_bus("y", &[s, co]);
+        let nl = b.finish();
+        let _ = verify_random2_batch_with(&nl, 64, 1, &Engine::single_threaded(), |_, _, _| {});
     }
 
     #[test]
@@ -545,23 +374,37 @@ mod tests {
         let bad = |a: u64, b: u64| (a + b + u64::from(a == 3 && b == 5)) & 0x1FF;
         // a 1-in-256 fault so the random check hits it with certainty
         let bad_often = |a: u64, b: u64| (a + b + u64::from(a == 3)) & 0x1FF;
-        let serial_bad = verify_exhaustive2(&nl, bad).unwrap_err();
-        let serial_rand = verify_random2(&nl, 50_000, 9, bad_often).unwrap_err();
+        // 40_000 and 50_000 span several shards that all fail under
+        // `bad_often`; VERIFY_SHARD + 65 is one full shard, then a partial
+        // shard ending in a partial batch. Shard 0 is the same stream for
+        // every size, so verifying it alone yields the counterexample the
+        // lowest failing shard must report.
+        let sizes = [40_000, 50_000, VERIFY_SHARD + 65];
+        let serial = Engine::single_threaded();
+        let shard0 = verify_random2_batch_with(&nl, VERIFY_SHARD, 9, &serial, batched(bad_often))
+            .unwrap_err();
         for threads in [1, 2, 8] {
             let engine = Engine::new(threads);
-            verify_exhaustive2_with(&nl, &engine, good).unwrap();
+            verify_exhaustive2_batch_with(&nl, &engine, batched(good)).unwrap();
+            // the unique failing vector is the reported counterexample
             assert_eq!(
-                verify_exhaustive2_with(&nl, &engine, bad).unwrap_err(),
-                serial_bad
-            );
-            verify_random2_with(&nl, 40_000, 9, &engine, good).unwrap();
-            // serial and parallel random verification share shard streams,
-            // and the lowest failing shard wins: identical counterexample
-            assert_eq!(
-                verify_random2_with(&nl, 50_000, 9, &engine, bad_often).unwrap_err(),
-                serial_rand,
+                verify_exhaustive2_batch_with(&nl, &engine, batched(bad)).unwrap_err(),
+                VerifyMismatchError {
+                    inputs: vec![("a".to_owned(), 3), ("b".to_owned(), 5)],
+                    expected: 9,
+                    got: 8,
+                },
                 "threads={threads}"
             );
+            for samples in sizes {
+                verify_random2_batch_with(&nl, samples, 9, &engine, batched(good)).unwrap();
+                assert_eq!(
+                    verify_random2_batch_with(&nl, samples, 9, &engine, batched(bad_often))
+                        .unwrap_err(),
+                    shard0,
+                    "threads={threads} samples={samples}"
+                );
+            }
         }
     }
 }

@@ -750,15 +750,7 @@ impl ApxOperator for RcaApx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apx_netlist::verify::verify_exhaustive2;
-
-    /// Cross-verifies netlist against functional model, exhaustively for
-    /// n ≤ 10.
-    fn cross_verify(op: &dyn ApxOperator) {
-        let nl = op.netlist();
-        verify_exhaustive2(&nl, |a, b| op.eval_u(a, b))
-            .unwrap_or_else(|e| panic!("{}: {e}", op.name()));
-    }
+    use crate::util::cross_verify;
 
     #[test]
     fn exact_adder_netlist_matches_model() {

@@ -508,8 +508,7 @@ impl ApxOperator for Aam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::util::{sext, to_u};
-    use apx_netlist::verify::{verify_exhaustive2, verify_random2};
+    use crate::util::{cross_verify, sext, to_u};
 
     #[test]
     fn bw_grid_sums_to_the_signed_product() {
@@ -528,26 +527,22 @@ mod tests {
     #[test]
     fn exact_multiplier_netlist_matches_model() {
         for n in [3u32, 4, 6] {
-            let op = MulExact::new(n);
-            verify_exhaustive2(&op.netlist(), |a, b| op.eval_u(a, b)).unwrap();
+            cross_verify(&MulExact::new(n));
         }
-        let op = MulExact::new(16);
-        verify_random2(&op.netlist(), 2_000, 11, |a, b| op.eval_u(a, b)).unwrap();
+        cross_verify(&MulExact::new(16));
     }
 
     #[test]
     fn trunc_multiplier_netlist_matches_model() {
         for (n, q) in [(4u32, 4u32), (4, 8), (6, 6), (6, 3)] {
-            let op = MulTrunc::new(n, q);
-            verify_exhaustive2(&op.netlist(), |a, b| op.eval_u(a, b)).unwrap();
+            cross_verify(&MulTrunc::new(n, q));
         }
     }
 
     #[test]
     fn round_multiplier_netlist_matches_model() {
         for (n, q) in [(4u32, 4u32), (6, 6), (6, 9)] {
-            let op = MulRound::new(n, q);
-            verify_exhaustive2(&op.netlist(), |a, b| op.eval_u(a, b)).unwrap();
+            cross_verify(&MulRound::new(n, q));
         }
     }
 
@@ -577,11 +572,9 @@ mod tests {
     #[test]
     fn aam_netlist_matches_model() {
         for n in [4u32, 6] {
-            let op = Aam::new(n);
-            verify_exhaustive2(&op.netlist(), |a, b| op.eval_u(a, b)).unwrap();
+            cross_verify(&Aam::new(n));
         }
-        let op = Aam::new(16);
-        verify_random2(&op.netlist(), 2_000, 13, |a, b| op.eval_u(a, b)).unwrap();
+        cross_verify(&Aam::new(16));
     }
 
     #[test]

@@ -504,8 +504,7 @@ impl ApxOperator for AbmUncorrected {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::util::{sext, to_u};
-    use apx_netlist::verify::{verify_exhaustive2, verify_random2};
+    use crate::util::{cross_verify, sext, to_u};
 
     #[test]
     fn booth_digits_recompose_the_operand() {
@@ -539,31 +538,25 @@ mod tests {
     #[test]
     fn exact_booth_netlist_matches_model() {
         for n in [4u32, 6] {
-            let op = MulBoothExact::new(n);
-            verify_exhaustive2(&op.netlist(), |a, b| op.eval_u(a, b)).unwrap();
+            cross_verify(&MulBoothExact::new(n));
         }
-        let op = MulBoothExact::new(16);
-        verify_random2(&op.netlist(), 2_000, 17, |a, b| op.eval_u(a, b)).unwrap();
+        cross_verify(&MulBoothExact::new(16));
     }
 
     #[test]
     fn abm_netlist_matches_model() {
         for n in [4u32, 6, 8] {
-            let op = Abm::new(n);
-            verify_exhaustive2(&op.netlist(), |a, b| op.eval_u(a, b)).unwrap();
+            cross_verify(&Abm::new(n));
         }
-        let op = Abm::new(16);
-        verify_random2(&op.netlist(), 2_000, 19, |a, b| op.eval_u(a, b)).unwrap();
+        cross_verify(&Abm::new(16));
     }
 
     #[test]
     fn abm_uncorrected_netlist_matches_model() {
         for n in [4u32, 8] {
-            let op = AbmUncorrected::new(n);
-            verify_exhaustive2(&op.netlist(), |a, b| op.eval_u(a, b)).unwrap();
+            cross_verify(&AbmUncorrected::new(n));
         }
-        let op = AbmUncorrected::new(16);
-        verify_random2(&op.netlist(), 2_000, 23, |a, b| op.eval_u(a, b)).unwrap();
+        cross_verify(&AbmUncorrected::new(16));
     }
 
     #[test]

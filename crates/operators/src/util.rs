@@ -56,8 +56,9 @@ pub(crate) fn bit(v: u64, i: u32) -> u64 {
 
 /// Transposes up to 64 operand values into per-bit lane words:
 /// `words[bit]` holds lane `l` iff bit `bit` of `values[l]` is set — the
-/// functional-model twin of `apx_netlist::pack_operand`, on a caller
-/// provided stack buffer so batched evaluation never allocates.
+/// functional-model twin of the operand packing in
+/// [`apx_netlist::Sim64`], on a caller provided stack buffer so batched
+/// evaluation never allocates.
 #[inline]
 pub(crate) fn transpose_lanes(values: &[u64], width: u32, words: &mut [u64; 64]) {
     debug_assert!(values.len() <= 64 && width <= 64);
@@ -174,6 +175,33 @@ pub fn centered_diff(reference: u64, approx: u64, bits: u32) -> i64 {
     let half = 1u64 << (bits - 1);
     let d = (reference.wrapping_sub(approx).wrapping_add(half)) & m;
     d as i64 - half as i64
+}
+
+/// Test-only cross-verification of `op.netlist()` against the per-lane
+/// [`ApxOperator::eval_u`](crate::ApxOperator::eval_u): over every
+/// operand pair up to the 24-bit exhaustive limit, else on 2 000 random
+/// vectors.
+///
+/// # Panics
+/// Panics with the counterexample when the two models disagree.
+#[cfg(test)]
+pub(crate) fn cross_verify(op: &dyn crate::ApxOperator) {
+    use apx_netlist::verify::{verify_exhaustive2_batch_with, verify_random2_batch_with};
+    let nl = op.netlist();
+    let engine = apx_engine::Engine::single_threaded();
+    let f = |av: &[u64], bv: &[u64], out: &mut [u64]| {
+        for ((&a, &b), o) in av.iter().zip(bv).zip(out.iter_mut()) {
+            *o = op.eval_u(a, b);
+        }
+    };
+    let result = if 2 * op.input_bits() <= 24 {
+        verify_exhaustive2_batch_with(&nl, &engine, f)
+    } else {
+        verify_random2_batch_with(&nl, 2_000, 17, &engine, f)
+    };
+    if let Err(e) = result {
+        panic!("{}: {e}", op.name());
+    }
 }
 
 #[cfg(test)]
