@@ -1,6 +1,6 @@
-//! Ablation micro-benchmarks: the cost of the design alternatives called
-//! out in DESIGN.md (array vs tree compression, corrected vs uncorrected
-//! ABM) measured at the substrate level.
+//! Ablation micro-benchmarks: the cost of the design alternatives (array
+//! vs tree compression, corrected vs uncorrected ABM) measured at the
+//! substrate level.
 
 use apx_cells::Library;
 use apx_netlist::HwAnalyzer;

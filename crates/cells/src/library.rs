@@ -50,10 +50,10 @@ pub struct Library {
 impl Library {
     /// The 28nm-FDSOI-class preset used by all paper reproductions.
     ///
-    /// Calibration anchors (see `DESIGN.md` §1 and `EXPERIMENTS.md`): a
-    /// 16-bit ripple-carry adder comes out near 50 µm² / 0.45 ns, a 16×16
-    /// two's-complement array multiplier near 0.8–1.0 · 10³ µm² / 0.9 ns,
-    /// matching Table I of the paper within small factors.
+    /// Calibration anchors: a 16-bit ripple-carry adder comes out near
+    /// 50 µm² / 0.45 ns, a 16×16 two's-complement array multiplier near
+    /// 0.8–1.0 · 10³ µm² / 0.9 ns, matching Table I of the paper within
+    /// small factors.
     #[must_use]
     pub fn fdsoi28() -> Self {
         let mut cells = BTreeMap::new();

@@ -5,7 +5,7 @@ use super::report_cache_use;
 use crate::args::Args;
 use apx_cells::Library;
 use apx_core::output::{fmt, render};
-use apx_core::{sweeps, Characterizer};
+use apx_core::{sweeps, Cache, Characterizer};
 use apx_netlist::power::{self, PowerSettings};
 use apx_netlist::{verify, HwAnalyzer};
 use apx_operators::{Aam, ApxOperator, OperatorConfig};
@@ -266,7 +266,8 @@ pub(super) fn bench_baseline(args: &Args) -> Result<(), String> {
     // 4. the reduced-sample Figs. 3/4 sweep, end to end
     let configs = sweeps::all_adders_16bit();
     let start = Instant::now();
-    let reports = sweeps::characterize_all(&lib, settings, &configs, &engine);
+    let reports =
+        sweeps::characterize_all_cached(&lib, settings, &configs, &engine, &Cache::default());
     let swept: u64 = reports.iter().map(|r| r.error.samples).sum();
     record(&mut stages, "fig34_adder_sweep", swept, start);
     if !reports.iter().all(|r| r.verified) {

@@ -72,95 +72,23 @@ pub fn partner_adder(mult: &OperatorConfig) -> OperatorConfig {
     OperatorConfig::AddExact { n: width.min(32) }
 }
 
-/// Builds the energy model for an **adder under test**: the adder's own
-/// PDP plus its sized partner multiplier's PDP (Tables III/V, Figs. 5/6).
-pub fn model_for_adder(chz: &mut Characterizer<'_>, adder: &OperatorConfig) -> AppEnergyModel {
-    let adder_pdp_pj = chz.characterize(adder).hw.pdp_pj;
-    let partner = partner_multiplier(adder);
-    let mult_pdp_pj = chz.characterize(&partner).hw.pdp_pj;
-    AppEnergyModel {
-        adder_pdp_pj,
-        mult_pdp_pj,
-    }
-}
-
-/// Builds the energy model for a **multiplier under test**: the
-/// multiplier's own PDP plus its sized partner adder's PDP
-/// (Tables IV/VI, Table II).
-pub fn model_for_multiplier(chz: &mut Characterizer<'_>, mult: &OperatorConfig) -> AppEnergyModel {
-    let mult_pdp_pj = chz.characterize(mult).hw.pdp_pj;
-    let partner = partner_adder(mult);
-    let adder_pdp_pj = chz.characterize(&partner).hw.pdp_pj;
-    AppEnergyModel {
-        adder_pdp_pj,
-        mult_pdp_pj,
-    }
-}
-
-/// Builds the energy model for any **operator under test**, dispatching
-/// on its class: [`model_for_adder`] for adders, [`model_for_multiplier`]
-/// for multipliers — the one entry point the workload sweep uses.
+/// Builds the energy model for any **operator under test**: its own PDP
+/// plus its sized partner's PDP — the [`partner_multiplier`] of an adder
+/// (Tables III/V, Figs. 5/6), the [`partner_adder`] of a multiplier
+/// (Tables IV/VI, Table II). The operator is characterized first, then
+/// its partner.
 pub fn model_for(chz: &mut Characterizer<'_>, config: &OperatorConfig) -> AppEnergyModel {
+    let own_pdp_pj = chz.characterize(config).hw.pdp_pj;
     match config.op_class() {
-        OpClass::Adder => model_for_adder(chz, config),
-        OpClass::Multiplier => model_for_multiplier(chz, config),
+        OpClass::Adder => AppEnergyModel {
+            adder_pdp_pj: own_pdp_pj,
+            mult_pdp_pj: chz.characterize(&partner_multiplier(config)).hw.pdp_pj,
+        },
+        OpClass::Multiplier => AppEnergyModel {
+            adder_pdp_pj: chz.characterize(&partner_adder(config)).hw.pdp_pj,
+            mult_pdp_pj: own_pdp_pj,
+        },
     }
-}
-
-/// Parallel §IV driver over **adders under test**: one energy model per
-/// configuration (operator + sized partner multiplier), computed across
-/// configs on `engine` and returned in input order. Bit-identical to a
-/// serial [`model_for_adder`] loop for any thread count.
-#[must_use]
-pub fn models_for_adders(
-    lib: &Library,
-    settings: CharacterizerSettings,
-    adders: &[OperatorConfig],
-    engine: &Engine,
-) -> Vec<AppEnergyModel> {
-    models_for_adders_cached(lib, settings, adders, engine, &Cache::default())
-}
-
-/// [`models_for_adders`] backed by a content-addressed report cache:
-/// both characterizations of each task (operator and sized partner) are
-/// served from the cache when already keyed. Partner operators recur
-/// across configs (every approximate 16-bit adder shares the full-width
-/// `MULt(16,16)` partner), so even a cold sweep hits after the first
-/// task completes.
-#[must_use]
-pub fn models_for_adders_cached(
-    lib: &Library,
-    settings: CharacterizerSettings,
-    adders: &[OperatorConfig],
-    engine: &Engine,
-    cache: &Cache,
-) -> Vec<AppEnergyModel> {
-    models_parallel(lib, settings, adders, engine, cache, model_for_adder)
-}
-
-/// Parallel §IV driver over **multipliers under test**
-/// (see [`models_for_adders`]).
-#[must_use]
-pub fn models_for_multipliers(
-    lib: &Library,
-    settings: CharacterizerSettings,
-    mults: &[OperatorConfig],
-    engine: &Engine,
-) -> Vec<AppEnergyModel> {
-    models_for_multipliers_cached(lib, settings, mults, engine, &Cache::default())
-}
-
-/// [`models_for_multipliers`] backed by a content-addressed report cache
-/// (see [`models_for_adders_cached`]).
-#[must_use]
-pub fn models_for_multipliers_cached(
-    lib: &Library,
-    settings: CharacterizerSettings,
-    mults: &[OperatorConfig],
-    engine: &Engine,
-    cache: &Cache,
-) -> Vec<AppEnergyModel> {
-    models_parallel(lib, settings, mults, engine, cache, model_for_multiplier)
 }
 
 /// One cell of an application sweep: the operator configuration under
@@ -232,46 +160,22 @@ pub fn sweep_workload_cached(
     let inner = crate::sweeps::inner_engine(engine, configs.len());
     engine.map_indexed(configs.len(), |i| {
         let config = configs[i];
-        let key = crate::cache::workload_cell_key(lib, &settings, workload, seed, &config);
-        if let Some(cell) = cache.get::<WorkloadCell>(&key) {
-            // collision guard: only serve a cell describing this config
-            if cell.config == config {
-                return cell;
-            }
-        }
-        let mut chz = Characterizer::new(lib)
-            .with_settings(settings)
-            .with_engine(inner.clone())
-            .with_cache(cache.clone());
-        let model = model_for(&mut chz, &config);
-        let mut ctx = OperatorCtx::for_config(&config);
-        let run = workload.run(seed, &mut ctx);
-        let cell = WorkloadCell { config, model, run };
-        cache.put(&key, &cell);
-        cell
-    })
-}
-
-fn models_parallel(
-    lib: &Library,
-    settings: CharacterizerSettings,
-    configs: &[OperatorConfig],
-    engine: &Engine,
-    cache: &Cache,
-    model: impl Fn(&mut Characterizer<'_>, &OperatorConfig) -> AppEnergyModel + Sync,
-) -> Vec<AppEnergyModel> {
-    // Each task characterizes two operators (the config and its sized
-    // partner); config-level parallelism carries the sweep, and any
-    // leftover workers (small config sets, as in the HEVC/K-means
-    // tables) drop into the tasks' sharded loops. Determinism is
-    // per-operator, so the split changes nothing in the output.
-    let inner = crate::sweeps::inner_engine(engine, configs.len());
-    engine.map_indexed(configs.len(), |i| {
-        let mut chz = Characterizer::new(lib)
-            .with_settings(settings)
-            .with_engine(inner.clone())
-            .with_cache(cache.clone());
-        model(&mut chz, &configs[i])
+        crate::cache::read_through(
+            cache,
+            || crate::cache::workload_cell_key(lib, &settings, workload, seed, &config),
+            |cell: &WorkloadCell| cell.config == config,
+            || {
+                let mut chz = Characterizer::new(lib)
+                    .with_settings(settings)
+                    .with_engine(inner.clone())
+                    .with_cache(cache.clone());
+                let model = model_for(&mut chz, &config);
+                let mut ctx = OperatorCtx::for_config(&config);
+                let run = workload.run(seed, &mut ctx);
+                WorkloadCell { config, model, run }
+            },
+        )
+        .0
     })
 }
 
@@ -319,8 +223,8 @@ mod tests {
             power_vectors: 300,
             seed: 5,
         });
-        let sized = model_for_adder(&mut chz, &OperatorConfig::AddTrunc { n: 16, q: 10 });
-        let approx = model_for_adder(
+        let sized = model_for(&mut chz, &OperatorConfig::AddTrunc { n: 16, q: 10 });
+        let approx = model_for(
             &mut chz,
             &OperatorConfig::RcaApx {
                 n: 16,
@@ -440,32 +344,5 @@ mod tests {
         let key_b = crate::cache::workload_cell_key(&lib, &settings, &other, 7, &configs[0]);
         assert_ne!(key_a, key_b, "workload fingerprint must be keyed");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn parallel_models_match_the_serial_loop() {
-        let lib = Library::fdsoi28();
-        let settings = CharacterizerSettings {
-            error_samples: 1_000,
-            verify_samples: 100,
-            exhaustive_up_to_bits: 8,
-            power_vectors: 50,
-            seed: 21,
-        };
-        let adders = [
-            OperatorConfig::AddTrunc { n: 16, q: 10 },
-            OperatorConfig::EtaIv { n: 16, x: 4 },
-        ];
-        let mut serial = Characterizer::new(&lib)
-            .with_settings(settings)
-            .with_engine(Engine::single_threaded());
-        let expected: Vec<_> = adders
-            .iter()
-            .map(|c| model_for_adder(&mut serial, c))
-            .collect();
-        for threads in [1, 4] {
-            let models = models_for_adders(&lib, settings, &adders, &Engine::new(threads));
-            assert_eq!(models, expected, "threads={threads}");
-        }
     }
 }

@@ -56,9 +56,10 @@
 
 use crate::characterizer::CharacterizerSettings;
 use apx_apps::Workload;
-use apx_cache::{ArchiveStamp, CacheKey, KeyBuilder};
+use apx_cache::{ArchiveStamp, Cache, CacheKey, KeyBuilder};
 use apx_cells::Library;
 use apx_operators::{OpClass, OperatorConfig, SiteMap};
+use serde::{Deserialize, Serialize};
 
 /// Version of the cached-report schema. Bump on any change to the
 /// serialized [`OperatorReport`] shape *or* to the semantics of a keyed
@@ -73,6 +74,35 @@ use apx_operators::{OpClass, OperatorConfig, SiteMap};
 /// absolute transition totals; v1 blobs must miss, not resurface numbers
 /// from the retired stream definition.
 pub const REPORT_SCHEMA_VERSION: u32 = 2;
+
+/// The one cached read behind every content-addressed record: looks
+/// `key()` up, serves the blob when `describes` accepts it, and
+/// otherwise computes, stores and returns a fresh value. Returns the
+/// value and whether it was served from the cache.
+///
+/// `describes` is the collision guard: a blob that parses but describes
+/// another input (a hash collision, or a manually copied file) is
+/// recomputed and overwritten instead of served. A disabled cache
+/// computes without deriving the key.
+pub(crate) fn read_through<T: Serialize + Deserialize>(
+    cache: &Cache,
+    key: impl FnOnce() -> CacheKey,
+    describes: impl FnOnce(&T) -> bool,
+    compute: impl FnOnce() -> T,
+) -> (T, bool) {
+    if !cache.is_enabled() {
+        return (compute(), false);
+    }
+    let key = key();
+    if let Some(value) = cache.get::<T>(&key) {
+        if describes(&value) {
+            return (value, true);
+        }
+    }
+    let value = compute();
+    cache.put(&key, &value);
+    (value, false)
+}
 
 /// Stable fingerprint of a cell library: a content hash over its
 /// canonical JSON serialization, covering every cell spec, the wire-load
@@ -220,8 +250,7 @@ pub fn sweep_key_closure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Characterizer;
-    use apx_cache::Cache;
+    use crate::{Characterizer, OperatorReport};
     use apx_cells::OperatingPoint;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -445,7 +474,13 @@ mod tests {
         ];
         let settings = quick_settings();
         let engine = crate::Engine::new(2);
-        let uncached = crate::sweeps::characterize_all(&lib, settings, &configs, &engine);
+        let uncached = crate::sweeps::characterize_all_cached(
+            &lib,
+            settings,
+            &configs,
+            &engine,
+            &Cache::default(),
+        );
         let cold =
             crate::sweeps::characterize_all_cached(&lib, settings, &configs, &engine, &cache);
         let warm =
@@ -509,6 +544,57 @@ mod tests {
             .with_cache(cache.clone())
             .characterize(&a);
         assert_eq!(report_a.config, a, "planted blob must be rejected");
+
+        // the same guard protects workload cells: plant b's cell under
+        // a's cell key, then sweep a twice
+        let engine = crate::Engine::new(1);
+        let workload = apx_apps::fir::FirWorkload::default();
+        let cell_b = crate::appenergy::sweep_workload(&workload, 7, &lib, settings, &[b], &engine);
+        cache.put(
+            &workload_cell_key(&lib, &settings, &workload, 7, &a),
+            &cell_b[0],
+        );
+        let sweep_a = || {
+            crate::appenergy::sweep_workload_cached(
+                &workload,
+                7,
+                &lib,
+                settings,
+                &[a],
+                &engine,
+                &cache,
+            )
+        };
+        let cold = sweep_a();
+        assert_eq!(cold[0].config, a, "planted cell must be rejected");
+        let before = cache.stats();
+        assert_eq!(sweep_a(), cold);
+        let after = cache.stats();
+        assert_eq!(
+            (after.hits, after.misses, after.writes),
+            (before.hits + 1, before.misses, before.writes),
+            "the healed cell is a pure hit"
+        );
+
+        // … and the served report path, whose hit flag feeds `/stats`
+        let c = OperatorConfig::AddTrunc { n: 16, q: 12 };
+        cache.put(&report_cache_key(&lib, &settings, &c), &report_b);
+        let (report_c, hit) = crate::query::cached_report(&lib, settings, &c, &engine, &cache);
+        assert!(!hit, "a rejected blob is not a hit");
+        assert_eq!(report_c.config, c, "planted report must be rejected");
+        let (again, hit) = crate::query::cached_report(&lib, settings, &c, &engine, &cache);
+        assert!(hit);
+        assert_eq!(again, report_c);
+
+        // a disabled cache never derives a key
+        let (value, hit) = read_through(
+            &Cache::default(),
+            || panic!("a disabled cache derived a key"),
+            |_: &OperatorReport| true,
+            || report_c.clone(),
+        );
+        assert!(!hit);
+        assert_eq!(value, report_c);
     }
 
     #[test]

@@ -137,20 +137,13 @@ impl<'a> Characterizer<'a> {
     /// skips all three sweeps and is bit-identical to the recompute it
     /// replaces. A fresh result is stored before being returned.
     pub fn characterize(&mut self, config: &OperatorConfig) -> OperatorReport {
-        if !self.cache.is_enabled() {
-            return self.characterize_uncached(config, config.build().as_ref());
-        }
-        let key = crate::cache::report_cache_key(self.lib, &self.settings, config);
-        if let Some(report) = self.cache.get::<OperatorReport>(&key) {
-            // guard against hash collisions and foreign blobs: the record
-            // must actually describe the requested configuration
-            if report.config == *config {
-                return report;
-            }
-        }
-        let report = self.characterize_uncached(config, config.build().as_ref());
-        self.cache.put(&key, &report);
-        report
+        crate::cache::read_through(
+            &self.cache,
+            || crate::cache::report_cache_key(self.lib, &self.settings, config),
+            |report: &OperatorReport| report.config == *config,
+            || self.characterize_uncached(config, config.build().as_ref()),
+        )
+        .0
     }
 
     /// [`Characterizer::characterize`] without the cache lookup: always

@@ -40,9 +40,9 @@
 //! Every sampling loop is sharded and runs on an [`Engine`]
 //! (`APXPERF_THREADS`); per-shard RNG streams are derived from the master
 //! seed and partials merge in shard order, so reports are bit-identical
-//! for any thread count. [`sweeps::characterize_all`] and
-//! [`appenergy::models_for_adders`]/[`appenergy::models_for_multipliers`]
-//! additionally parallelize across operator configurations.
+//! for any thread count. [`sweeps::characterize_all_cached`] and
+//! [`appenergy::sweep_workload_cached`] additionally parallelize across
+//! operator configurations.
 //!
 //! Because reports are pure functions of their inputs, they are also
 //! **cacheable**: attach an `apx_cache` store with
@@ -85,4 +85,4 @@ pub mod tune;
 pub use apx_cache::Cache;
 pub use apx_engine::Engine;
 pub use characterizer::{Characterizer, CharacterizerSettings};
-pub use report::{ErrorSummary, OperatorReport, ParetoPoint};
+pub use report::{ErrorSummary, OperatorReport};

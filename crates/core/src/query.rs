@@ -127,19 +127,17 @@ pub fn cached_report(
     engine: &Engine,
     cache: &Cache,
 ) -> (OperatorReport, bool) {
-    let key = core_cache::report_cache_key(lib, &settings, config);
-    if let Some(report) = cache.get::<OperatorReport>(&key) {
-        // collision guard: only serve a report describing this config
-        if report.config == *config {
-            return (report, true);
-        }
-    }
-    let report = Characterizer::new(lib)
-        .with_settings(settings)
-        .with_engine(engine.clone())
-        .characterize(config);
-    cache.put(&key, &report);
-    (report, false)
+    core_cache::read_through(
+        cache,
+        || core_cache::report_cache_key(lib, &settings, config),
+        |report: &OperatorReport| report.config == *config,
+        || {
+            Characterizer::new(lib)
+                .with_settings(settings)
+                .with_engine(engine.clone())
+                .characterize(config)
+        },
+    )
 }
 
 /// The `report <CONFIG>` query: parse the paper notation, characterize

@@ -1,4 +1,4 @@
-//! Fused characterization reports and Pareto extraction.
+//! Fused characterization reports.
 
 use apx_metrics::ErrorStats;
 use apx_netlist::HwReport;
@@ -112,78 +112,9 @@ impl OperatorReport {
     }
 }
 
-/// A point on an accuracy/cost trade-off plot (one marker of Figs. 3/4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ParetoPoint {
-    /// Operator name.
-    pub name: String,
-    /// Accuracy coordinate (e.g. MSE dB or BER).
-    pub x: f64,
-    /// Cost coordinate (e.g. power, delay, PDP or area).
-    pub y: f64,
-}
-
-/// Extracts the Pareto front (minimal `x` and `y` simultaneously) from a
-/// set of points; the result is sorted by `x`.
-///
-/// # Example
-/// ```
-/// use apx_core::ParetoPoint;
-/// let pts = vec![
-///     ParetoPoint { name: "a".into(), x: 1.0, y: 5.0 },
-///     ParetoPoint { name: "b".into(), x: 2.0, y: 2.0 },
-///     ParetoPoint { name: "c".into(), x: 3.0, y: 4.0 }, // dominated by b
-/// ];
-/// let front = apx_core::sweeps::pareto_front(&pts);
-/// assert_eq!(front.len(), 2);
-/// ```
-#[must_use]
-pub(crate) fn pareto_front(points: &[ParetoPoint]) -> Vec<ParetoPoint> {
-    let mut sorted: Vec<ParetoPoint> = points.to_vec();
-    sorted.sort_by(|a, b| a.x.total_cmp(&b.x).then(a.y.total_cmp(&b.y)));
-    let mut front: Vec<ParetoPoint> = Vec::new();
-    let mut best_y = f64::INFINITY;
-    for p in sorted {
-        if p.y < best_y {
-            best_y = p.y;
-            front.push(p);
-        }
-    }
-    front
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pareto_front_removes_dominated_points() {
-        let pts = vec![
-            ParetoPoint {
-                name: "a".into(),
-                x: 1.0,
-                y: 5.0,
-            },
-            ParetoPoint {
-                name: "b".into(),
-                x: 2.0,
-                y: 2.0,
-            },
-            ParetoPoint {
-                name: "c".into(),
-                x: 3.0,
-                y: 4.0,
-            },
-            ParetoPoint {
-                name: "d".into(),
-                x: 0.5,
-                y: 9.0,
-            },
-        ];
-        let front = pareto_front(&pts);
-        let names: Vec<&str> = front.iter().map(|p| p.name.as_str()).collect();
-        assert_eq!(names, vec!["d", "a", "b"]);
-    }
 
     #[test]
     fn csv_row_has_as_many_fields_as_the_header() {

@@ -1,15 +1,12 @@
 //! The §IV parameter sweeps ("all approximate operators … tested with all
-//! possible combinations of parameters"), the parallel sweep driver, and
-//! Pareto utilities.
+//! possible combinations of parameters") and the parallel sweep driver.
 
 use crate::characterizer::{Characterizer, CharacterizerSettings};
-use crate::report::{OperatorReport, ParetoPoint};
+use crate::report::OperatorReport;
 use apx_cache::Cache;
 use apx_cells::Library;
 use apx_engine::Engine;
 use apx_operators::{FaType, OperatorConfig, QuantMode};
-
-pub use crate::report::ParetoPoint as Point;
 
 /// Splits an engine's workers across `jobs` parallel tasks: when there
 /// are at least as many jobs as workers, each task runs serially inside
@@ -27,27 +24,14 @@ pub(crate) fn inner_engine(engine: &Engine, jobs: usize) -> Engine {
 
 /// Characterizes every configuration in parallel across operator configs
 /// (the §IV sweep driver): each config gets its own [`Characterizer`]
-/// with the same settings, and the reports come back in input order.
+/// with the same settings and the shared report cache, and the reports
+/// come back in input order. Pass `&Cache::default()` for an uncached
+/// sweep.
 ///
 /// The per-config work is seeded only by `settings.seed` and sharded by
 /// fixed plans, so the output is bit-identical to a serial
 /// `for config in configs { chz.characterize(config) }` loop for any
-/// engine.
-#[must_use]
-pub fn characterize_all(
-    lib: &Library,
-    settings: CharacterizerSettings,
-    configs: &[OperatorConfig],
-    engine: &Engine,
-) -> Vec<OperatorReport> {
-    characterize_all_cached(lib, settings, configs, engine, &Cache::default())
-}
-
-/// [`characterize_all`] backed by a content-addressed report cache:
-/// every already-characterized configuration costs a blob lookup instead
-/// of a full sweep, and fresh results are stored for the next run. The
-/// returned reports are bit-identical with or without the cache (and for
-/// any engine) — see [`crate::cache`].
+/// engine, with or without the cache — see [`crate::cache`].
 #[must_use]
 pub fn characterize_all_cached(
     lib: &Library,
@@ -64,12 +48,6 @@ pub fn characterize_all_cached(
             .with_cache(cache.clone())
             .characterize(&configs[i])
     })
-}
-
-/// Re-exported Pareto-front extraction (see [`ParetoPoint`]).
-#[must_use]
-pub fn pareto_front(points: &[ParetoPoint]) -> Vec<ParetoPoint> {
-    crate::report::pareto_front(points)
 }
 
 /// One named operator family — the registry mirror of the workload
@@ -321,7 +299,13 @@ mod tests {
             .with_engine(Engine::single_threaded());
         let expected: Vec<_> = configs.iter().map(|c| serial.characterize(c)).collect();
         for threads in [1, 4] {
-            let reports = characterize_all(&lib, settings, &configs, &Engine::new(threads));
+            let reports = characterize_all_cached(
+                &lib,
+                settings,
+                &configs,
+                &Engine::new(threads),
+                &Cache::default(),
+            );
             assert_eq!(reports, expected, "threads={threads}");
         }
     }

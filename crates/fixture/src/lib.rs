@@ -9,7 +9,7 @@
 //!   (smooth shading, hard edges, texture) for the JPEG/DCT and HEVC
 //!   experiments. MSSIM comparisons are exact-vs-approx on the *same*
 //!   image, so any photographic-statistics input exercises the identical
-//!   code path (see DESIGN.md §1).
+//!   code path (see the README's "Architecture and data flow" section).
 //! * [`clusters::gaussian_clusters`] — "5 sets of 5·10³ points generated
 //!   around 10 random points with a Gaussian distribution" (§V-D).
 //! * [`signal::random_q15`] / [`signal::tone_mix_q15`] — FFT input

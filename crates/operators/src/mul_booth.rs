@@ -23,7 +23,9 @@
 //! half — the sign handling of negative rows then breaks, producing
 //! full-scale, operand-dependent errors. This is our attribution of the
 //! paper's measured ABM behaviour (7 orders of magnitude MSE degradation,
-//! K-means success collapsing to ~10 %); see EXPERIMENTS.md.
+//! K-means success collapsing to ~10 %); `tests/paper_claims.rs` pins
+//! both (`table1_shape_multiplier_accuracy_ordering`,
+//! `table6_shape_abm_collapse`).
 
 use crate::traits::{ApxOperator, OpClass};
 use crate::util::{bit, bitsliced_batch, compress_columns64, mask_u, sext, to_u};

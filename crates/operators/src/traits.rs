@@ -66,7 +66,7 @@ pub trait ApxOperator: Send + Sync {
 
     /// Full-scale exponent used for MSE normalization: errors are measured
     /// relative to `2^fullscale_bits` (the Q-format full scale: `n-1` for
-    /// adders, `2n-2` for multipliers — see DESIGN.md §4).
+    /// adders, `2n-2` for multipliers).
     fn fullscale_bits(&self) -> u32 {
         match self.op_class() {
             OpClass::Adder => self.input_bits() - 1,

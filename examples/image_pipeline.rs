@@ -1,7 +1,9 @@
 //! Image pipeline study: encodes the synthetic test image with the JPEG
 //! encoder under several arithmetic regimes, reports MSSIM + stream size,
 //! then runs the HEVC motion-compensation filter on the same image, and
-//! writes the decoded images as PGM files for visual inspection.
+//! writes the decoded images as PGM files for visual inspection into
+//! `apxperf_image_pipeline/` under the system temp directory (created if
+//! missing), so the example runs from any working directory.
 //!
 //! Run with: `cargo run --release --example image_pipeline`
 
@@ -26,6 +28,8 @@ fn main() {
             }),
         ),
     ];
+    let out_dir = std::env::temp_dir().join("apxperf_image_pipeline");
+    std::fs::create_dir_all(&out_dir).expect("create PGM output directory");
     println!("JPEG q90, 128x128 synthetic photo:");
     for (name, config) in contexts {
         let mut ctx = match config {
@@ -33,12 +37,13 @@ fn main() {
             None => OperatorCtx::exact(),
         };
         let (result, score) = jpeg.run(&mut ctx);
-        let path = format!("target/jpeg_{}.pgm", name.replace(['(', ')', ','], "_"));
+        let path = out_dir.join(format!("jpeg_{}.pgm", name.replace(['(', ')', ','], "_")));
         std::fs::write(&path, result.decoded.to_pgm()).expect("write PGM");
         println!(
-            "  {name:<16} MSSIM {:.4}  stream {} B  -> {path}",
+            "  {name:<16} MSSIM {:.4}  stream {} B  -> {}",
             score.value(),
-            result.bytes.len()
+            result.bytes.len(),
+            path.display()
         );
     }
 

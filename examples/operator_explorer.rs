@@ -15,28 +15,29 @@ fn main() {
         ..CharacterizerSettings::default()
     });
 
-    let mut fxp_points = Vec::new();
-    let mut apx_points = Vec::new();
+    let mut fxp = Vec::new();
+    let mut apx = Vec::new();
     for config in sweeps::all_adders_16bit() {
-        let r = chz.characterize(&config);
-        let point = ParetoPoint {
-            name: r.name.clone(),
-            x: r.error.mse_db,
-            y: r.hw.pdp_pj,
-        };
+        let report = chz.characterize(&config);
         if config.is_fixed_point() {
-            fxp_points.push(point);
+            fxp.push(report);
         } else {
-            apx_points.push(point);
+            apx.push(report);
         }
     }
     println!("fixed-point MSE/PDP Pareto front:");
-    for p in sweeps::pareto_front(&fxp_points) {
-        println!("  {:<14} {:>8.1} dB  {:>8.5} pJ", p.name, p.x, p.y);
+    for r in mse_pdp_front(&fxp, chz.engine()) {
+        println!(
+            "  {:<14} {:>8.1} dB  {:>8.5} pJ",
+            r.name, r.error.mse_db, r.hw.pdp_pj
+        );
     }
     println!("approximate MSE/PDP Pareto front:");
-    for p in sweeps::pareto_front(&apx_points) {
-        println!("  {:<16} {:>8.1} dB  {:>8.5} pJ", p.name, p.x, p.y);
+    for r in mse_pdp_front(&apx, chz.engine()) {
+        println!(
+            "  {:<16} {:>8.1} dB  {:>8.5} pJ",
+            r.name, r.error.mse_db, r.hw.pdp_pj
+        );
     }
 
     // detailed metric suite for one operator of each family
@@ -62,4 +63,20 @@ fn main() {
             .collect();
         println!("  AP at MAA=2^k, k=0..7:     {}", ap.join(" "));
     }
+}
+
+/// The reports on one family's MSE/PDP Pareto front ([`pareto::analyze`]
+/// over [`pareto::report_sample`]), sorted by MSE. Exact ties share the
+/// front.
+fn mse_pdp_front<'a>(reports: &'a [OperatorReport], engine: &Engine) -> Vec<&'a OperatorReport> {
+    let samples: Vec<_> = reports.iter().map(pareto::report_sample).collect();
+    let verdicts = pareto::analyze(&samples, &vec![false; samples.len()], engine);
+    let mut front: Vec<&OperatorReport> = reports
+        .iter()
+        .zip(&verdicts)
+        .filter(|(_, verdict)| verdict.on_front)
+        .map(|(report, _)| report)
+        .collect();
+    front.sort_by(|a, b| a.error.mse_db.total_cmp(&b.error.mse_db));
+    front
 }

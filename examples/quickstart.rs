@@ -24,7 +24,7 @@ fn main() {
         OperatorConfig::AddTrunc { n: 16, q: 10 },
         OperatorConfig::Aca { n: 16, p: 12 },
     ] {
-        let model = appenergy::model_for_adder(&mut chz, &config);
+        let model = appenergy::model_for(&mut chz, &config);
         let mut ctx = apxperf::operators::OperatorCtx::for_config(&config);
         let result = fixture.run(&mut ctx);
         println!(

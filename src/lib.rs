@@ -6,8 +6,9 @@
 //!
 //! The workspace reproduces **"The Hidden Cost of Functional Approximation
 //! Against Careful Data Sizing – A Case Study"** (Barrois, Sentieys,
-//! Ménard — DATE 2017). See `DESIGN.md` for the system inventory and
-//! `EXPERIMENTS.md` for the paper-vs-measured record.
+//! Ménard — DATE 2017). See the README's "Architecture and data flow"
+//! section for the system inventory and `tests/paper_claims.rs` for the
+//! paper-vs-measured record.
 //!
 //! # Quickstart
 //!
@@ -42,7 +43,6 @@ pub mod prelude {
     pub use apx_cells::{CellKind, CellSpec, Library, OperatingPoint};
     pub use apx_core::{
         appenergy, pareto, sweeps, Characterizer, CharacterizerSettings, Engine, OperatorReport,
-        ParetoPoint,
     };
     pub use apx_fixture::{clusters, image, signal};
     pub use apx_metrics::{mssim, psnr_db, ErrorStats, QualityScore};

@@ -40,7 +40,7 @@ fn application_energy_pipeline_composes() {
         seed: 2,
     });
     let config = OperatorConfig::AddTrunc { n: 16, q: 12 };
-    let model = appenergy::model_for_adder(&mut chz, &config);
+    let model = appenergy::model_for(&mut chz, &config);
     let fixture = FftFixture::radix2_32(3);
     let mut ctx = OperatorCtx::for_config(&config);
     let result = fixture.run(&mut ctx);

@@ -87,8 +87,8 @@ fn table1_shape_multiplier_accuracy_ordering() {
 fn tables_3_to_6_shape_hidden_cost_of_full_width_datapath() {
     let lib = Library::fdsoi28();
     let mut chz = quick_chz(&lib);
-    let sized = appenergy::model_for_adder(&mut chz, &OperatorConfig::AddTrunc { n: 16, q: 10 });
-    let approx = appenergy::model_for_adder(&mut chz, &OperatorConfig::Aca { n: 16, p: 12 });
+    let sized = appenergy::model_for(&mut chz, &OperatorConfig::AddTrunc { n: 16, q: 10 });
+    let approx = appenergy::model_for(&mut chz, &OperatorConfig::Aca { n: 16, p: 12 });
     assert!(
         approx.mult_pdp_pj > 3.0 * sized.mult_pdp_pj,
         "full-width partner multiplier ({} pJ) must dwarf the sized one ({} pJ)",
@@ -125,7 +125,7 @@ fn fig5_shape_fxp_dominates_fft_energy() {
     let fixture = FftFixture::radix2_32(17);
 
     let run = |chz: &mut Characterizer<'_>, config: OperatorConfig| {
-        let model = appenergy::model_for_adder(chz, &config);
+        let model = appenergy::model_for(chz, &config);
         let mut ctx = OperatorCtx::for_config(&config);
         let result = fixture.run(&mut ctx);
         (result.score.value(), model.energy_pj(result.counts))
