@@ -295,6 +295,31 @@ mod tests {
     }
 
     #[test]
+    fn sites_are_recorded_in_raster_order_of_first_use() {
+        // The first fractional block filters only vertically, a later one
+        // only horizontally: the ledger must list mc_v before mc_h, as a
+        // pixel-by-pixel raster scan records them (tune caches the order).
+        let frame = apx_fixture::image::synthetic_photo(48, 32, 5);
+        let motion = MotionField {
+            blocks_x: 3,
+            blocks_y: 2,
+            block_size: 16,
+            vectors: vec![(4, 0), (0, 2), (1, 0), (3, 3), (0, 0), (2, 1)],
+        };
+        let mut ctx = OperatorCtx::exact();
+        motion_compensate(&frame, &motion, &mut ctx);
+        let sites = ctx.site_counts();
+        let order: Vec<&str> = sites.iter().map(|(site, _)| site).collect();
+        assert_eq!(order, [SITE_MC_V, SITE_MC_H]);
+        // 16 pixel rows per block: V-only (8 taps), H-only (7 taps × 8
+        // rows), both (7 × 8 + 7), integer, both (8 × 8 + 7)
+        let v = 16 * 16 * (8 + 7 + 7);
+        let h = 16 * 16 * (7 * 8 + 7 * 8 + 8 * 8);
+        assert_eq!(sites.get(SITE_MC_V).muls, v);
+        assert_eq!(sites.get(SITE_MC_H).muls, h);
+    }
+
+    #[test]
     fn exact_context_scores_perfect_mssim() {
         let fixture = McFixture::synthetic(32, 4);
         let mut ctx = OperatorCtx::exact();
