@@ -47,39 +47,87 @@ pub const LUMA_FILTERS: [[i64; 8]; 4] = [
 /// Normalization shift after each filter pass.
 const FILTER_SHIFT: u32 = 6;
 
-/// Applies one 8-tap filter to a window of samples through the context:
-/// multiplies by nonzero taps and accumulates (zero taps cost nothing in
-/// hardware and are skipped, matching the integer-phase shortcut of real
-/// decoders).
-fn filter8(samples: &[i64; 8], taps: &[i64; 8], site: &'static str, ctx: &mut OperatorCtx) -> i64 {
-    // Operands are pre-scaled so their product occupies the upper half of
-    // the 32-bit range: a fixed-width (16-of-32) multiplier then loses at
-    // most ~2 units of the t·s term. Exact contexts are bit-identical to
-    // the unscaled computation.
-    const TAP_SCALE: u32 = 8; // taps ≤ 64  → ≤ 16384
-    const SAMPLE_SCALE: u32 = 7; // samples ≤ 255·64 intermediate? no: ≤ 255 at pass 1, ≤ ~16320 handled below
-    let mut acc: Option<i64> = None;
-    for (&s, &t) in samples.iter().zip(taps) {
-        if t == 0 {
-            continue;
-        }
-        // saturate the scaled sample into the 16-bit operand range (the
-        // second pass sees first-pass outputs up to ~2^14, so scale down
-        // instead of up for those)
-        let (scaled_s, shift_back) = if s.abs() <= 255 {
-            (s << SAMPLE_SCALE, TAP_SCALE + SAMPLE_SCALE)
-        } else {
-            (s.clamp(-32_767, 32_767), TAP_SCALE)
-        };
-        let p = ctx.mul_at(site, t << TAP_SCALE, scaled_s) >> shift_back;
-        acc = Some(match acc {
-            None => p,
-            Some(a) => ctx.add_at(site, a, p),
-        });
+/// Operands are pre-scaled so their product occupies the upper half of
+/// the 32-bit range: a fixed-width (16-of-32) multiplier then loses at
+/// most ~2 units of the t·s term. Exact contexts are bit-identical to the
+/// unscaled computation.
+const TAP_SCALE: u32 = 8; // taps ≤ 64  → ≤ 16384
+
+/// Scales a filter input into the 16-bit operand range, returning it with
+/// the shift that undoes both scales: first-pass samples (≤ 255) scale
+/// up, while the second pass sees first-pass outputs up to ~2^14, so
+/// those saturate instead.
+fn scaled_sample(s: i64) -> (i64, u32) {
+    const SAMPLE_SCALE: u32 = 7;
+    if s.abs() <= 255 {
+        (s << SAMPLE_SCALE, TAP_SCALE + SAMPLE_SCALE)
+    } else {
+        (s.clamp(-32_767, 32_767), TAP_SCALE)
     }
-    let acc = acc.unwrap_or(0);
-    // rounding offset then normalize (shifts are wiring, not operators)
-    (acc + (1 << (FILTER_SHIFT - 1))) >> FILTER_SHIFT
+}
+
+/// One interpolation pass through the context, with per-lane scratch
+/// reused across calls.
+#[derive(Debug, Default)]
+struct Interpolator {
+    taps: Vec<i64>,
+    samples: Vec<i64>,
+    products: Vec<i64>,
+    acc: Vec<i64>,
+    partial: Vec<i64>,
+}
+
+impl Interpolator {
+    /// Interpolates every window of `windows` at fractional `phase`,
+    /// writing one output per window. Phase 0 is the window's center
+    /// sample and costs no operation. Otherwise each nonzero tap of the
+    /// phase's filter is one multiply slice and (after the first) one
+    /// accumulate slice over all windows; zero taps cost nothing in
+    /// hardware and are skipped, matching real decoders.
+    fn apply(
+        &mut self,
+        windows: &[[i64; 8]],
+        phase: usize,
+        site: &'static str,
+        ctx: &mut OperatorCtx,
+        out: &mut [i64],
+    ) {
+        if phase == 0 {
+            for (o, window) in out.iter_mut().zip(windows) {
+                *o = window[3];
+            }
+            return;
+        }
+        let n = windows.len();
+        let mut first = true;
+        for (k, &t) in LUMA_FILTERS[phase].iter().enumerate() {
+            if t == 0 {
+                continue;
+            }
+            self.taps.clear();
+            self.taps.resize(n, t << TAP_SCALE);
+            self.samples.clear();
+            self.samples
+                .extend(windows.iter().map(|window| scaled_sample(window[k]).0));
+            self.products.resize(n, 0);
+            ctx.mul_n_at(site, &self.taps, &self.samples, &mut self.products);
+            for (p, window) in self.products.iter_mut().zip(windows) {
+                *p >>= scaled_sample(window[k]).1;
+            }
+            if first {
+                std::mem::swap(&mut self.acc, &mut self.products);
+                first = false;
+            } else {
+                std::mem::swap(&mut self.acc, &mut self.partial);
+                self.acc.resize(n, 0);
+                ctx.add_n_at(site, &self.partial, &self.products, &mut self.acc);
+            }
+        }
+        // rounding offset then normalize (shifts are wiring, not operators)
+        for (o, &acc) in out.iter_mut().zip(&self.acc) {
+            *o = (acc + (1 << (FILTER_SHIFT - 1))) >> FILTER_SHIFT;
+        }
+    }
 }
 
 /// Result of one motion-compensation run.
@@ -192,40 +240,75 @@ impl Workload for McWorkload {
     }
 }
 
+/// The pixel span of motion block `i` of `count` along an axis of `len`
+/// pixels: the last block extends to the frame edge (the clamp of
+/// [`MotionField::vector_at`]).
+fn block_span(i: usize, count: usize, block_size: usize, len: usize) -> std::ops::Range<usize> {
+    let start = (i * block_size).min(len);
+    let end = if i + 1 == count {
+        len
+    } else {
+        ((i + 1) * block_size).min(len)
+    };
+    start..end
+}
+
 /// Predicts a frame by fractional motion compensation: for every pixel,
 /// samples the reference at `(x + dx/4, y + dy/4)` with the separable
 /// 8-tap interpolation (horizontal, then vertical).
+///
+/// Pixels run one motion block at a time, in block raster order. A block
+/// shares one vector, so each filter tap is one slice over the block's
+/// pixels (8 intermediate rows each, recomputed per pixel as the
+/// per-pixel hardware does). The first block to use a site holds the
+/// first pixel, in pixel raster order, to use it, and each block filters
+/// horizontally before vertically, so the site ledger records the sites
+/// in the order of a pixel-by-pixel raster scan.
 pub fn motion_compensate(frame: &Image, motion: &MotionField, ctx: &mut OperatorCtx) -> McResult {
     let (width, height) = (frame.width(), frame.height());
     let mut pixels = vec![0u8; width * height];
-    for y in 0..height {
-        for x in 0..width {
-            let (dx, dy) = motion.vector_at(x, y);
+    let mut interpolator = Interpolator::default();
+    let (mut windows, mut inter, mut values) = (Vec::new(), Vec::new(), Vec::new());
+    for block_y in 0..motion.blocks_y {
+        let ys = block_span(block_y, motion.blocks_y, motion.block_size, height);
+        for block_x in 0..motion.blocks_x {
+            let xs = block_span(block_x, motion.blocks_x, motion.block_size, width);
+            if xs.is_empty() || ys.is_empty() {
+                continue;
+            }
+            let (dx, dy) = motion.vector_at(xs.start, ys.start);
             let (ix, fx) = (dx.div_euclid(4) as isize, dx.rem_euclid(4) as usize);
             let (iy, fy) = (dy.div_euclid(4) as isize, dy.rem_euclid(4) as usize);
-            let bx = x as isize + ix;
-            let by = y as isize + iy;
-            // horizontal pass: 8 rows of intermediate samples
-            let mut inter = [0i64; 8];
-            for (r, out) in inter.iter_mut().enumerate() {
-                let sy = by + r as isize - 3;
-                if fx == 0 {
-                    *out = i64::from(frame.pixel_clamped(bx, sy));
-                } else {
-                    let mut window = [0i64; 8];
-                    for (c, w) in window.iter_mut().enumerate() {
-                        *w = i64::from(frame.pixel_clamped(bx + c as isize - 3, sy));
-                    }
-                    *out = filter8(&window, &LUMA_FILTERS[fx], SITE_MC_H, ctx);
+            // horizontal pass: 8 rows of intermediate samples per pixel
+            windows.clear();
+            for y in ys.clone() {
+                for x in xs.clone() {
+                    let (bx, by) = (x as isize + ix, y as isize + iy);
+                    windows.extend((0..8).map(|r| {
+                        std::array::from_fn(|c| {
+                            i64::from(frame.pixel_clamped(bx + c as isize - 3, by + r - 3))
+                        })
+                    }));
                 }
             }
-            // vertical pass
-            let value = if fy == 0 {
-                inter[3]
-            } else {
-                filter8(&inter, &LUMA_FILTERS[fy], SITE_MC_V, ctx)
-            };
-            pixels[y * width + x] = value.clamp(0, 255) as u8;
+            inter.resize(windows.len(), 0);
+            interpolator.apply(&windows, fx, SITE_MC_H, ctx, &mut inter);
+            // vertical pass over each pixel's 8 intermediate rows
+            windows.clear();
+            windows.extend(
+                inter
+                    .chunks_exact(8)
+                    .map(|rows| <[i64; 8]>::try_from(rows).expect("8 intermediate rows")),
+            );
+            values.resize(windows.len(), 0);
+            interpolator.apply(&windows, fy, SITE_MC_V, ctx, &mut values);
+            let mut value = values.iter();
+            for y in ys.clone() {
+                for x in xs.clone() {
+                    let v = *value.next().expect("one value per pixel");
+                    pixels[y * width + x] = v.clamp(0, 255) as u8;
+                }
+            }
         }
     }
     McResult {
@@ -240,13 +323,12 @@ pub fn motion_compensate(frame: &Image, motion: &MotionField, ctx: &mut Operator
 #[must_use]
 pub fn ops_per_fractional_pixel() -> OpCounts {
     let mut ctx = OperatorCtx::exact();
-    let samples = [0i64; 8];
+    let mut interpolator = Interpolator::default();
+    let mut out = [0i64; 8];
     // horizontal: 8 intermediate rows with a quarter-pel filter
-    for _ in 0..8 {
-        let _ = filter8(&samples, &LUMA_FILTERS[1], SITE_MC_H, &mut ctx);
-    }
+    interpolator.apply(&[[0; 8]; 8], 1, SITE_MC_H, &mut ctx, &mut out);
     // vertical: one half-pel filter
-    let _ = filter8(&samples, &LUMA_FILTERS[2], SITE_MC_V, &mut ctx);
+    interpolator.apply(&[[0; 8]], 2, SITE_MC_V, &mut ctx, &mut out[..1]);
     ctx.counts()
 }
 

@@ -34,47 +34,57 @@ pub fn dct8_coeffs_q13() -> [[i64; 8]; 8] {
     c
 }
 
-/// One-dimensional 8-point DCT through the context, recorded at the
-/// call-site `site` (row or column pass). Each product is rescaled to
-/// Q(guard) before accumulation so that every addition fits the 16-bit
-/// data-path, and the guard bits are dropped at the end.
-pub fn dct8_fixed(
-    input: &[i64; 8],
+/// One 8-point DCT pass over all 8 lines of a block, through the context
+/// at the call-site `site` (row or column pass): `out[line][u]` is
+/// output `u` of `lines[line]`. Lane `8·line + u` of each slice computes
+/// one output, so every tap step is one 64-lane slice and each output
+/// sees the 1-D DCT's op sequence: `mul` at `x = 0`, then `(mul, add)`
+/// for `x = 1..7`. Each product is rescaled to Q(guard) before
+/// accumulation so that every addition fits the 16-bit data-path, and
+/// the guard bits are dropped at the end.
+fn dct8_pass(
+    lines: &[[i64; 8]; 8],
     coeffs: &[[i64; 8]; 8],
     site: &'static str,
     ctx: &mut OperatorCtx,
-) -> [i64; 8] {
-    let mut out = [0i64; 8];
-    for (u, coeff_row) in coeffs.iter().enumerate() {
-        let mut acc = ctx.mul_at(site, coeff_row[0], input[0]) >> (DCT_FRAC - DCT_GUARD);
-        for x in 1..8 {
-            let p = ctx.mul_at(site, coeff_row[x], input[x]) >> (DCT_FRAC - DCT_GUARD);
-            acc = ctx.add_at(site, acc, p);
+) -> [[i64; 8]; 8] {
+    let mut coeff = [0i64; 64];
+    let mut sample = [0i64; 64];
+    let mut product = [0i64; 64];
+    let mut acc = [0i64; 64];
+    for x in 0..8 {
+        for (lane, (c, s)) in coeff.iter_mut().zip(&mut sample).enumerate() {
+            *c = coeffs[lane % 8][x];
+            *s = lines[lane / 8][x];
         }
-        out[u] = acc >> DCT_GUARD;
+        ctx.mul_n_at(site, &coeff, &sample, &mut product);
+        for p in &mut product {
+            *p >>= DCT_FRAC - DCT_GUARD;
+        }
+        if x == 0 {
+            acc = product;
+        } else {
+            let partial = acc;
+            ctx.add_n_at(site, &partial, &product, &mut acc);
+        }
+    }
+    let mut out = [[0i64; 8]; 8];
+    for (lane, &v) in acc.iter().enumerate() {
+        out[lane / 8][lane % 8] = v >> DCT_GUARD;
     }
     out
+}
+
+fn transpose8(m: &[[i64; 8]; 8]) -> [[i64; 8]; 8] {
+    std::array::from_fn(|r| std::array::from_fn(|c| m[c][r]))
 }
 
 /// Two-dimensional 8×8 DCT (rows then columns), through the context.
 pub fn dct8x8_fixed(block: &[[i64; 8]; 8], ctx: &mut OperatorCtx) -> [[i64; 8]; 8] {
     let coeffs = dct8_coeffs_q13();
-    let mut rows = [[0i64; 8]; 8];
-    for (r, row) in block.iter().enumerate() {
-        rows[r] = dct8_fixed(row, &coeffs, SITE_DCT_ROW, ctx);
-    }
-    let mut out = [[0i64; 8]; 8];
-    for c in 0..8 {
-        let col = [
-            rows[0][c], rows[1][c], rows[2][c], rows[3][c], rows[4][c], rows[5][c], rows[6][c],
-            rows[7][c],
-        ];
-        let t = dct8_fixed(&col, &coeffs, SITE_DCT_COL, ctx);
-        for r in 0..8 {
-            out[r][c] = t[r];
-        }
-    }
-    out
+    let rows = dct8_pass(block, &coeffs, SITE_DCT_ROW, ctx);
+    let cols = dct8_pass(&transpose8(&rows), &coeffs, SITE_DCT_COL, ctx);
+    transpose8(&cols)
 }
 
 /// Exact double-precision 8×8 inverse DCT for the decode/score path

@@ -12,9 +12,7 @@ mod dct;
 mod entropy;
 mod quant;
 
-pub use dct::{
-    dct8_coeffs_q13, dct8_fixed, dct8x8_fixed, idct8x8_f64, DCT_FRAC, SITE_DCT_COL, SITE_DCT_ROW,
-};
+pub use dct::{dct8_coeffs_q13, dct8x8_fixed, idct8x8_f64, DCT_FRAC, SITE_DCT_COL, SITE_DCT_ROW};
 pub use entropy::{
     amplitude_bits, amplitude_value, size_category, BitReader, BitWriter, HuffmanCode,
 };

@@ -5,7 +5,8 @@
 //! distance computation runs through the [`OperatorCtx`] — two
 //! subtractions, two squarings (fixed-width: the upper 16 product bits)
 //! and one addition per point/centroid pair, exactly the data-path the
-//! paper characterizes. Centroid updates and comparisons are exact.
+//! paper characterizes, each sliced over all points of one centroid.
+//! Centroid updates and comparisons are exact.
 
 use crate::workload::{Workload, WorkloadRun};
 use crate::{OpCounts, OperatorCtx};
@@ -38,14 +39,48 @@ pub const SITES: &[SiteSpec] = &[
     },
 ];
 
-/// Squared distance through the context, at the fixed-width product
-/// scale.
-fn distance2(p: [i64; 2], c: [i64; 2], ctx: &mut OperatorCtx) -> i64 {
-    let dx = ctx.sub_at(SITE_DIST_DIFF, p[0], c[0]);
-    let dy = ctx.sub_at(SITE_DIST_DIFF, p[1], c[1]);
-    let dx2 = ctx.mul_at(SITE_DIST_ACC, dx, dx) >> SQUARE_SHIFT;
-    let dy2 = ctx.mul_at(SITE_DIST_ACC, dy, dy) >> SQUARE_SHIFT;
-    ctx.add_at(SITE_DIST_ACC, dx2, dy2)
+/// Squared distances of every point to one centroid, through the
+/// context at the fixed-width product scale: the 2 subtractions, 2
+/// squarings and 1 addition per pair, each op a slice over all points.
+struct Distances {
+    xs: Vec<i64>,
+    ys: Vec<i64>,
+    cx: Vec<i64>,
+    cy: Vec<i64>,
+    dx: Vec<i64>,
+    dy: Vec<i64>,
+    /// Squared distances of the last [`Distances::to`] call.
+    d2: Vec<i64>,
+}
+
+impl Distances {
+    fn new(points: &[[i64; 2]]) -> Self {
+        let n = points.len();
+        Distances {
+            xs: points.iter().map(|p| p[0]).collect(),
+            ys: points.iter().map(|p| p[1]).collect(),
+            cx: vec![0; n],
+            cy: vec![0; n],
+            dx: vec![0; n],
+            dy: vec![0; n],
+            d2: vec![0; n],
+        }
+    }
+
+    fn to(&mut self, centroid: [i64; 2], ctx: &mut OperatorCtx) -> &[i64] {
+        self.cx.fill(centroid[0]);
+        self.cy.fill(centroid[1]);
+        ctx.sub_n_at(SITE_DIST_DIFF, &self.xs, &self.cx, &mut self.dx);
+        ctx.sub_n_at(SITE_DIST_DIFF, &self.ys, &self.cy, &mut self.dy);
+        // the squares reuse the centroid broadcasts as outputs
+        ctx.mul_n_at(SITE_DIST_ACC, &self.dx, &self.dx, &mut self.cx);
+        ctx.mul_n_at(SITE_DIST_ACC, &self.dy, &self.dy, &mut self.cy);
+        for v in self.cx.iter_mut().chain(self.cy.iter_mut()) {
+            *v >>= SQUARE_SHIFT;
+        }
+        ctx.add_n_at(SITE_DIST_ACC, &self.cx, &self.cy, &mut self.d2);
+        &self.d2
+    }
 }
 
 /// Result of one clustering run.
@@ -126,19 +161,22 @@ impl KmeansFixture {
             .map(|c| [c[0] + 900, c[1] - 900])
             .collect();
         let mut labels = vec![0usize; self.cloud.points.len()];
+        let mut best_d = vec![i64::MAX; labels.len()];
+        let mut distances = Distances::new(&self.cloud.points);
         for _ in 0..self.iterations {
-            // assignment step (through ctx)
-            for (point, label) in self.cloud.points.iter().zip(labels.iter_mut()) {
-                let mut best = 0usize;
-                let mut best_d = i64::MAX;
-                for (ci, &centroid) in centroids.iter().enumerate() {
-                    let d = distance2(*point, centroid, ctx);
-                    if d < best_d {
-                        best_d = d;
-                        best = ci;
+            // assignment step (through ctx): every point against one
+            // centroid at a time, then a strict-`<` argmin in centroid
+            // order, so ties keep the lowest centroid index
+            labels.fill(0);
+            best_d.fill(i64::MAX);
+            for (ci, &centroid) in centroids.iter().enumerate() {
+                let d = distances.to(centroid, ctx);
+                for ((label, best), &d) in labels.iter_mut().zip(&mut best_d).zip(d) {
+                    if d < *best {
+                        *best = d;
+                        *label = ci;
                     }
                 }
-                *label = best;
             }
             // update step (exact)
             let mut sums = vec![[0i64; 2]; k];

@@ -46,14 +46,34 @@ fn bench_eval(c: &mut Criterion) {
 }
 
 /// Batched-model throughput: one `eval_batch` call per iteration over a
-/// 4096-sample batch (the engine's default in-shard width). Divide the
-/// reported time by 4096 for per-sample cost; the ratio against the
-/// matching `eval_u` entry is the speedup of the accelerated kernels
-/// over the per-sample scalar path.
+/// 4096-sample batch (the engine's default in-shard width), next to a
+/// scalar `eval_u` loop over the same batch. Divide the reported time by
+/// 4096 for per-sample cost; the ratio of the two entries is the speedup
+/// of the batch kernel over the per-sample scalar path.
 fn bench_eval_batch(c: &mut Criterion) {
     const BATCH: usize = 4096;
     let ops: Vec<(&str, Box<dyn ApxOperator>)> = vec![
         ("aca_16_4", OperatorConfig::Aca { n: 16, p: 4 }.build()),
+        ("etaii_16_4", OperatorConfig::EtaIi { n: 16, x: 4 }.build()),
+        ("etaiv_16_4", OperatorConfig::EtaIv { n: 16, x: 4 }.build()),
+        (
+            "rcaapx_16_6_3",
+            OperatorConfig::RcaApx {
+                n: 16,
+                m: 6,
+                fa_type: FaType::Three,
+            }
+            .build(),
+        ),
+        (
+            "add_sized_16_10",
+            OperatorConfig::AddSized {
+                n: 16,
+                w: 10,
+                mode: apx_operators::QuantMode::Round,
+            }
+            .build(),
+        ),
         (
             "mul_trunc_16_16",
             OperatorConfig::MulTrunc { n: 16, q: 16 }.build(),
@@ -72,20 +92,38 @@ fn bench_eval_batch(c: &mut Criterion) {
             .build(),
         ),
     ];
+    let batches: Vec<(Vec<u64>, Vec<u64>)> = ops
+        .iter()
+        .map(|(_, op)| {
+            let mask = apx_operators::mask_u(op.input_bits());
+            let mut x = 0x9E37_79B9_7F4A_7C15u64;
+            let mut next = move || {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                x
+            };
+            let a = (0..BATCH).map(|_| next() & mask).collect();
+            let b = (0..BATCH).map(|_| next() & mask).collect();
+            (a, b)
+        })
+        .collect();
+    let mut out = vec![0u64; BATCH];
     let mut group = c.benchmark_group("eval_batch_4096");
-    for (name, op) in &ops {
-        let mask = apx_operators::mask_u(op.input_bits());
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            x
-        };
-        let a: Vec<u64> = (0..BATCH).map(|_| next() & mask).collect();
-        let bv: Vec<u64> = (0..BATCH).map(|_| next() & mask).collect();
-        let mut out = vec![0u64; BATCH];
+    for ((name, op), (a, bv)) in ops.iter().zip(&batches) {
         group.bench_function(name, |b| {
             b.iter(|| {
-                op.eval_batch(black_box(&a), black_box(&bv), &mut out);
+                op.eval_batch(black_box(a), black_box(bv), &mut out);
+                black_box(out[BATCH - 1])
+            })
+        });
+    }
+    group.finish();
+    let mut group = c.benchmark_group("eval_u_loop_4096");
+    for ((name, op), (a, bv)) in ops.iter().zip(&batches) {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                for ((&x, &y), o) in black_box(a).iter().zip(black_box(bv)).zip(&mut out) {
+                    *o = op.eval_u(x, y);
+                }
                 black_box(out[BATCH - 1])
             })
         });

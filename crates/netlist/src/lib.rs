@@ -63,6 +63,7 @@
 mod analyzer;
 mod builder;
 mod ir;
+mod lanes;
 pub mod power;
 mod sim;
 pub mod sta;
@@ -71,4 +72,5 @@ pub mod verify;
 pub use analyzer::{AnalysisSettings, HwAnalyzer, HwReport};
 pub use builder::NetlistBuilder;
 pub use ir::{Gate, NetId, Netlist, NetlistStats};
+pub use lanes::{pack_lanes, transpose64, unpack_lanes};
 pub use sim::Sim64;

@@ -8,6 +8,7 @@
 //! parallelism).
 
 use crate::ir::{NetId, Netlist};
+use crate::lanes::{pack_lanes, unpack_lanes};
 
 /// Packs up to 64 operand values into per-bit lane words, clearing and
 /// filling `words` without allocating when its capacity already
@@ -15,16 +16,13 @@ use crate::ir::{NetId, Netlist};
 /// is set.
 ///
 /// # Panics
-/// Panics if more than 64 values are supplied.
+/// Panics if more than 64 values are supplied or `width > 64`.
 fn pack_operand_into(width: usize, values: &[u64], words: &mut Vec<u64>) {
-    assert!(values.len() <= 64, "at most 64 lanes");
+    assert!(width <= 64, "at most 64 bits");
+    let mut block = [0u64; 64];
+    pack_lanes(values, width as u32, &mut block);
     words.clear();
-    words.resize(width, 0);
-    for (lane, &v) in values.iter().enumerate() {
-        for (bit, word) in words.iter_mut().enumerate() {
-            *word |= ((v >> bit) & 1) << lane;
-        }
-    }
+    words.extend_from_slice(&block[..width]);
 }
 
 /// 64-way bit-parallel zero-delay simulator over one [`Netlist`].
@@ -143,17 +141,17 @@ impl<'a> Sim64<'a> {
     /// straight into `values`.
     ///
     /// # Panics
-    /// Panics if more than 64 lanes are requested.
+    /// Panics if more than 64 lanes are requested or the bus is wider
+    /// than 64 bits.
     pub fn read_bus_lanes_at_into(&self, nets: &[NetId], lanes: usize, values: &mut Vec<u64>) {
-        assert!(lanes <= 64, "at most 64 lanes");
+        assert!(lanes <= 64 && nets.len() <= 64, "at most 64 lanes and bits");
+        let mut words = [0u64; 64];
+        for (word, net) in words.iter_mut().zip(nets) {
+            *word = self.values[net.index()];
+        }
         values.clear();
         values.resize(lanes, 0);
-        for (bit, net) in nets.iter().enumerate() {
-            let word = self.values[net.index()];
-            for (lane, value) in values.iter_mut().enumerate() {
-                *value |= ((word >> lane) & 1) << bit;
-            }
-        }
+        unpack_lanes(&mut words, nets.len() as u32, values);
     }
 }
 

@@ -16,7 +16,7 @@
 //!   of a chosen [`FaType`]; the `m` MSBs use accurate full adders.
 
 use crate::traits::{ApxOperator, OpClass};
-use crate::util::{bit, bitsliced_batch, mask_u};
+use crate::util::{bit, bitsliced_batch, closed_form_batch, mask_u};
 use apx_cells::CellKind;
 use apx_netlist::{Netlist, NetlistBuilder};
 use serde::{Deserialize, Serialize};
@@ -57,16 +57,7 @@ impl ApxOperator for AddExact {
         a.wrapping_add(b) & mask_u(self.n)
     }
     fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        // Already O(1) word ops per sample; the override only hoists the
-        // mask and skips the per-sample dynamic dispatch of the default.
-        assert!(
-            a.len() == b.len() && a.len() == out.len(),
-            "batch length mismatch"
-        );
-        let m = mask_u(self.n);
-        for ((&ai, &bi), o) in a.iter().zip(b).zip(out.iter_mut()) {
-            *o = ai.wrapping_add(bi) & m;
-        }
+        closed_form_batch(a, b, out, |a, b| self.eval_u(a, b));
     }
     fn batch_accelerated(&self) -> bool {
         true
@@ -135,15 +126,7 @@ impl ApxOperator for AddTrunc {
         ((a >> s).wrapping_add(b >> s)) & mask_u(self.q)
     }
     fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        assert!(
-            a.len() == b.len() && a.len() == out.len(),
-            "batch length mismatch"
-        );
-        let s = self.n - self.q;
-        let m = mask_u(self.q);
-        for ((&ai, &bi), o) in a.iter().zip(b).zip(out.iter_mut()) {
-            *o = (ai >> s).wrapping_add(bi >> s) & m;
-        }
+        closed_form_batch(a, b, out, |a, b| self.eval_u(a, b));
     }
     fn batch_accelerated(&self) -> bool {
         true
@@ -209,17 +192,7 @@ impl ApxOperator for AddRound {
         ra.wrapping_add(rb) & mask_u(self.q)
     }
     fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        assert!(
-            a.len() == b.len() && a.len() == out.len(),
-            "batch length mismatch"
-        );
-        let s = self.n - self.q;
-        let m = mask_u(self.q);
-        for ((&ai, &bi), o) in a.iter().zip(b).zip(out.iter_mut()) {
-            let ra = (ai >> s).wrapping_add(bit(ai, s - 1));
-            let rb = (bi >> s).wrapping_add(bit(bi, s - 1));
-            *o = ra.wrapping_add(rb) & m;
-        }
+        closed_form_batch(a, b, out, |a, b| self.eval_u(a, b));
     }
     fn batch_accelerated(&self) -> bool {
         true

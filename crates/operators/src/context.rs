@@ -16,8 +16,28 @@
 //! fallback, and a configuration degrades only its own operation class.
 //! The per-site ledger ([`OperatorCtx::site_counts`]) lets each site's
 //! traffic be priced independently.
+//!
+//! # Scalar calls and slice forms
+//!
+//! Each operation comes in two forms with identical results and ledger
+//! effects: the scalar `add_at`/`sub_at`/`mul_at`, and the slice forms
+//! `add_n_at`/`sub_n_at`/`mul_n_at`, which run a whole slice of
+//! independent operations through the serving operator's
+//! [`ApxOperator::eval_batch`] kernel (bitsliced 64 lanes at a time, or a
+//! word-level closed form). Use the slice forms for data-parallel loops:
+//! a K-means distance over every point, a DCT tap step over a block, an
+//! interpolation tap over every pixel of a motion block. Keep the scalar
+//! calls where each operation depends on the previous one (a feedback
+//! recurrence, an argmin that must decide before the next operation
+//! runs) or where only a handful of operations are in flight: a one-lane
+//! bitsliced batch costs several times the scalar model.
+//!
+//! Workload results must not depend on the form: slice a loop only along
+//! boundaries that keep each site's first use, and hence the ledger's
+//! first-recorded order, where the scalar loop puts it.
 
 use crate::traits::{ApxOperator, OpClass};
+use crate::util::{sext, to_u};
 use crate::OperatorConfig;
 use serde::{Deserialize, Serialize};
 
@@ -247,6 +267,9 @@ pub struct OperatorCtx {
     mapped: Vec<String>,
     /// Every site recorded since the last reset, in first-recorded order.
     ledger: Vec<Site>,
+    /// Operand and result patterns of the slice forms, reused across
+    /// calls so a slice allocates only when it outgrows every earlier one.
+    scratch: [Vec<u64>; 3],
 }
 
 impl OperatorCtx {
@@ -289,6 +312,7 @@ impl OperatorCtx {
             ops,
             mapped,
             ledger: Vec::new(),
+            scratch: Default::default(),
         }
     }
 
@@ -306,7 +330,7 @@ impl OperatorCtx {
     /// `a - b` at the call-site `site`, counted as one addition there.
     #[inline]
     pub fn sub_at(&mut self, site: &'static str, a: i64, b: i64) -> i64 {
-        self.add_at(site, a, -b)
+        self.add_at(site, a, b.wrapping_neg())
     }
 
     /// `a * b` at the call-site `site`.
@@ -317,6 +341,105 @@ impl OperatorCtx {
         match site.multiplier {
             Some(op) => self.ops[op].eval_signed(a, b),
             None => a.wrapping_mul(b),
+        }
+    }
+
+    /// Slice form of [`OperatorCtx::add_at`]: `out[i] = a[i] + b[i]` at
+    /// `site`, lane for lane what `add_at` returns, with the site looked
+    /// up once and its ledger advanced by `a.len()` additions. An empty
+    /// slice records nothing, exactly like a loop of zero `add_at` calls.
+    ///
+    /// # Example
+    /// ```
+    /// use apx_operators::{OperatorConfig, OperatorCtx};
+    /// let mut ctx = OperatorCtx::for_config(&OperatorConfig::AddTrunc { n: 16, q: 8 });
+    /// let mut out = [0; 2];
+    /// ctx.add_n_at("w.sum", &[0x0101, 7], &[0x0101, -7], &mut out);
+    /// assert_eq!(out, [ctx.add_at("w.sum", 0x0101, 0x0101), ctx.add_at("w.sum", 7, -7)]);
+    /// assert_eq!(ctx.site_counts().get("w.sum").adds, 4);
+    /// ```
+    ///
+    /// # Panics
+    /// Panics unless `a`, `b` and `out` have equal lengths.
+    pub fn add_n_at(&mut self, site: &'static str, a: &[i64], b: &[i64], out: &mut [i64]) {
+        self.apply_n(site, OpClass::Adder, a, b, false, out);
+    }
+
+    /// Slice form of [`OperatorCtx::sub_at`]: `out[i] = a[i] - b[i]` at
+    /// `site`, counted as `a.len()` additions there (see
+    /// [`OperatorCtx::add_n_at`]).
+    ///
+    /// # Panics
+    /// Panics unless `a`, `b` and `out` have equal lengths.
+    pub fn sub_n_at(&mut self, site: &'static str, a: &[i64], b: &[i64], out: &mut [i64]) {
+        self.apply_n(site, OpClass::Adder, a, b, true, out);
+    }
+
+    /// Slice form of [`OperatorCtx::mul_at`]: `out[i] = a[i] * b[i]` at
+    /// `site`, counted as `a.len()` multiplications there (see
+    /// [`OperatorCtx::add_n_at`]).
+    ///
+    /// # Panics
+    /// Panics unless `a`, `b` and `out` have equal lengths.
+    pub fn mul_n_at(&mut self, site: &'static str, a: &[i64], b: &[i64], out: &mut [i64]) {
+        self.apply_n(site, OpClass::Multiplier, a, b, false, out);
+    }
+
+    /// The slice forms' one path: records `a.len()` operations of `class`
+    /// at `tag`, then runs the serving operator over the whole slice
+    /// (`to_u` → [`ApxOperator::aligned_batch`] → `sext`, the batched
+    /// twin of [`ApxOperator::eval_signed`]) or wraps in `i64` when the
+    /// class stays exact there. `negate_b` turns the addition into
+    /// `a - b`.
+    fn apply_n(
+        &mut self,
+        tag: &'static str,
+        class: OpClass,
+        a: &[i64],
+        b: &[i64],
+        negate_b: bool,
+        out: &mut [i64],
+    ) {
+        assert!(
+            a.len() == b.len() && a.len() == out.len(),
+            "slice length mismatch"
+        );
+        if a.is_empty() {
+            return;
+        }
+        let site = self.site(tag);
+        let serving = match class {
+            OpClass::Adder => {
+                site.counts.adds += a.len() as u64;
+                site.adder
+            }
+            OpClass::Multiplier => {
+                site.counts.muls += a.len() as u64;
+                site.multiplier
+            }
+        };
+        let b_lane = |y: i64| if negate_b { y.wrapping_neg() } else { y };
+        let Some(op) = serving else {
+            let exact = |x: i64, y: i64| match class {
+                OpClass::Adder => x.wrapping_add(b_lane(y)),
+                OpClass::Multiplier => x.wrapping_mul(y),
+            };
+            for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                *o = exact(x, y);
+            }
+            return;
+        };
+        let op = &*self.ops[op];
+        let (n, bits) = (op.input_bits(), op.ref_bits());
+        let [ua, ub, uo] = &mut self.scratch;
+        ua.clear();
+        ua.extend(a.iter().map(|&x| to_u(x, n)));
+        ub.clear();
+        ub.extend(b.iter().map(|&y| to_u(b_lane(y), n)));
+        uo.resize(a.len(), 0);
+        op.aligned_batch(ua, ub, uo);
+        for (o, &u) in out.iter_mut().zip(uo.iter()) {
+            *o = sext(u, bits);
         }
     }
 

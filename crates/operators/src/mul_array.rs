@@ -3,8 +3,12 @@
 //!
 //! All array multipliers here share one source of truth for the partial-
 //! product grid: [`bw_terms`] places every Baugh-Wooley term (AND, NAND or
-//! constant 1) at its column. The **functional model** sums the same terms
-//! the **netlist generator** instantiates, so the two cannot drift apart.
+//! constant 1) at its column, and every **netlist generator** instantiates
+//! those terms. The exact, truncated and rounded **functional models** use
+//! the closed form the full grid sums to (the signed product mod `2^{2n}`,
+//! pinned by `bw_grid_sums_to_the_signed_product`; netlist
+//! cross-verification pins the compression); AAM, which prunes the grid,
+//! sums the kept terms themselves.
 //!
 //! Baugh-Wooley (modified form), for `n`-bit two's-complement operands:
 //!
@@ -15,7 +19,9 @@
 //! ```
 
 use crate::traits::{ApxOperator, OpClass};
-use crate::util::{bit, bitsliced_batch, compress_columns64, mask_u, sext, to_u};
+use crate::util::{
+    bit, bitsliced_batch, closed_form_batch, compress_columns64, mask_u, signed_product,
+};
 use apx_netlist::{NetId, Netlist, NetlistBuilder};
 
 /// One Baugh-Wooley partial-product term.
@@ -42,7 +48,7 @@ impl BwTerm {
     /// 64-lane form of [`BwTerm::value`]: `aw`/`bw` are transposed
     /// per-bit lane words, the result holds the term for all 64 lanes.
     /// (Constant/NAND terms are 1 in unused lanes — harmless, since the
-    /// batch driver only untransposes the live lanes.)
+    /// batch driver only unpacks the live lanes.)
     #[inline]
     pub(crate) fn value64(self, aw: &[u64; 64], bw: &[u64; 64]) -> u64 {
         match self {
@@ -119,10 +125,9 @@ pub(crate) fn build_columns(
 /// Exact `n×n → 2n` two's-complement array multiplier (modified
 /// Baugh-Wooley grid + Wallace-style compression) — the accuracy
 /// reference for all multiplier comparisons.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MulExact {
     n: u32,
-    cols: Vec<Vec<BwTerm>>,
 }
 
 impl MulExact {
@@ -133,10 +138,7 @@ impl MulExact {
     #[must_use]
     pub fn new(n: u32) -> Self {
         assert!((2..=24).contains(&n), "n out of range");
-        MulExact {
-            n,
-            cols: bw_terms(n),
-        }
+        MulExact { n }
     }
 }
 
@@ -154,21 +156,14 @@ impl ApxOperator for MulExact {
         2 * self.n
     }
     fn eval_u(&self, a: u64, b: u64) -> u64 {
-        (sum_terms(&self.cols, a, b, |_| true) as u64) & mask_u(2 * self.n)
+        // The Baugh-Wooley grid the netlist instantiates sums to the
+        // signed product mod 2^{2n} (pinned by
+        // `bw_grid_sums_to_the_signed_product`), so the model is the
+        // closed form rather than an O(n²) term walk.
+        signed_product(a, b, self.n)
     }
     fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        // The Baugh-Wooley grid sums to the native signed product mod
-        // 2^{2n} (pinned by `bw_grid_sums_to_the_signed_product`), so the
-        // batch path is a word-parallel product loop instead of the
-        // scalar model's O(n²) term walk.
-        assert!(
-            a.len() == b.len() && a.len() == out.len(),
-            "batch length mismatch"
-        );
-        let n = self.n;
-        for ((&ai, &bi), o) in a.iter().zip(b).zip(out.iter_mut()) {
-            *o = to_u(sext(ai, n).wrapping_mul(sext(bi, n)), 2 * n);
-        }
+        closed_form_batch(a, b, out, |a, b| self.eval_u(a, b));
     }
     fn batch_accelerated(&self) -> bool {
         true
@@ -192,11 +187,10 @@ impl ApxOperator for MulExact {
 /// computed, and only the `q` most-significant of the `2n` product bits
 /// are kept (post-truncation — the whole carry structure is retained,
 /// which is why `MULt` is the most accurate fixed-width choice).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MulTrunc {
     n: u32,
     q: u32,
-    cols: Vec<Vec<BwTerm>>,
 }
 
 impl MulTrunc {
@@ -208,11 +202,7 @@ impl MulTrunc {
     pub fn new(n: u32, q: u32) -> Self {
         assert!((2..=24).contains(&n), "n out of range");
         assert!((1..=2 * n).contains(&q), "q out of range");
-        MulTrunc {
-            n,
-            q,
-            cols: bw_terms(n),
-        }
+        MulTrunc { n, q }
     }
 }
 
@@ -233,22 +223,12 @@ impl ApxOperator for MulTrunc {
         2 * self.n - self.q
     }
     fn eval_u(&self, a: u64, b: u64) -> u64 {
-        let full = (sum_terms(&self.cols, a, b, |_| true) as u64) & mask_u(2 * self.n);
-        (full >> (2 * self.n - self.q)) & mask_u(self.q)
+        // the full product (see `MulExact::eval_u`), then the MULt output
+        // truncation: keep the q MSBs of the 2n product bits
+        signed_product(a, b, self.n) >> (2 * self.n - self.q)
     }
     fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        // Full product word-parallel (see `MulExact::eval_batch`), then
-        // the MULt output truncation: keep the q MSBs of the 2n product.
-        assert!(
-            a.len() == b.len() && a.len() == out.len(),
-            "batch length mismatch"
-        );
-        let n = self.n;
-        let shift = 2 * n - self.q;
-        let m = mask_u(self.q);
-        for ((&ai, &bi), o) in a.iter().zip(b).zip(out.iter_mut()) {
-            *o = (to_u(sext(ai, n).wrapping_mul(sext(bi, n)), 2 * n) >> shift) & m;
-        }
+        closed_form_batch(a, b, out, |a, b| self.eval_u(a, b));
     }
     fn batch_accelerated(&self) -> bool {
         true
@@ -271,11 +251,10 @@ impl ApxOperator for MulTrunc {
 /// Rounded fixed-width multiplier `MULr(n, q)`: like [`MulTrunc`] but a
 /// rounding constant `2^(2n-q-1)` is injected into the compression grid,
 /// centering the quantization error at zero for one extra compressor input.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MulRound {
     n: u32,
     q: u32,
-    cols: Vec<Vec<BwTerm>>,
 }
 
 impl MulRound {
@@ -287,11 +266,7 @@ impl MulRound {
     pub fn new(n: u32, q: u32) -> Self {
         assert!((2..=24).contains(&n), "n out of range");
         assert!((1..2 * n).contains(&q), "q out of range");
-        MulRound {
-            n,
-            q,
-            cols: bw_terms(n),
-        }
+        MulRound { n, q }
     }
 }
 
@@ -312,25 +287,14 @@ impl ApxOperator for MulRound {
         2 * self.n - self.q
     }
     fn eval_u(&self, a: u64, b: u64) -> u64 {
-        let round = 1u128 << (2 * self.n - self.q - 1);
-        let full = sum_terms(&self.cols, a, b, |_| true) + round;
-        ((full as u64) & mask_u(2 * self.n)) >> (2 * self.n - self.q)
+        // the full product plus the rounding constant, mod 2^{2n}
+        // (2n <= 48, so the sum cannot overflow a u64), then the shift
+        let shift = 2 * self.n - self.q;
+        let full = signed_product(a, b, self.n) + (1 << (shift - 1));
+        (full & mask_u(2 * self.n)) >> shift
     }
     fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        // Word-parallel product plus the rounding constant, mod 2^{2n}
-        // (2n <= 48, so the sum cannot overflow a u64), then the shift.
-        assert!(
-            a.len() == b.len() && a.len() == out.len(),
-            "batch length mismatch"
-        );
-        let n = self.n;
-        let shift = 2 * n - self.q;
-        let round = 1u64 << (shift - 1);
-        let m = mask_u(2 * n);
-        for ((&ai, &bi), o) in a.iter().zip(b).zip(out.iter_mut()) {
-            let full = to_u(sext(ai, n).wrapping_mul(sext(bi, n)), 2 * n) + round;
-            *o = (full & m) >> shift;
-        }
+        closed_form_batch(a, b, out, |a, b| self.eval_u(a, b));
     }
     fn batch_accelerated(&self) -> bool {
         true
@@ -508,7 +472,7 @@ impl ApxOperator for Aam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::util::{cross_verify, sext, to_u};
+    use crate::util::cross_verify;
 
     #[test]
     fn bw_grid_sums_to_the_signed_product() {
@@ -517,8 +481,7 @@ mod tests {
             for a in 0..1u64 << n {
                 for b in 0..1u64 << n {
                     let got = (sum_terms(&cols, a, b, |_| true) as u64) & mask_u(2 * n);
-                    let want = to_u(sext(a, n).wrapping_mul(sext(b, n)), 2 * n);
-                    assert_eq!(got, want, "n={n} a={a:#x} b={b:#x}");
+                    assert_eq!(got, signed_product(a, b, n), "n={n} a={a:#x} b={b:#x}");
                 }
             }
         }

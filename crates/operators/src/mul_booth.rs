@@ -28,7 +28,9 @@
 //! `table6_shape_abm_collapse`).
 
 use crate::traits::{ApxOperator, OpClass};
-use crate::util::{bit, bitsliced_batch, compress_columns64, mask_u, sext, to_u};
+use crate::util::{
+    bit, bitsliced_batch, closed_form_batch, compress_columns64, mask_u, signed_product,
+};
 use apx_netlist::{NetId, Netlist, NetlistBuilder};
 use std::collections::HashMap;
 
@@ -336,25 +338,14 @@ impl ApxOperator for MulBoothExact {
         2 * self.n
     }
     fn eval_u(&self, a: u64, b: u64) -> u64 {
-        let pruning = BoothPruning {
-            min_col: 0,
-            sign_correction: true,
-            diagonal_compensation: false,
-        };
-        (booth_eval(self.n, a, b, pruning) as u64) & mask_u(2 * self.n)
+        // The unpruned Booth grid the netlist instantiates sums to the
+        // signed product mod 2^{2n} (pinned by
+        // `exact_booth_equals_the_signed_product`), so the model is the
+        // closed form rather than a walk over the Booth rows.
+        signed_product(a, b, self.n)
     }
     fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        // The unpruned Booth grid sums to the native signed product mod
-        // 2^{2n} (pinned by `exact_booth_equals_the_signed_product`), so
-        // the batch path is a word-parallel product loop.
-        assert!(
-            a.len() == b.len() && a.len() == out.len(),
-            "batch length mismatch"
-        );
-        let n = self.n;
-        for ((&ai, &bi), o) in a.iter().zip(b).zip(out.iter_mut()) {
-            *o = to_u(sext(ai, n).wrapping_mul(sext(bi, n)), 2 * n);
-        }
+        closed_form_batch(a, b, out, |a, b| self.eval_u(a, b));
     }
     fn batch_accelerated(&self) -> bool {
         true
@@ -506,7 +497,7 @@ impl ApxOperator for AbmUncorrected {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::util::{cross_verify, sext, to_u};
+    use crate::util::{cross_verify, sext};
 
     #[test]
     fn booth_digits_recompose_the_operand() {
@@ -526,12 +517,16 @@ mod tests {
 
     #[test]
     fn exact_booth_equals_the_signed_product() {
+        let pruning = BoothPruning {
+            min_col: 0,
+            sign_correction: true,
+            diagonal_compensation: false,
+        };
         for n in [4u32, 6, 8] {
-            let op = MulBoothExact::new(n);
             for a in 0..1u64 << n {
                 for b in 0..1u64 << n {
-                    let want = to_u(sext(a, n).wrapping_mul(sext(b, n)), 2 * n);
-                    assert_eq!(op.eval_u(a, b), want, "n={n} a={a:#x} b={b:#x}");
+                    let got = (booth_eval(n, a, b, pruning) as u64) & mask_u(2 * n);
+                    assert_eq!(got, signed_product(a, b, n), "n={n} a={a:#x} b={b:#x}");
                 }
             }
         }

@@ -21,9 +21,9 @@
 //! never fails. This is precisely the baseline the paper holds the
 //! functional-approximation operators against.
 
-use crate::mul_array::{build_columns, bw_terms, BwTerm};
+use crate::mul_array::{build_columns, bw_terms};
 use crate::traits::{ApxOperator, OpClass};
-use crate::util::{bit, bitsliced_batch, mask_u, sext, to_u};
+use crate::util::{bit, closed_form_batch, mask_u, signed_product};
 use apx_netlist::{NetId, Netlist, NetlistBuilder};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -171,30 +171,9 @@ impl ApxOperator for SizedAdd {
         qa.wrapping_add(qb) & mask_u(self.w)
     }
     fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        // Bitsliced twin of the scalar model: a word-parallel ripple over
-        // the kept bits, with the round bits folded in as the two extra
-        // carry inputs the ADDr netlist uses.
-        let (n, w) = (self.n as usize, self.w as usize);
-        let s = n - w;
-        let round = self.mode == QuantMode::Round;
-        bitsliced_batch(self.n, a, b, out, |aw, bw, ow| {
-            let mut carry = if round { aw[s - 1] } else { 0 };
-            for i in 0..w {
-                let (ai, bi) = (aw[s + i], bw[s + i]);
-                ow[i] = ai ^ bi ^ carry;
-                carry = (ai & bi) | (ai & carry) | (bi & carry);
-            }
-            if round {
-                // increment row folding in b's round bit
-                let mut c = bw[s - 1];
-                for o in ow.iter_mut().take(w) {
-                    let next = *o & c;
-                    *o ^= c;
-                    c = next;
-                }
-            }
-            ow[w..n].fill(0);
-        });
+        // two quantizers and one masked add per sample: the closed form
+        // outruns a bitsliced ripple even after the lane transposes
+        closed_form_batch(a, b, out, |a, b| self.eval_u(a, b));
     }
     fn batch_accelerated(&self) -> bool {
         true
@@ -230,12 +209,11 @@ impl ApxOperator for SizedAdd {
 /// `w×w → 2w` Baugh-Wooley array. The multiplier hardware shrinks
 /// quadratically with `w` — the data-path saving behind the paper's
 /// headline comparison.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SizedMul {
     n: u32,
     w: u32,
     mode: QuantMode,
-    cols: Vec<Vec<BwTerm>>,
 }
 
 impl SizedMul {
@@ -252,12 +230,7 @@ impl SizedMul {
             QuantMode::Trunc => assert!((2..=n).contains(&w), "w out of range"),
             QuantMode::Round => assert!((2..n).contains(&w), "w out of range"),
         }
-        SizedMul {
-            n,
-            w,
-            mode,
-            cols: bw_terms(w),
-        }
+        SizedMul { n, w, mode }
     }
 
     /// Effective operand width after quantization.
@@ -289,22 +262,10 @@ impl ApxOperator for SizedMul {
         // instantiates (pinned by the cross-verification tests).
         let qa = quantize(a, self.n, self.w, self.mode, true);
         let qb = quantize(b, self.n, self.w, self.mode, true);
-        to_u(sext(qa, self.w).wrapping_mul(sext(qb, self.w)), 2 * self.w)
+        signed_product(qa, qb, self.w)
     }
     fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        // Word-parallel: the saturating quantizers and the reduced w×w
-        // product are a handful of word ops per sample, monomorphized
-        // here so the batch loop pays no per-sample dynamic dispatch.
-        assert!(
-            a.len() == b.len() && a.len() == out.len(),
-            "batch length mismatch"
-        );
-        let (n, w, mode) = (self.n, self.w, self.mode);
-        for ((&ai, &bi), o) in a.iter().zip(b).zip(out.iter_mut()) {
-            let qa = quantize(ai, n, w, mode, true);
-            let qb = quantize(bi, n, w, mode, true);
-            *o = to_u(sext(qa, w).wrapping_mul(sext(qb, w)), 2 * w);
-        }
+        closed_form_batch(a, b, out, |a, b| self.eval_u(a, b));
     }
     fn batch_accelerated(&self) -> bool {
         true
@@ -317,7 +278,7 @@ impl ApxOperator for SizedMul {
         let bv = b.input_bus("b", self.n as usize);
         let qa = quantized_bus(&mut b, &av, s, self.mode);
         let qb = quantized_bus(&mut b, &bv, s, self.mode);
-        let columns = build_columns(&mut b, &self.cols, &qa, &qb, |_| true);
+        let columns = build_columns(&mut b, &bw_terms(self.w), &qa, &qb, |_| true);
         let out = b.compress_columns(columns, 2 * w);
         b.output_bus("y", &out);
         let mut nl = b.finish();

@@ -80,13 +80,21 @@ pub trait ApxOperator: Send + Sync {
     /// Batched form of [`ApxOperator::eval_u`]: `out[i] = eval_u(a[i],
     /// b[i])`.
     ///
-    /// The default is the scalar loop; operators whose scalar model walks
-    /// the bits one by one (the speculative and approximate-cell adders)
-    /// override it with a 64-lane bitsliced kernel — the same
-    /// transpose-and-sweep trick as the gate-level
-    /// [`apx_netlist::Sim64`], applied to the functional model. Overrides
-    /// must be extensionally equal to the scalar loop; a property test
-    /// pins this for every operator family.
+    /// The default is the scalar loop. Operators whose scalar model walks
+    /// the bits one by one (the speculative and approximate-cell adders,
+    /// the pruned AAM/ABM multipliers) override it with a 64-lane
+    /// bitsliced kernel: operands go through the same log-step lane
+    /// transpose as the gate-level [`apx_netlist::Sim64`]
+    /// ([`apx_netlist::pack_lanes`]), the kernel sweeps the per-bit lane
+    /// words, and the result comes back through
+    /// [`apx_netlist::unpack_lanes`]. Operators whose scalar model is
+    /// already a word-level closed form (exact, fixed-point and sized
+    /// operators, the exact and fixed-width products) override it with
+    /// that closed form's own loop, which outruns any bitsliced kernel.
+    /// Overrides must be extensionally equal to the scalar loop; a
+    /// property test pins this for every operator family (trivially so
+    /// for the closed forms, whose independent check is the netlist
+    /// cross-verification).
     ///
     /// # Panics
     /// Panics unless `a`, `b` and `out` have equal lengths.

@@ -1,5 +1,7 @@
 //! Bit-manipulation helpers shared by the operator models.
 
+use apx_netlist::{pack_lanes, unpack_lanes};
+
 /// Mask with the low `bits` bits set. `bits` may be 0..=64.
 ///
 /// # Example
@@ -54,38 +56,11 @@ pub(crate) fn bit(v: u64, i: u32) -> u64 {
     (v >> i) & 1
 }
 
-/// Transposes up to 64 operand values into per-bit lane words:
-/// `words[bit]` holds lane `l` iff bit `bit` of `values[l]` is set — the
-/// functional-model twin of the operand packing in
-/// [`apx_netlist::Sim64`], on a caller provided stack buffer so batched
-/// evaluation never allocates.
-#[inline]
-pub(crate) fn transpose_lanes(values: &[u64], width: u32, words: &mut [u64; 64]) {
-    debug_assert!(values.len() <= 64 && width <= 64);
-    words[..width as usize].fill(0);
-    for (lane, &v) in values.iter().enumerate() {
-        for (b, word) in words[..width as usize].iter_mut().enumerate() {
-            *word |= ((v >> b) & 1) << lane;
-        }
-    }
-}
-
-/// Inverse of [`transpose_lanes`]: scatters per-bit lane words back into
-/// `out` values.
-#[inline]
-pub(crate) fn untranspose_lanes(words: &[u64; 64], width: u32, out: &mut [u64]) {
-    debug_assert!(out.len() <= 64 && width <= 64);
-    out.fill(0);
-    for (b, &word) in words[..width as usize].iter().enumerate() {
-        for (lane, v) in out.iter_mut().enumerate() {
-            *v |= ((word >> lane) & 1) << b;
-        }
-    }
-}
-
 /// Drives a bitsliced kernel over a batch of any length: operands are
-/// transposed 64 lanes at a time, `kernel(aw, bw, ow)` computes all
-/// output bit-words, and the result is transposed back into `out`.
+/// packed 64 lanes at a time into per-bit lane words
+/// ([`apx_netlist::pack_lanes`], masked to `width`), `kernel(aw, bw, ow)`
+/// computes the output bit-words `ow[..width]`, and the result is
+/// unpacked back into `out` (words above `width` are ignored).
 ///
 /// The kernel is `FnMut` so it can own reusable scratch (the multiplier
 /// kernels keep their partial-product column accumulators across chunks
@@ -109,11 +84,42 @@ pub(crate) fn bitsliced_batch(
     let mut bw = [0u64; 64];
     let mut ow = [0u64; 64];
     for ((ac, bc), oc) in a.chunks(64).zip(b.chunks(64)).zip(out.chunks_mut(64)) {
-        transpose_lanes(ac, width, &mut aw);
-        transpose_lanes(bc, width, &mut bw);
+        pack_lanes(ac, width, &mut aw);
+        pack_lanes(bc, width, &mut bw);
         kernel(&aw, &bw, &mut ow);
-        untranspose_lanes(&ow, width, oc);
+        unpack_lanes(&mut ow, width, oc);
     }
+}
+
+/// The batch form of a word-level closed-form model: `out[i] =
+/// eval(a[i], b[i])`. Operators whose scalar `eval_u` is already a few
+/// word ops per sample (exact, fixed-point, sized and closed-form
+/// product models) use it as their `eval_batch`; the closure is
+/// monomorphized, so the loop pays no per-sample dynamic dispatch.
+///
+/// # Panics
+/// Panics unless `a`, `b` and `out` have equal lengths.
+#[inline]
+pub(crate) fn closed_form_batch(
+    a: &[u64],
+    b: &[u64],
+    out: &mut [u64],
+    eval: impl Fn(u64, u64) -> u64,
+) {
+    assert!(
+        a.len() == b.len() && a.len() == out.len(),
+        "batch length mismatch"
+    );
+    for ((&ai, &bi), o) in a.iter().zip(b).zip(out.iter_mut()) {
+        *o = eval(ai, bi);
+    }
+}
+
+/// The signed product `sext(a)·sext(b)` of two `n`-bit patterns, mod
+/// `2^{2n}` — the closed form every exact `n×n` multiplier grid sums to.
+#[inline]
+pub(crate) fn signed_product(a: u64, b: u64, n: u32) -> u64 {
+    to_u(sext(a, n).wrapping_mul(sext(b, n)), 2 * n)
 }
 
 /// Word-parallel carry-save column compressor — the bitsliced twin of the

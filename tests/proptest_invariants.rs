@@ -1,6 +1,9 @@
 //! Property-based tests over the cross-crate invariants.
 
-use apxperf::operators::{centered_diff, mask_u, sext, to_u, FaType, OperatorConfig, QuantMode};
+use apxperf::core::sweeps::find_family;
+use apxperf::operators::{
+    centered_diff, mask_u, sext, to_u, FaType, OperatorConfig, OperatorCtx, QuantMode, SiteMap,
+};
 use proptest::prelude::*;
 
 fn arb_adder_config() -> impl Strategy<Value = OperatorConfig> {
@@ -237,6 +240,122 @@ proptest! {
         let opposite = apxperf::metrics::mssim(img.pixels(), &inverted, 32, 32);
         prop_assert!(opposite < same);
     }
+}
+
+/// Slice lengths of the slice ≡ scalar property: empty, one lane, both
+/// sides of one 64-lane chunk, and many chunks with a ragged tail.
+const SLICE_LENGTHS: [usize; 6] = [0, 1, 63, 64, 65, 1000];
+
+/// Sites the slice ≡ scalar property rotates its operations over.
+const SLICE_SITES: [&str; 3] = ["w.alpha", "w.beta", "w.gamma"];
+
+/// Signed operands of every magnitude: in and far outside the n-bit
+/// operand range, the i64 extremes included.
+fn signed_operands(seed: u64, len: usize) -> (Vec<i64>, Vec<i64>) {
+    let (a, b) = batch_operands(seed, len, u64::MAX);
+    let spread = |v: &u64| match v % 16 {
+        0 => i64::MIN,
+        1 => i64::MAX,
+        k => (*v as i64) >> (k * 4 - 8),
+    };
+    (
+        a.iter().map(spread).collect(),
+        b.iter().map(spread).collect(),
+    )
+}
+
+/// Drives `slice` through `add_n_at`/`sub_n_at`/`mul_n_at` and `scalar`
+/// through `add_at`/`sub_at`/`mul_at` on the same operands and sites:
+/// every lane and the resulting site ledgers (order included) must
+/// agree.
+fn assert_slices_match_scalar(
+    label: &str,
+    slice: &mut OperatorCtx,
+    scalar: &mut OperatorCtx,
+    seed: u64,
+) {
+    type SliceOp = fn(&mut OperatorCtx, &'static str, &[i64], &[i64], &mut [i64]);
+    type ScalarOp = fn(&mut OperatorCtx, &'static str, i64, i64) -> i64;
+    let ops: [(&str, SliceOp, ScalarOp); 3] = [
+        ("add", OperatorCtx::add_n_at, OperatorCtx::add_at),
+        ("sub", OperatorCtx::sub_n_at, OperatorCtx::sub_at),
+        ("mul", OperatorCtx::mul_n_at, OperatorCtx::mul_at),
+    ];
+    for (k, &len) in SLICE_LENGTHS.iter().enumerate() {
+        let (a, b) = signed_operands(seed.wrapping_add(k as u64), len);
+        let mut out = vec![0i64; len];
+        for (j, (name, slice_op, scalar_op)) in ops.iter().enumerate() {
+            let site = SLICE_SITES[(j + k) % SLICE_SITES.len()];
+            slice_op(slice, site, &a, &b, &mut out);
+            for i in 0..len {
+                let want = scalar_op(scalar, site, a[i], b[i]);
+                prop_assert_eq!(
+                    out[i],
+                    want,
+                    "{} {} len {} lane {}: {} {}",
+                    label,
+                    name,
+                    len,
+                    i,
+                    a[i],
+                    b[i]
+                );
+            }
+        }
+    }
+    prop_assert_eq!(
+        slice.site_counts(),
+        scalar.site_counts(),
+        "{} ledger",
+        label
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// The slice forms of `OperatorCtx` return, lane for lane, what the
+    /// scalar calls return and leave the same site ledger, for every
+    /// config of the `all`, `sized` and `widths` families and for a
+    /// mixed `SiteMap` — the contract that lets workloads slice their
+    /// loops without moving a result or an energy figure.
+    #[test]
+    fn slice_forms_match_scalar_calls(seed in any::<u64>()) {
+        for family in ["all", "sized", "widths"] {
+            let family = find_family(family).expect("registered family");
+            for config in (family.configs)() {
+                let label = format!("{config:?}");
+                let mut slice = OperatorCtx::for_config(&config);
+                let mut scalar = OperatorCtx::for_config(&config);
+                assert_slices_match_scalar(&label, &mut slice, &mut scalar, seed);
+            }
+        }
+        let mut map = SiteMap::new();
+        map.set(SLICE_SITES[0], OperatorConfig::Aca { n: 16, p: 4 });
+        map.set(SLICE_SITES[1], OperatorConfig::Aam { n: 16 });
+        map.set(SLICE_SITES[2], OperatorConfig::EtaIi { n: 12, x: 3 });
+        assert_slices_match_scalar("mixed map", &mut OperatorCtx::new(&map), &mut OperatorCtx::new(&map), seed);
+        // unmapped sites stay exact and still slice
+        assert_slices_match_scalar("exact", &mut OperatorCtx::exact(), &mut OperatorCtx::exact(), seed);
+    }
+}
+
+/// A 0-length slice records nothing, exactly like a loop of zero scalar
+/// calls: the site does not enter the ledger, so it cannot take an
+/// earlier place in the first-recorded order than the scalar loop gives
+/// it.
+#[test]
+fn empty_slices_record_no_site() {
+    let mut ctx = OperatorCtx::for_config(&OperatorConfig::Aam { n: 16 });
+    ctx.add_n_at("w.alpha", &[], &[], &mut []);
+    ctx.sub_n_at("w.alpha", &[], &[], &mut []);
+    ctx.mul_n_at("w.alpha", &[], &[], &mut []);
+    assert!(ctx.site_counts().is_empty());
+    ctx.mul_n_at("w.beta", &[3], &[4], &mut [0]);
+    ctx.add_n_at("w.alpha", &[], &[], &mut []);
+    let sites = ctx.site_counts();
+    let order: Vec<&str> = sites.iter().map(|(site, _)| site).collect();
+    assert_eq!(order, ["w.beta"]);
 }
 
 /// Every `OperatorConfig` family ships an accelerated `eval_batch`
