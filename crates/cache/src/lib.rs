@@ -16,7 +16,9 @@
 //! * [`Cache`] — a directory of `<key>.json` blobs with atomic writes,
 //!   traffic counters, and graceful degradation: a missing directory,
 //!   an unwritable disk or a corrupted blob never fails the caller —
-//!   the worst case is always "recompute".
+//!   the worst case is always "recompute". [`Cache::read_through`] is
+//!   the one cached read: it coalesces identical in-flight reads, so
+//!   each record is computed once per run.
 //! * **Fleet operations** — [`Cache::pack`] exports blobs as one
 //!   portable, fingerprint-stamped archive and [`Cache::import`] brings
 //!   one in with per-blob verification (see [`mod@archive`]);
@@ -78,10 +80,11 @@ pub use error::CacheError;
 pub use gc::GcSummary;
 
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::SystemTime;
 
 /// FNV-1a 64-bit offset basis (stream 0).
@@ -247,6 +250,60 @@ pub(crate) struct Inner {
     pub(crate) dir: PathBuf,
     pub(crate) counters: Counters,
     pub(crate) capacity_bytes: Option<u64>,
+    /// Keys whose [`Cache::read_through`] is in progress on this handle
+    /// or a clone of it.
+    claimed: Mutex<HashSet<CacheKey>>,
+    /// Signalled whenever a claim is released.
+    released: Condvar,
+}
+
+/// How [`Cache::read_through`] obtained its value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lookup {
+    /// Served from a blob that was already stored.
+    Hit,
+    /// Served from the blob an identical in-flight read stored while
+    /// this call waited for it.
+    Coalesced,
+    /// Computed by this call (and stored, when the cache is enabled).
+    Computed,
+}
+
+/// A claimed key; dropping it releases the key and wakes the waiters,
+/// on unwinding too, so a panicking leader never strands them.
+struct Claim<'a> {
+    inner: &'a Inner,
+    key: CacheKey,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        // the table lock is never held across user code, so poisoning
+        // cannot leave the set half-updated
+        self.inner
+            .claimed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.key);
+        self.inner.released.notify_all();
+    }
+}
+
+impl Inner {
+    /// Claims `key`, first waiting until no other read-through holds it.
+    /// Returns the claim and whether this call had to wait.
+    fn claim(&self, key: CacheKey) -> (Claim<'_>, bool) {
+        let mut claimed = self.claimed.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut waited = false;
+        while !claimed.insert(key) {
+            waited = true;
+            claimed = self
+                .released
+                .wait(claimed)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        (Claim { inner: self, key }, waited)
+    }
 }
 
 /// What one file inside a cache directory is.
@@ -374,6 +431,8 @@ impl CacheConfig {
                     dir,
                     counters: Counters::default(),
                     capacity_bytes,
+                    claimed: Mutex::default(),
+                    released: Condvar::new(),
                 })),
             },
             None => Cache { inner: None },
@@ -490,6 +549,56 @@ impl Cache {
         }
     }
 
+    /// The one cached read behind every content-addressed record: looks
+    /// `key()` up, serves the blob when `describes` accepts it, and
+    /// otherwise computes, stores and returns a fresh value.
+    ///
+    /// `describes` is the collision guard: a blob that parses but
+    /// describes another input (a hash collision, or a manually copied
+    /// file) is recomputed and overwritten instead of served. A disabled
+    /// cache computes without deriving the key and never waits.
+    ///
+    /// Identical reads coalesce. The key is claimed before the lookup,
+    /// and a call that finds it claimed by a clone of this handle waits
+    /// for the release, then runs its own lookup, which hits on the
+    /// blob the leader stored ([`Lookup::Coalesced`]). Every call looks
+    /// up exactly once, so misses equal the distinct absent keys and the
+    /// counters do not depend on thread timing. If the leader stored
+    /// nothing (its `compute` panicked, or the write failed), the waiter
+    /// computes instead.
+    ///
+    /// Lock order: a `compute` may itself read through other keys (a
+    /// workload cell reads its operator reports), but a report's
+    /// `compute` reads through nothing and no `compute` reads its own
+    /// key, so waits form no cycle. Waiters block on a condvar, never on
+    /// pool work, and every engine region runs its own threads, so a
+    /// leader always has the workers it needs.
+    pub fn read_through<T: Serialize + Deserialize>(
+        &self,
+        key: impl FnOnce() -> CacheKey,
+        describes: impl FnOnce(&T) -> bool,
+        compute: impl FnOnce() -> T,
+    ) -> (T, Lookup) {
+        let Some(inner) = self.inner.as_deref() else {
+            return (compute(), Lookup::Computed);
+        };
+        let key = key();
+        let (_claim, waited) = inner.claim(key);
+        if let Some(value) = self.get::<T>(&key) {
+            if describes(&value) {
+                let lookup = if waited {
+                    Lookup::Coalesced
+                } else {
+                    Lookup::Hit
+                };
+                return (value, lookup);
+            }
+        }
+        let value = compute();
+        self.put(&key, &value);
+        (value, Lookup::Computed)
+    }
+
     /// Writes `body` to `name` inside the cache directory via a
     /// per-call-unique temp file and an atomic rename: a concurrent
     /// reader sees either the old record or the new one, never a torn
@@ -503,10 +612,11 @@ impl Cache {
         }
         let path = inner.dir.join(name);
         // unique per process AND per call: concurrent same-name writes
-        // (engine threads storing the shared full-width partner
-        // multiplier; the serve daemon persisting stats after every
-        // drained job) must never share a temp file, or one writer's
-        // truncate could tear another's in-flight rename
+        // (other processes sharing the directory; the serve daemon
+        // persisting stats after every cold report and drained job) must
+        // never share a temp file, or one writer's truncate could tear
+        // another's in-flight rename. Read-throughs on one handle never
+        // write the same blob at once: each claims its key first
         static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
         let seq = WRITE_SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp = inner
@@ -879,6 +989,159 @@ mod tests {
                 assert!(dir.ends_with(".cache/apxperf"));
             }
         }
+    }
+
+    // ---- the coalescing read-through ----
+
+    /// Long enough that every barrier-released peer arrives while the
+    /// leader is still computing.
+    const SLOW: std::time::Duration = std::time::Duration::from_millis(200);
+
+    #[test]
+    fn a_herd_on_one_key_computes_once_and_coalesces_the_rest() {
+        let tmp = TempDir::new();
+        let cache = cache_at(&tmp.0);
+        let computes = AtomicUsize::new(0);
+        let barrier = std::sync::Barrier::new(8);
+        let lookups: Vec<Lookup> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        let (value, lookup) = cache.read_through(
+                            || key("herd"),
+                            |_: &u64| true,
+                            || {
+                                std::thread::sleep(SLOW);
+                                computes.fetch_add(1, Ordering::SeqCst);
+                                42u64
+                            },
+                        );
+                        assert_eq!(value, 42);
+                        lookup
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(computes.load(Ordering::SeqCst), 1);
+        let count = |want| lookups.iter().filter(|&&l| l == want).count();
+        assert_eq!(
+            (count(Lookup::Computed), count(Lookup::Coalesced)),
+            (1, 7),
+            "{lookups:?}"
+        );
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.writes), (7, 1, 1));
+    }
+
+    #[test]
+    fn a_panicking_leader_hands_the_key_to_a_waiter() {
+        let tmp = TempDir::new();
+        let cache = cache_at(&tmp.0);
+        let (claimed_tx, claimed_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| {
+                cache.read_through(
+                    || key("abort"),
+                    |_: &u64| true,
+                    || -> u64 {
+                        claimed_tx.send(()).unwrap();
+                        std::thread::sleep(SLOW);
+                        panic!("leader died mid-compute");
+                    },
+                )
+            });
+            claimed_rx.recv().unwrap();
+            // the leader holds the key: this call waits, finds no blob
+            // after the release, and computes instead of hanging
+            let (value, lookup) = cache.read_through(|| key("abort"), |_: &u64| true, || 7u64);
+            assert_eq!((value, lookup), (7, Lookup::Computed));
+            assert!(leader.join().is_err(), "the leader panicked");
+        });
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.writes), (0, 2, 1));
+    }
+
+    #[test]
+    fn a_planted_wrong_input_blob_is_healed_once_under_contention() {
+        let tmp = TempDir::new();
+        let cache = cache_at(&tmp.0);
+        // parses as a u64 but describes another input
+        cache.put(&key("planted"), &13u64);
+        let computes = AtomicUsize::new(0);
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    barrier.wait();
+                    let (value, _) = cache.read_through(
+                        || key("planted"),
+                        |v: &u64| *v == 42,
+                        || {
+                            std::thread::sleep(SLOW);
+                            computes.fetch_add(1, Ordering::SeqCst);
+                            42u64
+                        },
+                    );
+                    assert_eq!(value, 42, "the planted blob is never served");
+                });
+            }
+        });
+        assert_eq!(computes.load(Ordering::SeqCst), 1, "healed exactly once");
+        assert_eq!(cache.stats().writes, 2, "the plant plus one heal");
+        assert_eq!(cache.get::<u64>(&key("planted")), Some(42));
+    }
+
+    #[test]
+    fn different_keys_compute_concurrently() {
+        // a 2-party rendezvous inside `compute`: it completes only if both
+        // computations are in flight at once, and times out (failing
+        // instead of hanging) if one key's claim blocked the other
+        let tmp = TempDir::new();
+        let cache = cache_at(&tmp.0);
+        let arrived = Mutex::new(0usize);
+        let both_in = Condvar::new();
+        let rendezvous = || {
+            let mut count = arrived.lock().unwrap();
+            *count += 1;
+            both_in.notify_all();
+            let (count, timeout) = both_in
+                .wait_timeout_while(count, std::time::Duration::from_secs(10), |c| *c < 2)
+                .unwrap();
+            assert!(
+                !timeout.timed_out(),
+                "only {} of 2 computed at once",
+                *count
+            );
+        };
+        std::thread::scope(|s| {
+            for tag in ["left", "right"] {
+                let (cache, rendezvous) = (&cache, &rendezvous);
+                s.spawn(move || {
+                    let (_, lookup) = cache.read_through(
+                        || key(tag),
+                        |_: &u64| true,
+                        || {
+                            rendezvous();
+                            1u64
+                        },
+                    );
+                    assert_eq!(lookup, Lookup::Computed);
+                });
+            }
+        });
+        assert_eq!(cache.stats().writes, 2);
+    }
+
+    #[test]
+    fn a_disabled_cache_computes_without_deriving_a_key() {
+        let (value, lookup) = Cache::default().read_through(
+            || panic!("a disabled cache derived a key"),
+            |_: &u64| true,
+            || 5u64,
+        );
+        assert_eq!((value, lookup), (5, Lookup::Computed));
     }
 
     // ---- fleet operations: gc, capacity, archives ----

@@ -440,6 +440,87 @@ fn pre_schema_bump_cache_dir_recomputes_and_last_run_records_the_miss() {
     assert!(json.contains("\"writes\": 1"), "{json}");
 }
 
+/// `cache stats --format json` `last_run.{hits,misses,writes}` for `dir`.
+fn last_run_counters(dir: &TempDir) -> (u64, u64, u64) {
+    let stats = run(&[
+        "cache",
+        "stats",
+        "--cache-dir",
+        dir.path(),
+        "--format",
+        "json",
+    ]);
+    assert!(stats.status.success());
+    let json: serde::Value = serde_json::from_str(&stdout(&stats)).expect("stats are JSON");
+    let field = |object: &serde::Value, name: &str| -> serde::Value {
+        object
+            .as_object()
+            .and_then(|fields| fields.iter().find(|(key, _)| key == name))
+            .map(|(_, value)| value.clone())
+            .unwrap_or_else(|| panic!("no `{name}` in {json:?}"))
+    };
+    let last_run = field(&json, "last_run");
+    let count = |name: &str| match field(&last_run, name) {
+        serde::Value::UInt(n) => n as u64,
+        other => panic!("`last_run.{name}` is not a count: {other:?}"),
+    };
+    (count("hits"), count("misses"), count("writes"))
+}
+
+#[test]
+fn cold_cache_traffic_and_stdout_are_independent_of_the_thread_count() {
+    // parallel cells share sized-partner reports; identical reads
+    // coalesce in the cache, so a cold run computes each report once and
+    // its counters are a function of the command alone
+    let commands: [&[&str]; 2] = [
+        &[
+            "pareto",
+            "--workload",
+            "kmeans",
+            "--all",
+            "--sets",
+            "1",
+            "--points",
+            "100",
+        ],
+        &["tune", "--workload", "fft", "--budget", "<=1dB"],
+    ];
+    for command in commands {
+        let runs: Vec<(String, (u64, u64, u64))> = ["1", "2", "8"]
+            .iter()
+            .map(|threads| {
+                let dir = TempDir::new(&format!("threads_{}_{threads}", command[0]));
+                let mut args = command.to_vec();
+                args.extend([
+                    "--samples",
+                    "2000",
+                    "--vectors",
+                    "50",
+                    "--threads",
+                    threads,
+                    "--cache-dir",
+                    dir.path(),
+                ]);
+                let cold = run(&args);
+                assert!(cold.status.success(), "{args:?} failed: {cold:?}");
+                (stdout(&cold), last_run_counters(&dir))
+            })
+            .collect();
+        for (threads, (text, counters)) in ["2", "8"].iter().zip(&runs[1..]) {
+            assert_eq!(
+                text, &runs[0].0,
+                "{} stdout differs at --threads {threads}",
+                command[0]
+            );
+            assert_eq!(
+                counters, &runs[0].1,
+                "{} cold (hits, misses, writes) differ at --threads {threads}",
+                command[0]
+            );
+        }
+    }
+}
+
 #[test]
 fn invalid_engine_knobs_are_usage_errors() {
     // --threads 0 used to fall through silently to "auto"; all zero

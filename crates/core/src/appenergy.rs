@@ -160,22 +160,22 @@ pub fn sweep_workload_cached(
     let inner = crate::sweeps::inner_engine(engine, configs.len());
     engine.map_indexed(configs.len(), |i| {
         let config = configs[i];
-        crate::cache::read_through(
-            cache,
-            || crate::cache::workload_cell_key(lib, &settings, workload, seed, &config),
-            |cell: &WorkloadCell| cell.config == config,
-            || {
-                let mut chz = Characterizer::new(lib)
-                    .with_settings(settings)
-                    .with_engine(inner.clone())
-                    .with_cache(cache.clone());
-                let model = model_for(&mut chz, &config);
-                let mut ctx = OperatorCtx::for_config(&config);
-                let run = workload.run(seed, &mut ctx);
-                WorkloadCell { config, model, run }
-            },
-        )
-        .0
+        cache
+            .read_through(
+                || crate::cache::workload_cell_key(lib, &settings, workload, seed, &config),
+                |cell: &WorkloadCell| cell.config == config,
+                || {
+                    let mut chz = Characterizer::new(lib)
+                        .with_settings(settings)
+                        .with_engine(inner.clone())
+                        .with_cache(cache.clone());
+                    let model = model_for(&mut chz, &config);
+                    let mut ctx = OperatorCtx::for_config(&config);
+                    let run = workload.run(seed, &mut ctx);
+                    WorkloadCell { config, model, run }
+                },
+            )
+            .0
     })
 }
 

@@ -56,10 +56,9 @@
 
 use crate::characterizer::CharacterizerSettings;
 use apx_apps::Workload;
-use apx_cache::{ArchiveStamp, Cache, CacheKey, KeyBuilder};
+use apx_cache::{ArchiveStamp, CacheKey, KeyBuilder};
 use apx_cells::Library;
 use apx_operators::{OpClass, OperatorConfig, SiteMap};
-use serde::{Deserialize, Serialize};
 
 /// Version of the cached-report schema. Bump on any change to the
 /// serialized [`OperatorReport`] shape *or* to the semantics of a keyed
@@ -74,35 +73,6 @@ use serde::{Deserialize, Serialize};
 /// absolute transition totals; v1 blobs must miss, not resurface numbers
 /// from the retired stream definition.
 pub const REPORT_SCHEMA_VERSION: u32 = 2;
-
-/// The one cached read behind every content-addressed record: looks
-/// `key()` up, serves the blob when `describes` accepts it, and
-/// otherwise computes, stores and returns a fresh value. Returns the
-/// value and whether it was served from the cache.
-///
-/// `describes` is the collision guard: a blob that parses but describes
-/// another input (a hash collision, or a manually copied file) is
-/// recomputed and overwritten instead of served. A disabled cache
-/// computes without deriving the key.
-pub(crate) fn read_through<T: Serialize + Deserialize>(
-    cache: &Cache,
-    key: impl FnOnce() -> CacheKey,
-    describes: impl FnOnce(&T) -> bool,
-    compute: impl FnOnce() -> T,
-) -> (T, bool) {
-    if !cache.is_enabled() {
-        return (compute(), false);
-    }
-    let key = key();
-    if let Some(value) = cache.get::<T>(&key) {
-        if describes(&value) {
-            return (value, true);
-        }
-    }
-    let value = compute();
-    cache.put(&key, &value);
-    (value, false)
-}
 
 /// Stable fingerprint of a cell library: a content hash over its
 /// canonical JSON serialization, covering every cell spec, the wire-load
@@ -250,7 +220,8 @@ pub fn sweep_key_closure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Characterizer, OperatorReport};
+    use crate::Characterizer;
+    use apx_cache::{Cache, Lookup};
     use apx_cells::OperatingPoint;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -576,25 +547,15 @@ mod tests {
             "the healed cell is a pure hit"
         );
 
-        // … and the served report path, whose hit flag feeds `/stats`
+        // … and the served report path, whose lookup feeds `/stats`
         let c = OperatorConfig::AddTrunc { n: 16, q: 12 };
         cache.put(&report_cache_key(&lib, &settings, &c), &report_b);
-        let (report_c, hit) = crate::query::cached_report(&lib, settings, &c, &engine, &cache);
-        assert!(!hit, "a rejected blob is not a hit");
+        let (report_c, lookup) = crate::query::cached_report(&lib, settings, &c, &engine, &cache);
+        assert_eq!(lookup, Lookup::Computed, "a rejected blob is not a hit");
         assert_eq!(report_c.config, c, "planted report must be rejected");
-        let (again, hit) = crate::query::cached_report(&lib, settings, &c, &engine, &cache);
-        assert!(hit);
+        let (again, lookup) = crate::query::cached_report(&lib, settings, &c, &engine, &cache);
+        assert_eq!(lookup, Lookup::Hit);
         assert_eq!(again, report_c);
-
-        // a disabled cache never derives a key
-        let (value, hit) = read_through(
-            &Cache::default(),
-            || panic!("a disabled cache derived a key"),
-            |_: &OperatorReport| true,
-            || report_c.clone(),
-        );
-        assert!(!hit);
-        assert_eq!(value, report_c);
     }
 
     #[test]

@@ -137,13 +137,13 @@ impl<'a> Characterizer<'a> {
     /// skips all three sweeps and is bit-identical to the recompute it
     /// replaces. A fresh result is stored before being returned.
     pub fn characterize(&mut self, config: &OperatorConfig) -> OperatorReport {
-        crate::cache::read_through(
-            &self.cache,
-            || crate::cache::report_cache_key(self.lib, &self.settings, config),
-            |report: &OperatorReport| report.config == *config,
-            || self.characterize_uncached(config, config.build().as_ref()),
-        )
-        .0
+        self.cache
+            .read_through(
+                || crate::cache::report_cache_key(self.lib, &self.settings, config),
+                |report: &OperatorReport| report.config == *config,
+                || self.characterize_uncached(config, config.build().as_ref()),
+            )
+            .0
     }
 
     /// [`Characterizer::characterize`] without the cache lookup: always

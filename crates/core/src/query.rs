@@ -19,7 +19,7 @@ use crate::output::{family, fmt, render, Format};
 use crate::pareto::{workload_pareto, ParetoEntry};
 use crate::{cache as core_cache, sweeps, Characterizer, CharacterizerSettings, OperatorReport};
 use apx_apps::{Workload, WorkloadParams};
-use apx_cache::Cache;
+use apx_cache::{Cache, Lookup};
 use apx_cells::Library;
 use apx_engine::Engine;
 use apx_operators::OperatorConfig;
@@ -115,9 +115,9 @@ pub fn resolve_workload(
 /// One cached single-operator characterization: content-addressed lookup
 /// ([`core_cache::report_cache_key`]) with the collision guard, falling
 /// back to a full characterization plus write-back on a miss. Returns
-/// the report and whether it was served from the cache — the signal the
-/// server's `/stats` hit/miss counters are built on. Counter traffic on
-/// the `cache` handle is identical to the CLI's historical
+/// the report and how [`Cache::read_through`] obtained it — the signal
+/// the server's `/stats` hit/miss/coalesced counters are built on.
+/// Counter traffic on the `cache` handle is identical to the
 /// `Characterizer::with_cache` path.
 #[must_use]
 pub fn cached_report(
@@ -126,9 +126,8 @@ pub fn cached_report(
     config: &OperatorConfig,
     engine: &Engine,
     cache: &Cache,
-) -> (OperatorReport, bool) {
-    core_cache::read_through(
-        cache,
+) -> (OperatorReport, Lookup) {
+    cache.read_through(
         || core_cache::report_cache_key(lib, &settings, config),
         |report: &OperatorReport| report.config == *config,
         || {
@@ -143,7 +142,7 @@ pub fn cached_report(
 /// The `report <CONFIG>` query: parse the paper notation, characterize
 /// (through the cache), and render the full fused report as pretty JSON
 /// plus a trailing newline — exactly the bytes `apxperf report` prints.
-/// The boolean is the [`cached_report`] hit flag.
+/// The boolean is `true` when this call did not compute the report.
 ///
 /// # Errors
 /// Invalid operator notation, or (never in practice) a serialization
@@ -156,11 +155,11 @@ pub fn report_text(
     cache: &Cache,
 ) -> Result<(String, bool), String> {
     let config: OperatorConfig = spec.parse().map_err(|e| format!("{e}"))?;
-    let (report, hit) = cached_report(lib, params.settings(), &config, engine, cache);
+    let (report, lookup) = cached_report(lib, params.settings(), &config, engine, cache);
     let json = report
         .to_json()
         .map_err(|e| format!("report serialization failed: {e}"))?;
-    Ok((format!("{json}\n"), hit))
+    Ok((format!("{json}\n"), lookup != Lookup::Computed))
 }
 
 /// The uniform workload result table shared by `app`, `sweep --workload`
@@ -446,10 +445,10 @@ mod tests {
         let lib = Library::fdsoi28();
         let engine = Engine::new(2);
         let config: OperatorConfig = "ACA(8,2)".parse().unwrap();
-        let (first, hit1) = cached_report(&lib, small().settings(), &config, &engine, &cache);
-        let (second, hit2) = cached_report(&lib, small().settings(), &config, &engine, &cache);
-        assert!(!hit1);
-        assert!(hit2);
+        let (first, lookup1) = cached_report(&lib, small().settings(), &config, &engine, &cache);
+        let (second, lookup2) = cached_report(&lib, small().settings(), &config, &engine, &cache);
+        assert_eq!(lookup1, Lookup::Computed);
+        assert_eq!(lookup2, Lookup::Hit);
         assert_eq!(first.to_json().unwrap(), second.to_json().unwrap());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -134,30 +134,30 @@ fn evaluate_cell(
     inner: &Engine,
     cache: &Cache,
 ) -> HeteroCell {
-    crate::cache::read_through(
-        cache,
-        || crate::cache::hetero_cell_key(lib, &settings, workload, seed, assignment),
-        |cell: &HeteroCell| cell.assignment == *assignment,
-        || {
-            let mut ctx = OperatorCtx::new(assignment);
-            let run = workload.run(seed, &mut ctx);
-            let site_counts = ctx.site_counts();
-            let mut chz = Characterizer::new(lib)
-                .with_settings(settings)
-                .with_engine(inner.clone())
-                .with_cache(cache.clone());
-            let energy_pj = price_sites(&site_counts, assignment, &mut |config| {
-                model_for(&mut chz, config)
-            });
-            HeteroCell {
-                assignment: assignment.clone(),
-                run,
-                site_counts,
-                energy_pj,
-            }
-        },
-    )
-    .0
+    cache
+        .read_through(
+            || crate::cache::hetero_cell_key(lib, &settings, workload, seed, assignment),
+            |cell: &HeteroCell| cell.assignment == *assignment,
+            || {
+                let mut ctx = OperatorCtx::new(assignment);
+                let run = workload.run(seed, &mut ctx);
+                let site_counts = ctx.site_counts();
+                let mut chz = Characterizer::new(lib)
+                    .with_settings(settings)
+                    .with_engine(inner.clone())
+                    .with_cache(cache.clone());
+                let energy_pj = price_sites(&site_counts, assignment, &mut |config| {
+                    model_for(&mut chz, config)
+                });
+                HeteroCell {
+                    assignment: assignment.clone(),
+                    run,
+                    site_counts,
+                    energy_pj,
+                }
+            },
+        )
+        .0
 }
 
 /// Evaluates a batch of assignments engine-parallel, in input order.

@@ -16,7 +16,7 @@
 //!   of a chosen [`FaType`]; the `m` MSBs use accurate full adders.
 
 use crate::traits::{ApxOperator, OpClass};
-use crate::util::{bit, bitsliced_batch, closed_form_batch, mask_u};
+use crate::util::{bit, bitsliced_batch, mask_u};
 use apx_cells::CellKind;
 use apx_netlist::{Netlist, NetlistBuilder};
 use serde::{Deserialize, Serialize};
@@ -55,12 +55,6 @@ impl ApxOperator for AddExact {
     }
     fn eval_u(&self, a: u64, b: u64) -> u64 {
         a.wrapping_add(b) & mask_u(self.n)
-    }
-    fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        closed_form_batch(a, b, out, |a, b| self.eval_u(a, b));
-    }
-    fn batch_accelerated(&self) -> bool {
-        true
     }
     fn netlist(&self) -> Netlist {
         let mut b = NetlistBuilder::new(self.name());
@@ -125,12 +119,6 @@ impl ApxOperator for AddTrunc {
         let s = self.n - self.q;
         ((a >> s).wrapping_add(b >> s)) & mask_u(self.q)
     }
-    fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        closed_form_batch(a, b, out, |a, b| self.eval_u(a, b));
-    }
-    fn batch_accelerated(&self) -> bool {
-        true
-    }
     fn netlist(&self) -> Netlist {
         let s = (self.n - self.q) as usize;
         let mut b = NetlistBuilder::new(self.name());
@@ -190,12 +178,6 @@ impl ApxOperator for AddRound {
         let ra = (a >> s).wrapping_add(bit(a, s - 1));
         let rb = (b >> s).wrapping_add(bit(b, s - 1));
         ra.wrapping_add(rb) & mask_u(self.q)
-    }
-    fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        closed_form_batch(a, b, out, |a, b| self.eval_u(a, b));
-    }
-    fn batch_accelerated(&self) -> bool {
-        true
     }
     fn netlist(&self) -> Netlist {
         let s = (self.n - self.q) as usize;
@@ -287,9 +269,6 @@ impl ApxOperator for Aca {
                 ow[i] = ps[i] ^ carry;
             }
         });
-    }
-    fn batch_accelerated(&self) -> bool {
-        true
     }
     fn netlist(&self) -> Netlist {
         let n = self.n as usize;
@@ -419,9 +398,6 @@ impl ApxOperator for EtaIv {
     fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
         eta_eval_batch(self.n, self.x, 2 * self.x, a, b, out);
     }
-    fn batch_accelerated(&self) -> bool {
-        true
-    }
     fn netlist(&self) -> Netlist {
         let n = self.n as usize;
         let x = self.x as usize;
@@ -513,9 +489,6 @@ impl ApxOperator for EtaIi {
     }
     fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
         eta_eval_batch(self.n, self.x, self.x, a, b, out);
-    }
-    fn batch_accelerated(&self) -> bool {
-        true
     }
     fn netlist(&self) -> Netlist {
         let n = self.n as usize;
@@ -677,9 +650,6 @@ impl ApxOperator for RcaApx {
                 }
             }
         });
-    }
-    fn batch_accelerated(&self) -> bool {
-        true
     }
     fn netlist(&self) -> Netlist {
         let n = self.n as usize;

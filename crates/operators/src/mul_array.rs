@@ -19,9 +19,7 @@
 //! ```
 
 use crate::traits::{ApxOperator, OpClass};
-use crate::util::{
-    bit, bitsliced_batch, closed_form_batch, compress_columns64, mask_u, signed_product,
-};
+use crate::util::{bit, bitsliced_batch, compress_columns64, mask_u, signed_product};
 use apx_netlist::{NetId, Netlist, NetlistBuilder};
 
 /// One Baugh-Wooley partial-product term.
@@ -162,12 +160,6 @@ impl ApxOperator for MulExact {
         // closed form rather than an O(n²) term walk.
         signed_product(a, b, self.n)
     }
-    fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        closed_form_batch(a, b, out, |a, b| self.eval_u(a, b));
-    }
-    fn batch_accelerated(&self) -> bool {
-        true
-    }
     fn netlist(&self) -> Netlist {
         let n = self.n as usize;
         let mut b = NetlistBuilder::new(self.name());
@@ -226,12 +218,6 @@ impl ApxOperator for MulTrunc {
         // the full product (see `MulExact::eval_u`), then the MULt output
         // truncation: keep the q MSBs of the 2n product bits
         signed_product(a, b, self.n) >> (2 * self.n - self.q)
-    }
-    fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        closed_form_batch(a, b, out, |a, b| self.eval_u(a, b));
-    }
-    fn batch_accelerated(&self) -> bool {
-        true
     }
     fn netlist(&self) -> Netlist {
         let n = self.n as usize;
@@ -292,12 +278,6 @@ impl ApxOperator for MulRound {
         let shift = 2 * self.n - self.q;
         let full = signed_product(a, b, self.n) + (1 << (shift - 1));
         (full & mask_u(2 * self.n)) >> shift
-    }
-    fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        closed_form_batch(a, b, out, |a, b| self.eval_u(a, b));
-    }
-    fn batch_accelerated(&self) -> bool {
-        true
     }
     fn netlist(&self) -> Netlist {
         let n = self.n as usize;
@@ -426,9 +406,6 @@ impl ApxOperator for Aam {
             compress_columns64(&mut cols, ow);
         });
     }
-    fn batch_accelerated(&self) -> bool {
-        true
-    }
     fn netlist(&self) -> Netlist {
         let n = self.n as usize;
         let mut b = NetlistBuilder::new(self.name());
@@ -554,7 +531,6 @@ mod tests {
         ];
         // all 65536 operand pairs in batches of 256 (4 transposed chunks)
         for op in ops {
-            assert!(op.batch_accelerated(), "{}", op.name());
             let m = mask_u(op.input_bits());
             let mut batch_a = Vec::new();
             let mut batch_b = Vec::new();

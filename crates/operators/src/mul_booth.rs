@@ -28,9 +28,7 @@
 //! `table6_shape_abm_collapse`).
 
 use crate::traits::{ApxOperator, OpClass};
-use crate::util::{
-    bit, bitsliced_batch, closed_form_batch, compress_columns64, mask_u, signed_product,
-};
+use crate::util::{bit, bitsliced_batch, compress_columns64, mask_u, signed_product};
 use apx_netlist::{NetId, Netlist, NetlistBuilder};
 use std::collections::HashMap;
 
@@ -344,12 +342,6 @@ impl ApxOperator for MulBoothExact {
         // closed form rather than a walk over the Booth rows.
         signed_product(a, b, self.n)
     }
-    fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        closed_form_batch(a, b, out, |a, b| self.eval_u(a, b));
-    }
-    fn batch_accelerated(&self) -> bool {
-        true
-    }
     fn netlist(&self) -> Netlist {
         booth_netlist(
             self.name(),
@@ -418,9 +410,6 @@ impl ApxOperator for Abm {
     fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
         booth_eval_batch(self.n, self.pruning(), a, b, out);
     }
-    fn batch_accelerated(&self) -> bool {
-        true
-    }
     fn netlist(&self) -> Netlist {
         booth_netlist(self.name(), self.n, self.pruning())
     }
@@ -485,9 +474,6 @@ impl ApxOperator for AbmUncorrected {
     }
     fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
         booth_eval_batch(self.n, self.pruning(), a, b, out);
-    }
-    fn batch_accelerated(&self) -> bool {
-        true
     }
     fn netlist(&self) -> Netlist {
         booth_netlist(self.name(), self.n, self.pruning())
@@ -567,7 +553,6 @@ mod tests {
             Box::new(AbmUncorrected::new(8)),
         ];
         for op in ops {
-            assert!(op.batch_accelerated(), "{}", op.name());
             let m = mask_u(op.input_bits());
             let mut batch_a = Vec::new();
             let mut batch_b = Vec::new();

@@ -23,7 +23,7 @@
 
 use crate::mul_array::{build_columns, bw_terms};
 use crate::traits::{ApxOperator, OpClass};
-use crate::util::{bit, closed_form_batch, mask_u, signed_product};
+use crate::util::{bit, mask_u, signed_product};
 use apx_netlist::{NetId, Netlist, NetlistBuilder};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -170,14 +170,6 @@ impl ApxOperator for SizedAdd {
         let qb = quantize(b, self.n, self.w, self.mode, false);
         qa.wrapping_add(qb) & mask_u(self.w)
     }
-    fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        // two quantizers and one masked add per sample: the closed form
-        // outruns a bitsliced ripple even after the lane transposes
-        closed_form_batch(a, b, out, |a, b| self.eval_u(a, b));
-    }
-    fn batch_accelerated(&self) -> bool {
-        true
-    }
     fn netlist(&self) -> Netlist {
         let s = (self.n - self.w) as usize;
         let mut b = NetlistBuilder::new(self.name());
@@ -263,12 +255,6 @@ impl ApxOperator for SizedMul {
         let qa = quantize(a, self.n, self.w, self.mode, true);
         let qb = quantize(b, self.n, self.w, self.mode, true);
         signed_product(qa, qb, self.w)
-    }
-    fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        closed_form_batch(a, b, out, |a, b| self.eval_u(a, b));
-    }
-    fn batch_accelerated(&self) -> bool {
-        true
     }
     fn netlist(&self) -> Netlist {
         let s = (self.n - self.w) as usize;

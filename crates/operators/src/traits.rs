@@ -80,21 +80,19 @@ pub trait ApxOperator: Send + Sync {
     /// Batched form of [`ApxOperator::eval_u`]: `out[i] = eval_u(a[i],
     /// b[i])`.
     ///
-    /// The default is the scalar loop. Operators whose scalar model walks
-    /// the bits one by one (the speculative and approximate-cell adders,
-    /// the pruned AAM/ABM multipliers) override it with a 64-lane
-    /// bitsliced kernel: operands go through the same log-step lane
-    /// transpose as the gate-level [`apx_netlist::Sim64`]
+    /// The default is the scalar loop, monomorphized per operator, which
+    /// is already the fastest form for operators whose scalar model is a
+    /// word-level closed form (exact, fixed-point and sized operators,
+    /// the exact and fixed-width products). Operators whose scalar model
+    /// walks the bits one by one (the speculative and approximate-cell
+    /// adders, the pruned AAM/ABM multipliers) override it with a
+    /// 64-lane bitsliced kernel: operands go through the same log-step
+    /// lane transpose as the gate-level [`apx_netlist::Sim64`]
     /// ([`apx_netlist::pack_lanes`]), the kernel sweeps the per-bit lane
     /// words, and the result comes back through
-    /// [`apx_netlist::unpack_lanes`]. Operators whose scalar model is
-    /// already a word-level closed form (exact, fixed-point and sized
-    /// operators, the exact and fixed-width products) override it with
-    /// that closed form's own loop, which outruns any bitsliced kernel.
-    /// Overrides must be extensionally equal to the scalar loop; a
-    /// property test pins this for every operator family (trivially so
-    /// for the closed forms, whose independent check is the netlist
-    /// cross-verification).
+    /// [`apx_netlist::unpack_lanes`]. Overrides must be extensionally
+    /// equal to the scalar loop; a property test pins this for every
+    /// operator family.
     ///
     /// # Panics
     /// Panics unless `a`, `b` and `out` have equal lengths.
@@ -106,18 +104,6 @@ pub trait ApxOperator: Send + Sync {
         for ((&ai, &bi), o) in a.iter().zip(b).zip(out.iter_mut()) {
             *o = self.eval_u(ai, bi);
         }
-    }
-
-    /// Whether [`ApxOperator::eval_batch`] is an accelerated override
-    /// (64-lane bitsliced or word-parallel) rather than the scalar
-    /// fallback loop above.
-    ///
-    /// Purely introspective — callers must not branch on it for
-    /// correctness. It exists so the batch-coverage test can enumerate
-    /// every [`crate::OperatorConfig`] family and fail the build when a
-    /// family ships with the scalar default path.
-    fn batch_accelerated(&self) -> bool {
-        false
     }
 
     /// Batched form of [`ApxOperator::reference_u`].

@@ -91,30 +91,6 @@ pub(crate) fn bitsliced_batch(
     }
 }
 
-/// The batch form of a word-level closed-form model: `out[i] =
-/// eval(a[i], b[i])`. Operators whose scalar `eval_u` is already a few
-/// word ops per sample (exact, fixed-point, sized and closed-form
-/// product models) use it as their `eval_batch`; the closure is
-/// monomorphized, so the loop pays no per-sample dynamic dispatch.
-///
-/// # Panics
-/// Panics unless `a`, `b` and `out` have equal lengths.
-#[inline]
-pub(crate) fn closed_form_batch(
-    a: &[u64],
-    b: &[u64],
-    out: &mut [u64],
-    eval: impl Fn(u64, u64) -> u64,
-) {
-    assert!(
-        a.len() == b.len() && a.len() == out.len(),
-        "batch length mismatch"
-    );
-    for ((&ai, &bi), o) in a.iter().zip(b).zip(out.iter_mut()) {
-        *o = eval(ai, bi);
-    }
-}
-
 /// The signed product `sext(a)·sext(b)` of two `n`-bit patterns, mod
 /// `2^{2n}` — the closed form every exact `n×n` multiplier grid sums to.
 #[inline]

@@ -13,18 +13,20 @@
 //! |---|---|
 //! | `GET /healthz` | liveness probe |
 //! | `GET /stats` | service counters (hits / misses / coalesced / …) |
-//! | `GET /report/<CONFIG>` | one operator report, single-flighted |
+//! | `GET /report/<CONFIG>` | one operator report, read through the cache |
 //! | `POST /sweep` | enqueue a family sweep → `202` + job id |
 //! | `POST /pareto` | enqueue a Pareto query → `202` + job id |
 //! | `GET /job/<id>` | poll a job |
 //! | `GET /job/<id>/result` | fetch a finished job's body |
 //! | `POST /shutdown` | request a graceful drain |
 //!
-//! Concurrency machinery, each piece its own module:
-//! [`singleflight`] coalesces identical in-flight reports (keyed by the
-//! content-addressed cache keys), [`jobs`] is the bounded queue behind
-//! the `202` endpoints, [`stats`] holds the lock-free counters, and
-//! [`signal`] turns SIGINT/SIGTERM into a graceful drain.
+//! Identical in-flight reads coalesce inside the cache
+//! ([`apx_cache::Cache::read_through`]), so concurrent `/report`
+//! requests and jobs on the daemon's cache handle compute each report
+//! once. The rest of the concurrency machinery is one module
+//! each: [`jobs`] is the bounded queue behind the `202` endpoints,
+//! [`stats`] holds the lock-free counters, and [`signal`] turns
+//! SIGINT/SIGTERM into a graceful drain.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +35,6 @@ pub mod http;
 pub mod jobs;
 pub mod server;
 pub mod signal;
-pub mod singleflight;
 pub mod stats;
 
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -1,20 +1,19 @@
 //! The daemon proper: bind, accept loop, request routing and the
 //! endpoint handlers. One thread per connection (requests are
-//! short-lived: either a cache lookup, a single-flight wait, or a job
-//! submission), the engine's work-stealing pool underneath each
-//! computation, and a scoped-thread barrier as the graceful-shutdown
-//! drain — `run` returns only after every in-flight connection and every
-//! accepted job has finished.
+//! short-lived: a cache read-through, which may wait on an identical
+//! in-flight read, or a job submission), the engine's work-stealing
+//! pool underneath each computation, and a scoped-thread barrier as the
+//! graceful-shutdown drain — `run` returns only after every in-flight
+//! connection and every accepted job has finished.
 
 use crate::http::{self, Request};
 use crate::jobs::{Enqueue, JobQueue, JobStatus};
 use crate::signal;
-use crate::singleflight::{Join, SingleFlight};
 use crate::stats::ServeStats;
-use apx_cache::Cache;
+use apx_cache::{Cache, Lookup};
 use apx_cells::Library;
 use apx_core::query::{self, QueryParams};
-use apx_core::{cache as core_cache, output::Format, sweeps};
+use apx_core::{output::Format, sweeps};
 use apx_engine::Engine;
 use apx_operators::OperatorConfig;
 use serde::Value;
@@ -73,7 +72,6 @@ struct ServeState {
     cache: Cache,
     defaults: QueryParams,
     stats: ServeStats,
-    flights: Arc<SingleFlight>,
     jobs: JobQueue,
     shutdown: AtomicBool,
     watch_signals: bool,
@@ -138,7 +136,6 @@ impl Server {
                 cache: config.cache,
                 defaults: config.defaults,
                 stats: ServeStats::new(),
-                flights: Arc::new(SingleFlight::new()),
                 jobs: JobQueue::new(config.queue_capacity),
                 shutdown: AtomicBool::new(false),
                 watch_signals: config.watch_signals,
@@ -272,8 +269,10 @@ fn route(state: &Arc<ServeState>, request: &Request) -> (u16, String) {
     }
 }
 
-/// `GET /report/<CONFIG>` — the single-flight endpoint. Every request
-/// is classified as exactly one of hit / miss / coalesced.
+/// `GET /report/<CONFIG>` — one cache read-through. Every request is
+/// classified by its [`Lookup`] as exactly one of hit / miss /
+/// coalesced; identical cold requests (and jobs needing the same
+/// report) coalesce inside the cache.
 fn report(state: &Arc<ServeState>, spec: &str, query_pairs: &[(String, String)]) -> (u16, String) {
     let params = match params_from_query(state.defaults, query_pairs) {
         Ok(params) => params,
@@ -283,46 +282,28 @@ fn report(state: &Arc<ServeState>, spec: &str, query_pairs: &[(String, String)])
         Ok(config) => config,
         Err(e) => return (400, error_json(&format!("{e}"))),
     };
-    let key = core_cache::report_cache_key(&state.lib, &params.settings(), &config);
-    match state.flights.join(key) {
-        Join::Follower(flight) => {
-            state.stats.record_coalesced();
-            match flight.wait() {
-                Ok(body) => (200, body.as_ref().clone()),
-                Err(message) => (500, error_json(&message)),
-            }
+    let _inflight = state.stats.begin_inflight();
+    let (report, lookup) = query::cached_report(
+        &state.lib,
+        params.settings(),
+        &config,
+        &state.engine,
+        &state.cache,
+    );
+    match lookup {
+        Lookup::Hit => state.stats.record_hit(),
+        Lookup::Coalesced => state.stats.record_coalesced(),
+        Lookup::Computed => {
+            state.stats.record_miss();
+            state.cache.persist_run_stats();
         }
-        Join::Leader(guard) => {
-            let _inflight = state.stats.begin_inflight();
-            let (report, hit) = query::cached_report(
-                &state.lib,
-                params.settings(),
-                &config,
-                &state.engine,
-                &state.cache,
-            );
-            if hit {
-                state.stats.record_hit();
-            } else {
-                state.stats.record_miss();
-                state.cache.persist_run_stats();
-            }
-            match report
-                .to_json()
-                .map_err(|e| format!("report serialization failed: {e}"))
-            {
-                Ok(json) => {
-                    let body = Arc::new(format!("{json}\n"));
-                    let response = body.as_ref().clone();
-                    guard.publish(Ok(body));
-                    (200, response)
-                }
-                Err(message) => {
-                    guard.publish(Err(message.clone()));
-                    (500, error_json(&message))
-                }
-            }
-        }
+    }
+    match report.to_json() {
+        Ok(json) => (200, format!("{json}\n")),
+        Err(e) => (
+            500,
+            error_json(&format!("report serialization failed: {e}")),
+        ),
     }
 }
 

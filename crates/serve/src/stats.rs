@@ -2,7 +2,8 @@
 //! handlers, snapshotted into one JSON object on demand. Every
 //! `GET /report` request ends up as **exactly one** of `hits` (warm
 //! cache), `misses` (this request computed) or `coalesced` (this request
-//! waited on another request's computation) — the invariant the
+//! waited on an identical in-flight read — another request's or a job's —
+//! and was served the blob it stored) — the invariant the
 //! thundering-herd tests assert.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,14 +23,15 @@ pub struct ServeStats {
 pub struct StatsSnapshot {
     /// Report requests answered from the warm cache.
     pub hits: u64,
-    /// Report requests that computed (cold cache, single-flight leader).
+    /// Report requests that computed (cold cache, nothing in flight).
     pub misses: u64,
-    /// Report requests that waited on an identical in-flight computation
-    /// and shared its result.
+    /// Report requests that waited on an identical in-flight read (a
+    /// `/report` request or a job) and were served the blob it stored.
     pub coalesced: u64,
     /// Requests turned away with 503 (job queue full).
     pub rejected: u64,
-    /// Report computations in flight right now.
+    /// Report requests being answered right now (computing, waiting or
+    /// reading); `/stats` adds the running jobs.
     pub inflight: u64,
 }
 
@@ -60,7 +62,8 @@ impl ServeStats {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Marks one computation as started; the guard un-marks it.
+    /// Marks one report request as being answered; the guard un-marks
+    /// it.
     pub fn begin_inflight(&self) -> InflightGuard<'_> {
         self.inflight.fetch_add(1, Ordering::Relaxed);
         InflightGuard { stats: self }

@@ -357,70 +357,3 @@ fn empty_slices_record_no_site() {
     let order: Vec<&str> = sites.iter().map(|(site, _)| site).collect();
     assert_eq!(order, ["w.beta"]);
 }
-
-/// Every `OperatorConfig` family ships an accelerated `eval_batch`
-/// override: none may silently fall back to the per-sample scalar
-/// default. The list has one entry per enum variant, and the `match`
-/// below fails to compile when a variant is added without extending it —
-/// so a new family cannot land unbatched unnoticed.
-#[test]
-fn every_operator_family_is_batch_accelerated() {
-    let all = [
-        OperatorConfig::AddExact { n: 16 },
-        OperatorConfig::AddTrunc { n: 16, q: 10 },
-        OperatorConfig::AddRound { n: 16, q: 10 },
-        OperatorConfig::Aca { n: 16, p: 4 },
-        OperatorConfig::EtaIv { n: 16, x: 4 },
-        OperatorConfig::EtaIi { n: 16, x: 4 },
-        OperatorConfig::RcaApx {
-            n: 16,
-            m: 8,
-            fa_type: FaType::Two,
-        },
-        OperatorConfig::MulExact { n: 16 },
-        OperatorConfig::MulTrunc { n: 16, q: 16 },
-        OperatorConfig::MulRound { n: 16, q: 16 },
-        OperatorConfig::MulBooth { n: 16 },
-        OperatorConfig::Aam { n: 16 },
-        OperatorConfig::Abm { n: 16 },
-        OperatorConfig::AbmUncorrected { n: 16 },
-        OperatorConfig::AddSized {
-            n: 16,
-            w: 10,
-            mode: QuantMode::Round,
-        },
-        OperatorConfig::MulSized {
-            n: 16,
-            w: 10,
-            mode: QuantMode::Trunc,
-        },
-    ];
-    for config in all {
-        // exhaustiveness guard: adding an OperatorConfig variant breaks
-        // this match until the new family appears in the list above
-        match config {
-            OperatorConfig::AddExact { .. }
-            | OperatorConfig::AddTrunc { .. }
-            | OperatorConfig::AddRound { .. }
-            | OperatorConfig::Aca { .. }
-            | OperatorConfig::EtaIv { .. }
-            | OperatorConfig::EtaIi { .. }
-            | OperatorConfig::RcaApx { .. }
-            | OperatorConfig::MulExact { .. }
-            | OperatorConfig::MulTrunc { .. }
-            | OperatorConfig::MulRound { .. }
-            | OperatorConfig::MulBooth { .. }
-            | OperatorConfig::Aam { .. }
-            | OperatorConfig::Abm { .. }
-            | OperatorConfig::AbmUncorrected { .. }
-            | OperatorConfig::AddSized { .. }
-            | OperatorConfig::MulSized { .. } => {}
-        }
-        let op = config.build();
-        assert!(
-            op.batch_accelerated(),
-            "{} falls back to the scalar eval_batch default",
-            op.name()
-        );
-    }
-}
