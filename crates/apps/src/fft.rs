@@ -6,7 +6,7 @@
 //! keeps the data inside 16 bits (standard fixed-point FFT practice, and
 //! the reason the paper can run it on 16-bit operators).
 
-use crate::workload::{Workload, WorkloadRun};
+use crate::workload::{Prepared, Workload, WorkloadRun};
 use crate::{OpCounts, OperatorCtx};
 use apx_fixture::signal;
 use apx_metrics::QualityScore;
@@ -225,14 +225,16 @@ impl Workload for FftWorkload {
         SITES
     }
 
-    fn run(&self, seed: u64, ctx: &mut OperatorCtx) -> WorkloadRun {
+    fn prepare(&self, seed: u64) -> Prepared<'_> {
         let fixture = FftFixture::new(self.len, seed);
-        let result = fixture.run(ctx);
-        WorkloadRun {
-            score: result.score,
-            counts: result.counts,
-            aux: Vec::new(),
-        }
+        Box::new(move |ctx| {
+            let result = fixture.run(ctx);
+            WorkloadRun {
+                score: result.score,
+                counts: result.counts,
+                aux: Vec::new(),
+            }
+        })
     }
 }
 

@@ -9,7 +9,7 @@
 //! natural metric for a filter, where PSNR's peak normalization would
 //! flatter quiet signals).
 
-use crate::workload::{Workload, WorkloadRun};
+use crate::workload::{Prepared, Workload, WorkloadRun};
 use crate::OperatorCtx;
 use apx_fixture::signal;
 use apx_metrics::QualityScore;
@@ -132,18 +132,19 @@ impl Workload for FirWorkload {
         SITES
     }
 
-    fn run(&self, seed: u64, ctx: &mut OperatorCtx) -> WorkloadRun {
+    fn prepare(&self, seed: u64) -> Prepared<'_> {
         let (input, _) = signal::random_q15(self.len, 8_191, seed);
         let taps = lowpass_taps_q15(self.taps, CUTOFF);
-        let mut exact = OperatorCtx::exact();
-        let reference = fir_filter(&input, &taps, &mut exact);
-        ctx.reset_counts();
-        let output = fir_filter(&input, &taps, ctx);
-        WorkloadRun {
-            score: QualityScore::snr(&reference, &output),
-            counts: ctx.counts(),
-            aux: Vec::new(),
-        }
+        let reference = fir_filter(&input, &taps, &mut OperatorCtx::exact());
+        Box::new(move |ctx| {
+            ctx.reset_counts();
+            let output = fir_filter(&input, &taps, ctx);
+            WorkloadRun {
+                score: QualityScore::snr(&reference, &output),
+                counts: ctx.counts(),
+                aux: Vec::new(),
+            }
+        })
     }
 }
 

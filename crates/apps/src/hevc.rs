@@ -7,7 +7,7 @@
 //! [`OperatorCtx`]; a prediction built with exact arithmetic is the
 //! MSSIM reference.
 
-use crate::workload::{Workload, WorkloadRun};
+use crate::workload::{Prepared, Workload, WorkloadRun};
 use crate::{OpCounts, OperatorCtx};
 use apx_fixture::image::Image;
 use apx_fixture::motion::MotionField;
@@ -229,14 +229,16 @@ impl Workload for McWorkload {
         SITES
     }
 
-    fn run(&self, seed: u64, ctx: &mut OperatorCtx) -> WorkloadRun {
+    fn prepare(&self, seed: u64) -> Prepared<'_> {
         let fixture = McFixture::synthetic(self.size, seed);
-        let (result, score) = fixture.run(ctx);
-        WorkloadRun {
-            score,
-            counts: result.counts,
-            aux: Vec::new(),
-        }
+        Box::new(move |ctx| {
+            let (result, score) = fixture.run(ctx);
+            WorkloadRun {
+                score,
+                counts: result.counts,
+                aux: Vec::new(),
+            }
+        })
     }
 }
 

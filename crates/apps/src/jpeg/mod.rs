@@ -18,7 +18,7 @@ pub use entropy::{
 };
 pub use quant::{quality_table, quantize, zigzag_order, LUMA_Q50};
 
-use crate::workload::{Workload, WorkloadRun};
+use crate::workload::{Prepared, Workload, WorkloadRun};
 use crate::{OpCounts, OperatorCtx};
 use apx_fixture::image::Image;
 use apx_metrics::QualityScore;
@@ -149,14 +149,16 @@ impl Workload for JpegWorkload {
         SITES
     }
 
-    fn run(&self, seed: u64, ctx: &mut OperatorCtx) -> WorkloadRun {
+    fn prepare(&self, seed: u64) -> Prepared<'_> {
         let fixture = JpegFixture::synthetic(self.size, self.quality, seed);
-        let (result, score) = fixture.run(ctx);
-        WorkloadRun {
-            score,
-            counts: result.counts,
-            aux: vec![("stream_bytes".to_owned(), result.bytes.len() as f64)],
-        }
+        Box::new(move |ctx| {
+            let (result, score) = fixture.run(ctx);
+            WorkloadRun {
+                score,
+                counts: result.counts,
+                aux: vec![("stream_bytes".to_owned(), result.bytes.len() as f64)],
+            }
+        })
     }
 }
 

@@ -8,7 +8,7 @@
 //! paper characterizes, each sliced over all points of one centroid.
 //! Centroid updates and comparisons are exact.
 
-use crate::workload::{Workload, WorkloadRun};
+use crate::workload::{Prepared, Workload, WorkloadRun};
 use crate::{OpCounts, OperatorCtx};
 use apx_fixture::clusters::PointCloud;
 use apx_metrics::QualityScore;
@@ -251,22 +251,26 @@ impl Workload for KmeansWorkload {
         SITES
     }
 
-    fn run(&self, seed: u64, ctx: &mut OperatorCtx) -> WorkloadRun {
-        ctx.reset_counts();
-        let mut success = 0.0;
-        let mut counts = OpCounts::default();
-        for s in 0..self.sets {
-            let fixture = KmeansFixture::synthetic(10, self.points, seed.wrapping_add(s as u64));
-            let result = fixture.run(ctx);
-            success += result.score.value();
-            counts.adds += result.counts.adds;
-            counts.muls += result.counts.muls;
-        }
-        WorkloadRun {
-            score: QualityScore::SuccessRate(success / self.sets as f64),
-            counts,
-            aux: Vec::new(),
-        }
+    fn prepare(&self, seed: u64) -> Prepared<'_> {
+        let fixtures: Vec<KmeansFixture> = (0..self.sets)
+            .map(|s| KmeansFixture::synthetic(10, self.points, seed.wrapping_add(s as u64)))
+            .collect();
+        Box::new(move |ctx| {
+            ctx.reset_counts();
+            let mut success = 0.0;
+            let mut counts = OpCounts::default();
+            for fixture in &fixtures {
+                let result = fixture.run(ctx);
+                success += result.score.value();
+                counts.adds += result.counts.adds;
+                counts.muls += result.counts.muls;
+            }
+            WorkloadRun {
+                score: QualityScore::SuccessRate(success / fixtures.len() as f64),
+                counts,
+                aux: Vec::new(),
+            }
+        })
     }
 }
 

@@ -19,8 +19,9 @@
 //! * [`sobel`] — 2-D Sobel edge detection, scored by edge-map MSSIM.
 //!
 //! All of them sit behind the [`workload`] subsystem: one [`Workload`]
-//! trait (deterministic seeded inputs, a run through any context, a
-//! unified [`QualityScore`]) and one registry addressable by name — a new
+//! trait (a deterministic seeded fixture with its exact reference, runs
+//! of it through any context, a unified [`QualityScore`]) and one
+//! registry addressable by name — a new
 //! case study is one trait impl plus one registry entry, and the
 //! engine-parallel, cache-aware sweep driver in `apx_core::appenergy`
 //! plus the `apxperf app <name>` CLI come for free.
@@ -41,4 +42,4 @@ pub mod workload;
 
 pub use apx_metrics::QualityScore;
 pub use apx_operators::{OpCounts, OperatorCtx, SiteCounts, SiteMap, SiteOps, SiteSpec};
-pub use workload::{Workload, WorkloadEntry, WorkloadParams, WorkloadRun, WORKLOADS};
+pub use workload::{Prepared, Workload, WorkloadEntry, WorkloadParams, WorkloadRun, WORKLOADS};

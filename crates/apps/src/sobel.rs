@@ -9,7 +9,7 @@
 //! resulting edge map is scored by MSSIM against the exact-arithmetic
 //! edge map.
 
-use crate::workload::{Workload, WorkloadRun};
+use crate::workload::{Prepared, Workload, WorkloadRun};
 use crate::OperatorCtx;
 use apx_fixture::image::Image;
 use apx_metrics::QualityScore;
@@ -143,17 +143,19 @@ impl Workload for SobelWorkload {
         SITES
     }
 
-    fn run(&self, seed: u64, ctx: &mut OperatorCtx) -> WorkloadRun {
-        let image = apx_fixture::image::synthetic_photo(self.size, self.size, seed);
-        let mut exact = OperatorCtx::exact();
-        let reference = sobel_edges(&image, &mut exact);
-        ctx.reset_counts();
-        let edges = sobel_edges(&image, ctx);
-        WorkloadRun {
-            score: QualityScore::mssim(reference.pixels(), edges.pixels(), self.size, self.size),
-            counts: ctx.counts(),
-            aux: Vec::new(),
-        }
+    fn prepare(&self, seed: u64) -> Prepared<'_> {
+        let size = self.size;
+        let image = apx_fixture::image::synthetic_photo(size, size, seed);
+        let reference = sobel_edges(&image, &mut OperatorCtx::exact());
+        Box::new(move |ctx| {
+            ctx.reset_counts();
+            let edges = sobel_edges(&image, ctx);
+            WorkloadRun {
+                score: QualityScore::mssim(reference.pixels(), edges.pixels(), size, size),
+                counts: ctx.counts(),
+                aux: Vec::new(),
+            }
+        })
     }
 }
 

@@ -66,14 +66,23 @@ impl WorkloadRun {
     }
 }
 
-/// One application case study: deterministic seeded input generation,
-/// a run through an [`OperatorCtx`], and a unified [`QualityScore`]
-/// against the workload's own exact-arithmetic reference.
+/// A workload's seeded input and exact-arithmetic reference, built once
+/// by [`Workload::prepare`]: calling it runs the application through a
+/// context and scores it against that reference. It is shared by
+/// reference across engine threads, so every cell of a sweep runs the
+/// same fixture.
+pub type Prepared<'a> = Box<dyn Fn(&mut OperatorCtx) -> WorkloadRun + Send + Sync + 'a>;
+
+/// One application case study: deterministic seeded input generation
+/// together with the exact-arithmetic reference ([`Workload::prepare`]),
+/// and runs of that fixture through any [`OperatorCtx`], each scored by
+/// a unified [`QualityScore`] against the reference.
 ///
 /// Implementations must be pure functions of `(self, seed)` up to the
 /// supplied context: the same seed must generate bit-identical inputs
 /// and references on every call, which is what makes application sweeps
-/// engine-parallel and content-addressable.
+/// engine-parallel and content-addressable, and what lets a sweep build
+/// the fixture once and run every cell on it.
 pub trait Workload: std::fmt::Debug + Send + Sync {
     /// Registry name (`apxperf app <name>`).
     fn name(&self) -> &'static str;
@@ -94,9 +103,16 @@ pub trait Workload: std::fmt::Debug + Send + Sync {
     /// call in [`Workload::run`] must use one of these tags.
     fn sites(&self) -> &'static [SiteSpec];
 
+    /// Generates the seeded input and computes its exact-arithmetic
+    /// reference, ready to run through any number of contexts.
+    fn prepare(&self, seed: u64) -> Prepared<'_>;
+
     /// Generates the seeded input, runs the application through `ctx`
-    /// and scores it against the exact-arithmetic reference.
-    fn run(&self, seed: u64, ctx: &mut OperatorCtx) -> WorkloadRun;
+    /// and scores it against the exact-arithmetic reference: one
+    /// [`Workload::prepare`] and one run of its fixture.
+    fn run(&self, seed: u64, ctx: &mut OperatorCtx) -> WorkloadRun {
+        self.prepare(seed)(ctx)
+    }
 }
 
 /// One registry entry: the addressable name, a one-line description (for

@@ -11,12 +11,13 @@
 //! full width — that overhead is what Tables III–VI expose.
 
 use crate::characterizer::{Characterizer, CharacterizerSettings};
-use apx_apps::{OperatorCtx, Workload, WorkloadRun};
+use apx_apps::{OperatorCtx, Prepared, Workload, WorkloadRun};
 use apx_cache::Cache;
 use apx_cells::Library;
 use apx_engine::Engine;
 use apx_operators::{OpClass, OpCounts, OperatorConfig};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Per-operation energies (PDP, in pJ) of an adder/multiplier pair.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -91,6 +92,18 @@ pub fn model_for(chz: &mut Characterizer<'_>, config: &OperatorConfig) -> AppEne
     }
 }
 
+/// The fixture of one sweep, built by the first cell that needs it while
+/// the other cells wait. The build reads nothing through the cache, so a
+/// cell that waits here while holding its cell key's claim cannot close a
+/// cycle: the lock order of [`Cache::read_through`] still holds.
+pub(crate) fn shared_fixture<'a, 'w>(
+    fixture: &'a OnceLock<Prepared<'w>>,
+    workload: &'w dyn Workload,
+    seed: u64,
+) -> &'a Prepared<'w> {
+    fixture.get_or_init(|| workload.prepare(seed))
+}
+
 /// One cell of an application sweep: the operator configuration under
 /// test, its partner-sized energy model (eq. (1)), and the scored
 /// workload run. Serializable so whole cells are content-addressable —
@@ -115,11 +128,9 @@ pub struct WorkloadCell {
 /// Every cell is a pure function of `(workload fingerprint, seed,
 /// library, settings, config)`: the workload generates its inputs from
 /// `seed` alone, so the output is bit-identical for any thread count.
-/// Each cell regenerates the seeded input and exact reference for
-/// itself — a deliberate trade: cells stay stateless and independently
-/// cacheable/parallelizable, and the regeneration cost is amortized by
-/// config-level parallelism and by warm cells skipping the run
-/// entirely.
+/// The seeded input and exact reference ([`Workload::prepare`]) are
+/// built once per call, by the first cell that misses, and every cell
+/// runs on that one fixture; a warm sweep never builds it.
 #[must_use]
 pub fn sweep_workload(
     workload: &dyn Workload,
@@ -158,6 +169,7 @@ pub fn sweep_workload_cached(
     cache: &Cache,
 ) -> Vec<WorkloadCell> {
     let inner = crate::sweeps::inner_engine(engine, configs.len());
+    let fixture = OnceLock::new();
     engine.map_indexed(configs.len(), |i| {
         let config = configs[i];
         cache
@@ -171,7 +183,7 @@ pub fn sweep_workload_cached(
                         .with_cache(cache.clone());
                     let model = model_for(&mut chz, &config);
                     let mut ctx = OperatorCtx::for_config(&config);
-                    let run = workload.run(seed, &mut ctx);
+                    let run = shared_fixture(&fixture, workload, seed)(&mut ctx);
                     WorkloadCell { config, model, run }
                 },
             )
@@ -257,39 +269,47 @@ mod tests {
             power_vectors: 50,
             seed: 33,
         };
-        let workload = apx_apps::fft::FftWorkload::default();
+        // the sweep shares one fixture between its cells; the manual loop
+        // builds one per cell
+        let workloads: [&dyn Workload; 3] = [
+            &apx_apps::fft::FftWorkload::default(),
+            &apx_apps::hevc::McWorkload::new(16),
+            &apx_apps::jpeg::JpegWorkload::new(16, 90),
+        ];
         let configs = [
             OperatorConfig::AddTrunc { n: 16, q: 10 },
             OperatorConfig::MulTrunc { n: 16, q: 16 },
         ];
-        // the manual path: dispatch the model by class, substitute the
-        // config into the context, run, score
         let mut serial = Characterizer::new(&lib)
             .with_settings(settings)
             .with_engine(Engine::single_threaded());
-        let expected: Vec<WorkloadCell> = configs
-            .iter()
-            .map(|config| {
-                let model = model_for(&mut serial, config);
-                let mut ctx = OperatorCtx::for_config(config);
-                let run = workload.run(0xF17, &mut ctx);
-                WorkloadCell {
-                    config: *config,
-                    model,
-                    run,
-                }
-            })
-            .collect();
-        for threads in [1, 4] {
-            let cells = sweep_workload(
-                &workload,
-                0xF17,
-                &lib,
-                settings,
-                &configs,
-                &Engine::new(threads),
-            );
-            assert_eq!(cells, expected, "threads={threads}");
+        for workload in workloads {
+            // the manual path: dispatch the model by class, substitute the
+            // config into the context, run, score
+            let expected: Vec<WorkloadCell> = configs
+                .iter()
+                .map(|config| {
+                    let model = model_for(&mut serial, config);
+                    let mut ctx = OperatorCtx::for_config(config);
+                    let run = workload.run(0xF17, &mut ctx);
+                    WorkloadCell {
+                        config: *config,
+                        model,
+                        run,
+                    }
+                })
+                .collect();
+            for threads in [1, 4] {
+                let cells = sweep_workload(
+                    workload,
+                    0xF17,
+                    &lib,
+                    settings,
+                    &configs,
+                    &Engine::new(threads),
+                );
+                assert_eq!(cells, expected, "{} threads={threads}", workload.name());
+            }
         }
     }
 

@@ -19,15 +19,16 @@
 //! [`crate::cache::hetero_cell_key`] so a warm rerun of the same search
 //! is pure cache hits.
 
-use crate::appenergy::{model_for, AppEnergyModel};
+use crate::appenergy::{model_for, shared_fixture, AppEnergyModel};
 use crate::characterizer::{Characterizer, CharacterizerSettings};
-use apx_apps::{Workload, WorkloadRun};
+use apx_apps::{Prepared, Workload, WorkloadRun};
 use apx_cache::Cache;
 use apx_cells::Library;
 use apx_engine::Engine;
 use apx_metrics::{QualityBudget, QualityScore};
 use apx_operators::{OperatorConfig, OperatorCtx, SiteCounts, SiteMap};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// The configuration an unassigned site is priced at: sites the
 /// assignment leaves exact still burn exact-adder energy, they are not
@@ -120,68 +121,66 @@ fn price_sites(
     total
 }
 
-/// Evaluates one heterogeneous cell, through the cache when warm: run
-/// the workload under an [`OperatorCtx`] built from `assignment`, then
-/// price each site's traffic by its own configuration's model. Inner
-/// characterizations go through the report cache, so distinct
-/// assignments sharing configurations share the operator models.
-fn evaluate_cell(
-    workload: &dyn Workload,
+/// The inputs every cell of one search shares, with the workload's
+/// fixture built once for the whole search.
+struct Search<'a> {
+    workload: &'a dyn Workload,
     seed: u64,
-    lib: &Library,
+    lib: &'a Library,
     settings: CharacterizerSettings,
-    assignment: &SiteMap,
-    inner: &Engine,
-    cache: &Cache,
-) -> HeteroCell {
-    cache
-        .read_through(
-            || crate::cache::hetero_cell_key(lib, &settings, workload, seed, assignment),
-            |cell: &HeteroCell| cell.assignment == *assignment,
-            || {
-                let mut ctx = OperatorCtx::new(assignment);
-                let run = workload.run(seed, &mut ctx);
-                let site_counts = ctx.site_counts();
-                let mut chz = Characterizer::new(lib)
-                    .with_settings(settings)
-                    .with_engine(inner.clone())
-                    .with_cache(cache.clone());
-                let energy_pj = price_sites(&site_counts, assignment, &mut |config| {
-                    model_for(&mut chz, config)
-                });
-                HeteroCell {
-                    assignment: assignment.clone(),
-                    run,
-                    site_counts,
-                    energy_pj,
-                }
-            },
-        )
-        .0
+    engine: &'a Engine,
+    cache: &'a Cache,
+    fixture: OnceLock<Prepared<'a>>,
 }
 
-/// Evaluates a batch of assignments engine-parallel, in input order.
-fn evaluate_all(
-    workload: &dyn Workload,
-    seed: u64,
-    lib: &Library,
-    settings: CharacterizerSettings,
-    assignments: &[SiteMap],
-    engine: &Engine,
-    cache: &Cache,
-) -> Vec<HeteroCell> {
-    let inner = crate::sweeps::inner_engine(engine, assignments.len());
-    engine.map_indexed(assignments.len(), |i| {
-        evaluate_cell(
+impl Search<'_> {
+    /// Evaluates one heterogeneous cell, through the cache when warm: run
+    /// the workload under an [`OperatorCtx`] built from `assignment`, then
+    /// price each site's traffic by its own configuration's model. Inner
+    /// characterizations go through the report cache, so distinct
+    /// assignments sharing configurations share the operator models.
+    fn evaluate_cell(&self, assignment: &SiteMap, inner: &Engine) -> HeteroCell {
+        let Search {
             workload,
             seed,
             lib,
             settings,
-            &assignments[i],
-            &inner,
             cache,
-        )
-    })
+            ..
+        } = *self;
+        cache
+            .read_through(
+                || crate::cache::hetero_cell_key(lib, &settings, workload, seed, assignment),
+                |cell: &HeteroCell| cell.assignment == *assignment,
+                || {
+                    let mut ctx = OperatorCtx::new(assignment);
+                    let run = shared_fixture(&self.fixture, workload, seed)(&mut ctx);
+                    let site_counts = ctx.site_counts();
+                    let mut chz = Characterizer::new(lib)
+                        .with_settings(settings)
+                        .with_engine(inner.clone())
+                        .with_cache(cache.clone());
+                    let energy_pj = price_sites(&site_counts, assignment, &mut |config| {
+                        model_for(&mut chz, config)
+                    });
+                    HeteroCell {
+                        assignment: assignment.clone(),
+                        run,
+                        site_counts,
+                        energy_pj,
+                    }
+                },
+            )
+            .0
+    }
+
+    /// Evaluates a batch of assignments engine-parallel, in input order.
+    fn evaluate_all(&self, assignments: &[SiteMap]) -> Vec<HeteroCell> {
+        let inner = crate::sweeps::inner_engine(self.engine, assignments.len());
+        self.engine.map_indexed(assignments.len(), |i| {
+            self.evaluate_cell(&assignments[i], &inner)
+        })
+    }
 }
 
 /// Greedy budget-constrained search for the minimum-energy per-site
@@ -236,6 +235,15 @@ pub fn tune(
         return Err("no candidate configurations to assign".to_owned());
     }
 
+    let search = Search {
+        workload,
+        seed,
+        lib,
+        settings,
+        engine,
+        cache,
+        fixture: OnceLock::new(),
+    };
     let mut stats = TuneStats {
         sites: sites.len(),
         candidates: configs.len(),
@@ -250,7 +258,7 @@ pub fn tune(
         .iter()
         .map(|config| SiteMap::uniform(sites, *config))
         .collect();
-    let uniform_cells = evaluate_all(workload, seed, lib, settings, &uniform_maps, engine, cache);
+    let uniform_cells = search.evaluate_all(&uniform_maps);
     stats.cells_evaluated += uniform_cells.len();
 
     let mut best_uniform: Option<(usize, HeteroCell)> = None;
@@ -279,20 +287,11 @@ pub fn tune(
         Some((_, cell)) => cell,
         None => {
             let exact = SiteMap::uniform(sites, EXACT_FALLBACK);
-            let cells = evaluate_all(
-                workload,
-                seed,
-                lib,
-                settings,
-                std::slice::from_ref(&exact),
-                engine,
-                cache,
-            );
-            stats.cells_evaluated += 1;
-            let cell = cells
-                .into_iter()
-                .next()
+            let cell = search
+                .evaluate_all(std::slice::from_ref(&exact))
+                .pop()
                 .expect("one assignment in, one cell out");
+            stats.cells_evaluated += 1;
             if !budget.admits(&cell.run.score)? {
                 return Err(format!(
                     "budget `{budget}` is infeasible for workload `{}`: even exact \
@@ -319,7 +318,7 @@ pub fn tune(
                 probes.push(probe);
             }
         }
-        let cells = evaluate_all(workload, seed, lib, settings, &probes, engine, cache);
+        let cells = search.evaluate_all(&probes);
         stats.cells_evaluated += cells.len();
         let mut best_move: Option<HeteroCell> = None;
         for cell in cells {
@@ -418,15 +417,16 @@ mod tests {
                     );
                 }
                 // and the cell the search evaluates carries the same run
-                let cell = evaluate_cell(
-                    workload.as_ref(),
-                    7,
-                    &lib,
+                let search = Search {
+                    workload: workload.as_ref(),
+                    seed: 7,
+                    lib: &lib,
                     settings,
-                    &uniform,
-                    &Engine::single_threaded(),
-                    &Cache::default(),
-                );
+                    engine: &Engine::single_threaded(),
+                    cache: &Cache::default(),
+                    fixture: OnceLock::new(),
+                };
+                let cell = search.evaluate_cell(&uniform, &Engine::single_threaded());
                 assert_eq!(cell.run, run, "{what}: cell run");
                 assert_eq!(cell.site_counts, ledger, "{what}: cell ledger");
             }

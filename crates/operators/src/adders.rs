@@ -8,15 +8,24 @@
 //! * [`Aca`] — Almost Correct Adder (Verma, Brisk, Ienne — DATE'08):
 //!   every sum bit `i` is computed from an accurate addition of the bits
 //!   `i-P..=i` only (speculative carry of length `P`).
+//! * [`EtaIi`] — Error-Tolerant Adder type II (Zhu et al., ISIC'09): the
+//!   adder is split in `N/X` blocks of `X` bits; each block takes a
+//!   carry-in speculated from the previous block.
 //! * [`EtaIv`] — Error-Tolerant Adder type IV (Zhu, Goh, Wang, Yeo —
-//!   ISOCC'10): the adder is split in `N/X` blocks of `X` bits; each block
-//!   takes a carry-in speculated from the previous **two** blocks.
+//!   ISOCC'10): the same blocks, each carry-in speculated from the
+//!   previous **two** blocks.
 //! * [`RcaApx`] — approximate ripple-carry adder (Gupta et al., IMPACT,
 //!   ISLPED'11): the `n-m` LSB positions use approximate full-adder cells
 //!   of a chosen [`FaType`]; the `m` MSBs use accurate full adders.
+//!
+//! Every functional model is a word-level closed form of a few native
+//! additions and masks. The speculative adders rest on one identity: a
+//! carry speculated over a window equals the exact carry of `a + b`
+//! unless every bit of the window propagates. Their independent check is
+//! netlist cross-verification over every parameter of each family.
 
 use crate::traits::{ApxOperator, OpClass};
-use crate::util::{bit, bitsliced_batch, mask_u};
+use crate::util::{bit, mask_u};
 use apx_cells::CellKind;
 use apx_netlist::{Netlist, NetlistBuilder};
 use serde::{Deserialize, Serialize};
@@ -235,40 +244,19 @@ impl ApxOperator for Aca {
         self.n
     }
     fn eval_u(&self, a: u64, b: u64) -> u64 {
-        let mut out = 0u64;
-        for i in 0..self.n {
-            let lo = i.saturating_sub(self.p);
-            let w = i - lo + 1;
-            let sa = (a >> lo) & mask_u(w);
-            let sb = (b >> lo) & mask_u(w);
-            out |= ((sa + sb) >> (i - lo) & 1) << i;
+        // Bit `i` misses its exact carry `c[i]` only when the whole window
+        // `i-p..i` propagates (a generate in the window would have set the
+        // speculated carry itself). `run` marks the ends of such windows;
+        // zeros shifted in from below keep windows truncated at bit 0 exact.
+        let (t, c) = carries(a, b);
+        let mut run = t;
+        let mut len = 1;
+        while len < self.p {
+            let step = len.min(self.p - len);
+            run &= run << step;
+            len += step;
         }
-        out
-    }
-    fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        // Bitsliced twin of the scalar model: propagate/generate words,
-        // one speculative chain per output bit over 64 lanes at once.
-        let (n, p) = (self.n as usize, self.p as usize);
-        bitsliced_batch(self.n, a, b, out, |aw, bw, ow| {
-            let mut ps = [0u64; 64];
-            let mut gs = [0u64; 64];
-            for i in 0..n {
-                ps[i] = aw[i] ^ bw[i];
-                gs[i] = aw[i] & bw[i];
-            }
-            for i in 0..n {
-                let lo = i.saturating_sub(p);
-                if i == lo {
-                    ow[i] = ps[i];
-                    continue;
-                }
-                let mut carry = gs[lo];
-                for j in lo + 1..i {
-                    carry = (ps[j] & carry) | gs[j];
-                }
-                ow[i] = ps[i] ^ carry;
-            }
-        });
+        (t ^ (c & !(run << 1))) & mask_u(self.n)
     }
     fn netlist(&self) -> Netlist {
         let n = self.n as usize;
@@ -302,38 +290,37 @@ impl ApxOperator for Aca {
     }
 }
 
-/// Bitsliced batch kernel shared by the block-speculation adders: block
-/// size `x`, speculation window `window` bits (`2x` for ETAIV, `x` for
-/// ETAII). Each block's carry-in is the carry out of a zero-cin
-/// propagate/generate chain over the window below it; the block itself
-/// ripples word-parallel over 64 lanes.
-fn eta_eval_batch(n: u32, x: u32, window: u32, a: &[u64], b: &[u64], out: &mut [u64]) {
-    let (n, x, window) = (n as usize, x as usize, window as usize);
-    bitsliced_batch(n as u32, a, b, out, |aw, bw, ow| {
-        let mut ps = [0u64; 64];
-        let mut gs = [0u64; 64];
-        for i in 0..n {
-            ps[i] = aw[i] ^ bw[i];
-            gs[i] = aw[i] & bw[i];
-        }
-        for k in 0..n / x {
-            let blo = k * x;
-            let mut c = if k == 0 {
-                0
-            } else {
-                let lo = blo.saturating_sub(window);
-                let mut carry = gs[lo];
-                for j in lo + 1..blo {
-                    carry = (ps[j] & carry) | gs[j];
-                }
-                carry
-            };
-            for i in blo..blo + x {
-                ow[i] = ps[i] ^ c;
-                c = gs[i] | (ps[i] & c);
-            }
-        }
-    });
+/// The propagate word `a ^ b` and the exact carry into every bit of
+/// `a + b`.
+#[inline]
+fn carries(a: u64, b: u64) -> (u64, u64) {
+    let t = a ^ b;
+    (t, (a + b) ^ t)
+}
+
+/// Bit `k·x` of every `x`-bit block of an `n`-bit word.
+fn block_lows(n: u32, x: u32) -> u64 {
+    (0..n / x).fold(0, |lows, k| lows | 1 << (k * x))
+}
+
+/// Word-level sum of the block-speculation adders (`blocks = 1` for
+/// ETAII, `2` for ETAIV): each block's carry-in is the exact carry unless
+/// the `blocks` blocks below it all propagate, and the blocks then add as
+/// one SWAR word whose carries never cross a block's top bit.
+#[inline]
+fn eta_sum(a: u64, b: u64, n: u32, x: u32, lows: u64, blocks: u32) -> u64 {
+    let mask = mask_u(n);
+    let tops = lows << (x - 1);
+    let below_top = mask & !tops;
+    let (t, c) = carries(a, b);
+    let full = ((t & below_top) + lows) & t & tops;
+    let cut = if blocks == 2 {
+        (full << 1) & (full << (x + 1))
+    } else {
+        full << 1
+    };
+    let cin = c & !cut & lows & !1;
+    (((a & below_top) + (b & below_top) + cin) ^ (t & tops)) & mask
 }
 
 /// Error-Tolerant Adder type IV `ETAIV(n, x)` — Zhu et al., ISOCC 2010.
@@ -346,6 +333,7 @@ fn eta_eval_batch(n: u32, x: u32, window: u32, a: &[u64], b: &[u64], out: &mut [
 pub struct EtaIv {
     n: u32,
     x: u32,
+    lows: u64,
 }
 
 impl EtaIv {
@@ -358,7 +346,11 @@ impl EtaIv {
     pub fn new(n: u32, x: u32) -> Self {
         assert!((2..=32).contains(&n), "n out of range");
         assert!(x >= 1 && n.is_multiple_of(x), "x must divide n");
-        EtaIv { n, x }
+        EtaIv {
+            n,
+            x,
+            lows: block_lows(n, x),
+        }
     }
 }
 
@@ -376,27 +368,7 @@ impl ApxOperator for EtaIv {
         self.n
     }
     fn eval_u(&self, a: u64, b: u64) -> u64 {
-        let (n, x) = (self.n, self.x);
-        let mut out = 0u64;
-        for k in 0..n / x {
-            let blo = k * x;
-            let cin = if k == 0 {
-                0
-            } else {
-                let lo = blo.saturating_sub(2 * x);
-                let w = blo - lo;
-                let sa = (a >> lo) & mask_u(w);
-                let sb = (b >> lo) & mask_u(w);
-                (sa + sb) >> w & 1
-            };
-            let sa = (a >> blo) & mask_u(x);
-            let sb = (b >> blo) & mask_u(x);
-            out |= ((sa + sb + cin) & mask_u(x)) << blo;
-        }
-        out
-    }
-    fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        eta_eval_batch(self.n, self.x, 2 * self.x, a, b, out);
+        eta_sum(a, b, self.n, self.x, self.lows, 2)
     }
     fn netlist(&self) -> Netlist {
         let n = self.n as usize;
@@ -440,6 +412,7 @@ impl ApxOperator for EtaIv {
 pub struct EtaIi {
     n: u32,
     x: u32,
+    lows: u64,
 }
 
 impl EtaIi {
@@ -451,7 +424,11 @@ impl EtaIi {
     pub fn new(n: u32, x: u32) -> Self {
         assert!((2..=32).contains(&n), "n out of range");
         assert!(x >= 1 && n.is_multiple_of(x), "x must divide n");
-        EtaIi { n, x }
+        EtaIi {
+            n,
+            x,
+            lows: block_lows(n, x),
+        }
     }
 }
 
@@ -469,26 +446,7 @@ impl ApxOperator for EtaIi {
         self.n
     }
     fn eval_u(&self, a: u64, b: u64) -> u64 {
-        let (n, x) = (self.n, self.x);
-        let mut out = 0u64;
-        for k in 0..n / x {
-            let blo = k * x;
-            let cin = if k == 0 {
-                0
-            } else {
-                let lo = blo - x;
-                let sa = (a >> lo) & mask_u(x);
-                let sb = (b >> lo) & mask_u(x);
-                (sa + sb) >> x & 1
-            };
-            let sa = (a >> blo) & mask_u(x);
-            let sb = (b >> blo) & mask_u(x);
-            out |= ((sa + sb + cin) & mask_u(x)) << blo;
-        }
-        out
-    }
-    fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        eta_eval_batch(self.n, self.x, self.x, a, b, out);
+        eta_sum(a, b, self.n, self.x, self.lows, 1)
     }
     fn netlist(&self) -> Netlist {
         let n = self.n as usize;
@@ -539,17 +497,8 @@ pub enum FaType {
 }
 
 impl FaType {
-    /// Applies the approximate truth table; returns `(sum, cout)` as 0/1.
-    #[inline]
-    #[must_use]
-    pub fn apply(self, a: u64, b: u64, c: u64) -> (u64, u64) {
-        let (s, co) = self.apply64(a, b, c);
-        (s & 1, co & 1)
-    }
-
-    /// 64-lane form of [`FaType::apply`]: every bit position is one
-    /// independent lane, so a whole batch of full-adder cells evaluates
-    /// in a handful of word operations.
+    /// Applies the approximate truth table to 64 independent cells at
+    /// once, one per bit position; returns the `(sum, cout)` words.
     #[inline]
     #[must_use]
     pub fn apply64(self, a: u64, b: u64, c: u64) -> (u64, u64) {
@@ -616,40 +565,17 @@ impl ApxOperator for RcaApx {
     }
     fn eval_u(&self, a: u64, b: u64) -> u64 {
         let na = self.n - self.m; // approximate LSB count
-        let mut c = 0u64;
-        let mut out = 0u64;
-        for i in 0..self.n {
-            let (ai, bi) = (bit(a, i), bit(b, i));
-            if i < na {
-                let (s, cn) = self.fa_type.apply(ai, bi, c);
-                out |= (s & 1) << i;
-                c = cn & 1;
-            } else {
-                let tot = ai + bi + c;
-                out |= (tot & 1) << i;
-                c = tot >> 1;
-            }
-        }
-        out
-    }
-    fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        // One approximate/exact full-adder cell per bit, 64 lanes per
-        // word op — the same cell row the netlist instantiates.
-        let (n, na) = (self.n as usize, (self.n - self.m) as usize);
-        let fa_type = self.fa_type;
-        bitsliced_batch(self.n, a, b, out, |aw, bw, ow| {
-            let mut c = 0u64;
-            for i in 0..n {
-                if i < na {
-                    let (s, cn) = fa_type.apply64(aw[i], bw[i], c);
-                    ow[i] = s;
-                    c = cn;
-                } else {
-                    ow[i] = aw[i] ^ bw[i] ^ c;
-                    c = (aw[i] & bw[i]) | (aw[i] & c) | (bw[i] & c);
-                }
-            }
-        });
+        let low = mask_u(na);
+        // Types 1 and 2 keep the exact (majority) carry, so the top `m`
+        // bits are the exact sum and each low cell sees its exact carry-in.
+        // Type 3 wires `a[na-1]` into the exact part as its carry-in.
+        let top = match self.fa_type {
+            FaType::Three if na > 0 => ((a >> na) + (b >> na) + bit(a, na - 1)) << na,
+            _ => a + b,
+        };
+        let (_, c) = carries(a, b);
+        let (cells, _) = self.fa_type.apply64(a, b, c);
+        ((top & !low) | (cells & low)) & mask_u(self.n)
     }
     fn netlist(&self) -> Netlist {
         let n = self.n as usize;
@@ -716,25 +642,38 @@ mod tests {
         }
     }
 
+    /// The widths the closed forms are checked at against their netlists:
+    /// exhaustively at 8 bits, on random vectors at 16 and 32.
+    const NETLIST_WIDTHS: [u32; 3] = [8, 16, 32];
+
     #[test]
     fn aca_netlist_matches_model() {
-        for (n, p) in [(8, 1), (8, 2), (8, 4), (8, 7), (10, 3)] {
-            cross_verify(&Aca::new(n, p));
+        for n in NETLIST_WIDTHS {
+            for p in 1..=n {
+                cross_verify(&Aca::new(n, p));
+            }
         }
+        cross_verify(&Aca::new(10, 3));
     }
 
     #[test]
     fn etaiv_netlist_matches_model() {
-        for (n, x) in [(8, 1), (8, 2), (8, 4), (8, 8), (9, 3)] {
-            cross_verify(&EtaIv::new(n, x));
+        for n in NETLIST_WIDTHS {
+            for x in (1..=n).filter(|x| n.is_multiple_of(*x)) {
+                cross_verify(&EtaIv::new(n, x));
+            }
         }
+        cross_verify(&EtaIv::new(9, 3));
     }
 
     #[test]
     fn etaii_netlist_matches_model() {
-        for (n, x) in [(8, 1), (8, 2), (8, 4), (8, 8), (9, 3)] {
-            cross_verify(&EtaIi::new(n, x));
+        for n in NETLIST_WIDTHS {
+            for x in (1..=n).filter(|x| n.is_multiple_of(*x)) {
+                cross_verify(&EtaIi::new(n, x));
+            }
         }
+        cross_verify(&EtaIi::new(9, 3));
     }
 
     #[test]
@@ -759,8 +698,10 @@ mod tests {
     #[test]
     fn rcaapx_netlist_matches_model() {
         for t in [FaType::One, FaType::Two, FaType::Three] {
-            for (n, m) in [(8, 0), (8, 3), (8, 6), (8, 8)] {
-                cross_verify(&RcaApx::new(n, m, t));
+            for n in NETLIST_WIDTHS {
+                for m in 0..=n {
+                    cross_verify(&RcaApx::new(n, m, t));
+                }
             }
         }
     }
@@ -884,41 +825,6 @@ mod tests {
         assert!(rate < 0.5, "errors should be the minority: {rate}");
         assert!(rate > 0.001, "but they must exist: {rate}");
         assert!(max_abs >= 1 << 4, "speculation failures are high-amplitude");
-    }
-
-    #[test]
-    fn bitsliced_batches_match_scalar_eval_exhaustively() {
-        let ops: Vec<Box<dyn ApxOperator>> = vec![
-            Box::new(Aca::new(8, 1)),
-            Box::new(Aca::new(8, 3)),
-            Box::new(Aca::new(8, 8)),
-            Box::new(EtaIv::new(8, 2)),
-            Box::new(EtaIv::new(8, 4)),
-            Box::new(EtaIi::new(8, 2)),
-            Box::new(EtaIi::new(8, 8)),
-            Box::new(RcaApx::new(8, 0, FaType::One)),
-            Box::new(RcaApx::new(8, 3, FaType::Two)),
-            Box::new(RcaApx::new(8, 5, FaType::Three)),
-        ];
-        // all 65536 operand pairs in batches of 256 (4 transposed chunks)
-        for op in ops {
-            let mut batch_a = Vec::new();
-            let mut batch_b = Vec::new();
-            let mut out = vec![0u64; 256];
-            for a in 0..256u64 {
-                batch_a.clear();
-                batch_b.clear();
-                for b in 0..256u64 {
-                    batch_a.push(a);
-                    batch_b.push(b);
-                }
-                op.eval_batch(&batch_a, &batch_b, &mut out);
-                for (b, &got) in out.iter().enumerate() {
-                    let want = op.eval_u(a, b as u64);
-                    assert_eq!(got, want, "{} a={a} b={b}", op.name());
-                }
-            }
-        }
     }
 
     #[test]

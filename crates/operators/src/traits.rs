@@ -82,12 +82,13 @@ pub trait ApxOperator: Send + Sync {
     ///
     /// The default is the scalar loop, monomorphized per operator, which
     /// is already the fastest form for operators whose scalar model is a
-    /// word-level closed form (exact, fixed-point and sized operators,
-    /// the exact and fixed-width products). Operators whose scalar model
-    /// walks the bits one by one (the speculative and approximate-cell
-    /// adders, the pruned AAM/ABM multipliers) override it with a
-    /// 64-lane bitsliced kernel: operands go through the same log-step
-    /// lane transpose as the gate-level [`apx_netlist::Sim64`]
+    /// word-level closed form: every adder (exact, fixed-point, sized,
+    /// and the speculative and approximate-cell ACA, ETAII, ETAIV and
+    /// RCAApx) and the exact, fixed-width and sized products. Only the
+    /// pruned AAM/ABM multipliers, whose scalar model walks the
+    /// partial-product array bit by bit, override it with a 64-lane
+    /// bitsliced kernel: operands go through the same log-step lane
+    /// transpose as the gate-level [`apx_netlist::Sim64`]
     /// ([`apx_netlist::pack_lanes`]), the kernel sweeps the per-bit lane
     /// words, and the result comes back through
     /// [`apx_netlist::unpack_lanes`]. Overrides must be extensionally
