@@ -8,6 +8,10 @@
 //! outputs are byte-identical to what the bespoke drivers printed —
 //! seeds, scores, energy models, formatting, everything.
 //!
+//! `fig3`, `fig4` and `table1` (pure characterization exhibits, no
+//! workload) were captured later, ahead of folding the ten exhibits into
+//! one declarative table, so that fold is pinned on every exhibit.
+//!
 //! The captures use reduced sample counts so the whole suite stays fast;
 //! every other flag is at its default, so the legacy per-command fixture
 //! seeds (0xF17, 0x1E7A, 0xEC, 100…) are on the line too.
@@ -30,6 +34,51 @@ fn assert_golden(golden: &str, args: &[&str]) {
     assert_eq!(
         actual, golden,
         "{args:?}: output drifted from the pre-refactor capture"
+    );
+}
+
+#[test]
+fn fig3_matches_the_pinned_output() {
+    assert_golden(
+        include_str!("golden/fig3.txt"),
+        &[
+            "fig3",
+            "--samples",
+            "2000",
+            "--vectors",
+            "100",
+            "--no-cache",
+        ],
+    );
+}
+
+#[test]
+fn fig4_matches_the_pinned_output() {
+    assert_golden(
+        include_str!("golden/fig4.txt"),
+        &[
+            "fig4",
+            "--samples",
+            "2000",
+            "--vectors",
+            "100",
+            "--no-cache",
+        ],
+    );
+}
+
+#[test]
+fn table1_matches_the_pinned_output() {
+    assert_golden(
+        include_str!("golden/table1.txt"),
+        &[
+            "table1",
+            "--samples",
+            "2000",
+            "--vectors",
+            "100",
+            "--no-cache",
+        ],
     );
 }
 
