@@ -52,6 +52,12 @@ pub fn global_help() -> String {
     text
 }
 
+/// The number of positional arguments `command` accepts: one per token
+/// of its usage text.
+fn max_positional(command: &commands::Command) -> usize {
+    command.positional.split_whitespace().count()
+}
+
 /// Parses and runs one CLI invocation. `argv` is everything after the
 /// program name. Returns the process exit code: 0 on success, 2 on a
 /// usage error, 1 on a runtime failure.
@@ -82,7 +88,7 @@ pub fn run(argv: &[String]) -> i32 {
         );
         return 0;
     }
-    let parsed = match args::Args::parse(rest, command.flags, command.max_positional) {
+    let parsed = match args::Args::parse(rest, command.flags, max_positional(command)) {
         Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("error: {message}\n");
@@ -98,7 +104,7 @@ pub fn run(argv: &[String]) -> i32 {
             return 2;
         }
     };
-    match (command.run)(&parsed) {
+    match command.execute(&parsed) {
         Ok(()) => 0,
         Err(message) => {
             eprintln!("error: {message}");
@@ -138,6 +144,16 @@ mod tests {
     #[test]
     fn unknown_command_is_a_usage_error() {
         assert_eq!(run(&["frobnicate".to_owned()]), 2);
+    }
+
+    #[test]
+    fn positional_limits_follow_the_usage_text() {
+        let limit = |name| max_positional(commands::find(name).unwrap());
+        assert_eq!(limit("fig3"), 0);
+        assert_eq!(limit("app"), 1);
+        assert_eq!(limit("report"), 1);
+        assert_eq!(limit("cache"), 2);
+        assert_eq!(run(&["fig3".to_owned(), "extra".to_owned()]), 2);
     }
 
     #[test]
