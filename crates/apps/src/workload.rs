@@ -11,6 +11,7 @@
 //! and the `apxperf app <name>` CLI for free.
 
 use crate::{OpCounts, OperatorCtx};
+use apx_fixture::image::MIN_EDGE;
 use apx_metrics::QualityScore;
 use apx_operators::SiteSpec;
 use serde::{Deserialize, Serialize};
@@ -147,6 +148,7 @@ pub const WORKLOADS: &[WorkloadEntry] = &[
                     p.size
                 ));
             }
+            check_frame("jpeg", p.size)?;
             Ok(Box::new(crate::jpeg::JpegWorkload::new(p.size, 90)))
         },
     },
@@ -160,6 +162,7 @@ pub const WORKLOADS: &[WorkloadEntry] = &[
                     p.size
                 ));
             }
+            check_frame("hevc", p.size)?;
             Ok(Box::new(crate::hevc::McWorkload::new(p.size)))
         },
     },
@@ -193,10 +196,32 @@ pub const WORKLOADS: &[WorkloadEntry] = &[
                     p.size
                 ));
             }
+            check_frame("sobel", p.size)?;
             Ok(Box::new(crate::sobel::SobelWorkload::new(p.size)))
         },
     },
 ];
+
+/// Checks that a `size × size` synthetic frame can be generated: at
+/// least [`MIN_EDGE`] pixels a side, and few enough pixels that a buffer
+/// of up to 64 bytes per pixel stays addressable (beyond that, buffer
+/// lengths wrap or overflow instead of failing cleanly).
+fn check_frame(workload: &str, size: usize) -> Result<(), String> {
+    if size < MIN_EDGE {
+        return Err(format!(
+            "{workload}: --size must be at least {MIN_EDGE}, the smallest synthetic frame, got {size}"
+        ));
+    }
+    if size
+        .checked_mul(size)
+        .is_none_or(|pixels| pixels > isize::MAX as usize / 64)
+    {
+        return Err(format!(
+            "{workload}: --size {size} is too large: a {size}x{size} frame cannot be addressed"
+        ));
+    }
+    Ok(())
+}
 
 /// Looks a workload up by registry name.
 #[must_use]
@@ -319,6 +344,25 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.contains("SSIM window"), "{err}");
+        // sizes the constraints above accept but no synthetic frame can
+        // take: under its 16-pixel minimum, or too many pixels to address
+        for (name, size) in [
+            ("jpeg", 8),
+            ("sobel", 8),
+            ("sobel", 12),
+            ("jpeg", 3_037_000_504),
+            ("jpeg", 1 << 32),
+            ("hevc", 1 << 32),
+            ("sobel", 1 << 32),
+        ] {
+            let err = (find(name).unwrap().build)(&WorkloadParams {
+                size,
+                sets: 1,
+                points: 20,
+            })
+            .unwrap_err();
+            assert!(err.contains("--size"), "{name} {size}: {err}");
+        }
     }
 
     #[test]

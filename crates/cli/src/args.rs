@@ -12,6 +12,7 @@ use apx_apps::WorkloadParams;
 use apx_cache::Cache;
 use apx_core::query::QueryParams;
 use apx_core::{CharacterizerSettings, Engine};
+use apx_engine::MAX_THREADS;
 use std::path::PathBuf;
 
 pub use apx_core::output::Format;
@@ -299,6 +300,17 @@ fn parse_positive(flag: &str, value: &str) -> Result<u64, String> {
     }
 }
 
+/// `--threads`: at least 1 and at most [`MAX_THREADS`], beyond which
+/// workers fail to spawn instead of running anything faster.
+fn parse_threads(value: &str) -> Result<usize, String> {
+    match parse_positive("threads", value)? {
+        n if n > MAX_THREADS as u64 => {
+            Err(format!("--threads: must be at most {MAX_THREADS}, got {n}"))
+        }
+        n => Ok(n as usize),
+    }
+}
+
 impl Args {
     /// Parses `argv` (everything after the subcommand name), accepting
     /// only the flags named in `accepted` plus up to `max_positional`
@@ -345,7 +357,7 @@ impl Args {
                 "samples" => args.samples = parse_positive(name, value)? as usize,
                 "vectors" => args.vectors = parse_positive(name, value)? as usize,
                 "seed" => args.seed = parse_int(name, value)?,
-                "threads" => args.threads = parse_positive(name, value)? as usize,
+                "threads" => args.threads = parse_threads(value)?,
                 "size" => args.size = parse_int(name, value)? as usize,
                 "sets" => args.sets = parse_int(name, value)? as usize,
                 "points" => args.points = parse_int(name, value)? as usize,
@@ -576,6 +588,14 @@ mod tests {
         let args = Args::parse(&argv(&["--threads", "1"]), ALL, 0).unwrap();
         assert_eq!(args.engine().threads(), 1);
         assert_eq!(Args::parse(&[], ALL, 0).unwrap().threads, 0);
+    }
+
+    #[test]
+    fn thread_counts_above_the_ceiling_are_errors() {
+        let err = Args::parse(&argv(&["--threads", "100000"]), ALL, 0).unwrap_err();
+        assert!(err.contains("at most"), "{err}");
+        let args = Args::parse(&argv(&["--threads", &MAX_THREADS.to_string()]), ALL, 0).unwrap();
+        assert_eq!(args.engine().threads(), MAX_THREADS);
     }
 
     #[test]

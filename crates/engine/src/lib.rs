@@ -65,18 +65,25 @@ pub const SHARD_SAMPLES: usize = 8192;
 /// `tests/determinism_threads.rs` pins that invariance.
 pub const EVAL_BATCH: usize = 4096;
 
+/// The most workers an [`Engine`] runs. More threads than this cannot
+/// speed up any sweep, and far more fail to spawn: [`Engine::new`]
+/// clamps to it, [`default_threads`] ignores an `APXPERF_THREADS` above
+/// it, and the CLI rejects a larger `--threads`.
+pub const MAX_THREADS: usize = 1024;
+
 /// Reads the `APXPERF_THREADS` override, falling back to the machine's
-/// available parallelism. Always at least 1.
+/// available parallelism. Always in `1..=MAX_THREADS`; an override
+/// outside that range is ignored like an unparsable one.
 #[must_use]
 pub fn default_threads() -> usize {
     std::env::var(THREADS_ENV)
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
+        .filter(|n| (1..=MAX_THREADS).contains(n))
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
+                .map_or(1, NonZeroUsize::get)
+                .min(MAX_THREADS)
         })
 }
 
@@ -204,11 +211,12 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Creates an engine with an explicit worker count (clamped to ≥ 1).
+    /// Creates an engine with an explicit worker count (clamped to
+    /// `1..=`[`MAX_THREADS`]).
     #[must_use]
     pub fn new(threads: usize) -> Self {
         let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads.max(1))
+            .num_threads(threads.clamp(1, MAX_THREADS))
             .build()
             .expect("thread pool construction cannot fail");
         Engine { pool }
@@ -366,7 +374,14 @@ mod tests {
     }
 
     #[test]
-    fn default_threads_is_positive() {
-        assert!(default_threads() >= 1);
+    fn default_threads_is_within_the_ceiling() {
+        assert!((1..=MAX_THREADS).contains(&default_threads()));
+    }
+
+    #[test]
+    fn explicit_worker_counts_are_clamped_to_the_ceiling() {
+        assert_eq!(Engine::new(0).threads(), 1);
+        assert_eq!(Engine::new(MAX_THREADS).threads(), MAX_THREADS);
+        assert_eq!(Engine::new(100_000).threads(), MAX_THREADS);
     }
 }

@@ -71,6 +71,9 @@ impl Image {
     }
 }
 
+/// The smallest edge length [`synthetic_photo`] accepts.
+pub const MIN_EDGE: usize = 16;
+
 /// Generates a deterministic grayscale image with natural-photo
 /// statistics: low-frequency shading, a handful of hard-edged objects,
 /// band-limited texture and mild vignetting.
@@ -86,10 +89,10 @@ impl Image {
 /// ```
 ///
 /// # Panics
-/// Panics if `width` or `height` is smaller than 16.
+/// Panics if `width` or `height` is smaller than [`MIN_EDGE`].
 #[must_use]
 pub fn synthetic_photo(width: usize, height: usize, seed: u64) -> Image {
-    assert!(width >= 16 && height >= 16, "image too small");
+    assert!(width >= MIN_EDGE && height >= MIN_EDGE, "image too small");
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut field = vec![0.0f64; width * height];
 
