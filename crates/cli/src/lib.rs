@@ -19,9 +19,11 @@
 //!
 //! The crate is a thin shell: all numerical work lives in `apx_core` and
 //! below; [`commands`] only select configurations, format tables
-//! ([`apx_core::output`]) and decide where results go. Cache statistics
-//! print to stderr so stdout stays byte-identical between cold and warm
-//! runs.
+//! ([`apx_core::output`]) and decide where results go. The paper's ten
+//! figures and tables are data, not code: each is a registered command
+//! whose exhibit names its configs, row source, columns and paper line,
+//! printed by one renderer. Cache statistics print to stderr so stdout
+//! stays byte-identical between cold and warm runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -65,10 +65,10 @@ pub const SHARD_SAMPLES: usize = 8192;
 /// `tests/determinism_threads.rs` pins that invariance.
 pub const EVAL_BATCH: usize = 4096;
 
-/// The most workers an [`Engine`] runs. More threads than this cannot
-/// speed up any sweep, and far more fail to spawn: [`Engine::new`]
-/// clamps to it, [`default_threads`] ignores an `APXPERF_THREADS` above
-/// it, and the CLI rejects a larger `--threads`.
+/// The most workers an [`Engine`] runs: well above the core counts the
+/// sweeps can use, and well below the counts at which spawning fails.
+/// [`Engine::new`] clamps to it, [`default_threads`] ignores an
+/// `APXPERF_THREADS` above it, and the CLI rejects a larger `--threads`.
 pub const MAX_THREADS: usize = 1024;
 
 /// Reads the `APXPERF_THREADS` override, falling back to the machine's
