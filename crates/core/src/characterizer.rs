@@ -187,7 +187,7 @@ impl<'a> Characterizer<'a> {
 
     /// One shard of the error characterization: its own RNG stream, its
     /// own accumulator, batched through [`ApxOperator::reference_batch`] /
-    /// [`ApxOperator::aligned_batch`].
+    /// [`ApxOperator::aligned_batch`] into [`ErrorStats::record_batch`].
     fn error_stats_shard(&self, op: &dyn ApxOperator, index: usize, samples: usize) -> ErrorStats {
         let mut stats = ErrorStats::new(op.ref_bits(), op.fullscale_bits());
         let mask = mask_u(op.input_bits());
@@ -210,9 +210,7 @@ impl<'a> Characterizer<'a> {
             }
             op.reference_batch(&av[..len], &bv[..len], &mut refs[..len]);
             op.aligned_batch(&av[..len], &bv[..len], &mut outs[..len]);
-            for (&r, &o) in refs[..len].iter().zip(&outs[..len]) {
-                stats.record(r, o);
-            }
+            stats.record_batch(&refs[..len], &outs[..len]);
             remaining -= len;
         }
         stats

@@ -1,6 +1,7 @@
 //! The operator-level error-metric accumulator.
 
-use apx_operators::centered_diff;
+use apx_netlist::transpose64;
+use apx_operators::{centered_diff, sext};
 use serde::{Deserialize, Serialize};
 
 /// Number of error samples captured for PSD estimation.
@@ -14,6 +15,12 @@ pub const PSD_CAPTURE_LEN: usize = 4096;
 /// patterns positionally over the full reference width, which is how the
 /// paper penalizes truncated operators whose dropped LSBs are implicitly
 /// forced to zero.
+///
+/// [`ErrorStats::record_batch`] is the one accumulation body, and
+/// [`ErrorStats::record`] is its one-pair form. Recording a stream in
+/// batches of any sizes yields the same state, bit for bit, as recording
+/// it pair by pair: every floating-point sum is taken in sample order,
+/// and only the integer bit-flip counts are gathered per 64-sample block.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ErrorStats {
     ref_bits: u32,
@@ -64,36 +71,76 @@ impl ErrorStats {
     /// Records one `(reference, approximate)` output pair (both already
     /// aligned to the reference scale).
     pub fn record(&mut self, reference: u64, approx: u64) {
-        let e = centered_diff(reference, approx, self.ref_bits);
-        self.samples += 1;
-        self.sum_e += i128::from(e);
-        self.sum_e2 += (e as f64) * (e as f64);
-        self.sum_abs_e += u128::from(e.unsigned_abs());
-        self.min_e = self.min_e.min(e);
-        self.max_e = self.max_e.max(e);
-        if e != 0 {
-            self.nonzero += 1;
+        self.record_batch(&[reference], &[approx]);
+    }
+
+    /// Records the pairs `(refs[i], outs[i])` in index order (both already
+    /// aligned to the reference scale).
+    ///
+    /// Every accumulator except the bit flips advances one sample at a
+    /// time in index order, so the floating-point sums, min/max, the
+    /// magnitude bins and the PSD capture come out the same however a
+    /// stream is split into batches. Bit flips are integer counts taken
+    /// per 64-sample block: the block's `reference ^ approx` words are
+    /// transposed so that row `k` holds bit `k` of every sample, and the
+    /// row's popcount is added to position `k` (bits at or above the
+    /// reference width are ignored).
+    ///
+    /// # Panics
+    /// Panics if the slices differ in length.
+    pub fn record_batch(&mut self, refs: &[u64], outs: &[u64]) {
+        assert_eq!(refs.len(), outs.len(), "reference/output length mismatch");
+        let bits = self.ref_bits;
+        let mut sum_e = self.sum_e;
+        let mut sum_e2 = self.sum_e2;
+        let mut sum_abs_e = self.sum_abs_e;
+        let mut sum_rel = self.sum_rel;
+        let mut rel_samples = self.rel_samples;
+        let mut min_e = self.min_e;
+        let mut max_e = self.max_e;
+        let mut nonzero = self.nonzero;
+        let bins = &mut self.magnitude_bins[..];
+        let last_bin = bins.len() - 1;
+        let capture = &mut self.psd_capture;
+        let mut block = [0u64; 64];
+        for (ref_block, out_block) in refs.chunks(64).zip(outs.chunks(64)) {
+            for ((&r, &o), xor) in ref_block.iter().zip(out_block).zip(&mut block) {
+                let e = centered_diff(r, o, bits);
+                sum_e += i128::from(e);
+                sum_e2 += (e as f64) * (e as f64);
+                sum_abs_e += u128::from(e.unsigned_abs());
+                min_e = min_e.min(e);
+                max_e = max_e.max(e);
+                nonzero += u64::from(e != 0);
+                // relative error (skip zero references, as APXPERF does)
+                let signed_ref = sext(r, bits);
+                if signed_ref != 0 {
+                    sum_rel += (e as f64 / signed_ref as f64).abs();
+                    rel_samples += 1;
+                }
+                // leading_zeros(0) = 64 puts e = 0 in bin 0
+                let bin = (64 - e.unsigned_abs().leading_zeros()) as usize;
+                bins[bin.min(last_bin)] += 1;
+                if capture.len() < PSD_CAPTURE_LEN {
+                    capture.push(e as f64);
+                }
+                *xor = r ^ o;
+            }
+            block[ref_block.len()..].fill(0);
+            transpose64(&mut block);
+            for (flips, row) in self.bit_flips.iter_mut().zip(&block) {
+                *flips += u64::from(row.count_ones());
+            }
         }
-        // relative error (skip zero references, as APXPERF does)
-        let signed_ref = apx_operators::sext(reference, self.ref_bits);
-        if signed_ref != 0 {
-            self.sum_rel += (e as f64 / signed_ref as f64).abs();
-            self.rel_samples += 1;
-        }
-        let xor = reference ^ approx;
-        for (k, flips) in self.bit_flips.iter_mut().enumerate() {
-            *flips += (xor >> k) & 1;
-        }
-        let bin = if e == 0 {
-            0
-        } else {
-            (64 - e.unsigned_abs().leading_zeros()) as usize
-        };
-        let last = self.magnitude_bins.len() - 1;
-        self.magnitude_bins[bin.min(last)] += 1;
-        if self.psd_capture.len() < PSD_CAPTURE_LEN {
-            self.psd_capture.push(e as f64);
-        }
+        self.samples += refs.len() as u64;
+        self.sum_e = sum_e;
+        self.sum_e2 = sum_e2;
+        self.sum_abs_e = sum_abs_e;
+        self.sum_rel = sum_rel;
+        self.rel_samples = rel_samples;
+        self.min_e = min_e;
+        self.max_e = max_e;
+        self.nonzero = nonzero;
     }
 
     /// Number of recorded samples.
@@ -228,16 +275,17 @@ impl ErrorStats {
             .collect()
     }
 
-    /// Power spectral density of the captured error sequence (periodogram
-    /// of up to [`PSD_CAPTURE_LEN`] samples). Returns the one-sided
-    /// spectrum; empty if fewer than 8 samples were recorded.
+    /// Power spectral density of the captured error sequence: the
+    /// periodogram of the largest power-of-two prefix of the first
+    /// [`PSD_CAPTURE_LEN`] errors. Returns the one-sided spectrum (half as
+    /// many bins as samples used); empty if fewer than 8 samples were
+    /// recorded.
     #[must_use]
     pub fn psd(&self) -> Vec<f64> {
         if self.psd_capture.len() < 8 {
             return Vec::new();
         }
-        let n = self.psd_capture.len().next_power_of_two() / 2;
-        crate::spectrum::periodogram(&self.psd_capture[..n])
+        crate::spectrum::periodogram(&self.psd_capture)
     }
 
     /// Merges another accumulator (same widths) into this one — the "Data
@@ -370,6 +418,19 @@ mod tests {
         }
         let total: f64 = s.pdf().iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn psd_uses_the_whole_power_of_two_capture() {
+        let mut s = ErrorStats::new(16, 15);
+        for v in 0..8u64 {
+            s.record(v, 0);
+        }
+        assert_eq!(s.psd().len(), 4);
+        for v in 0..PSD_CAPTURE_LEN as u64 {
+            s.record(v & 0xFFFF, 0);
+        }
+        assert_eq!(s.psd().len(), PSD_CAPTURE_LEN / 2);
     }
 
     #[test]

@@ -72,7 +72,9 @@ fn report_is_bit_identical_across_eval_batch_widths() {
     };
     let baseline = report_for(64, 1);
     assert!(baseline.verified);
-    for batch in [64, 1024, 8192] {
+    // ragged widths (1, 63, 65, 4097) cut the error accumulator's
+    // 64-sample bit-flip blocks off the multiples of 64
+    for batch in [1, 63, 64, 65, 1024, 4097, 8192] {
         for threads in [1, 4] {
             assert_eq!(
                 report_for(batch, threads),

@@ -1,6 +1,7 @@
 //! Property-based tests over the cross-crate invariants.
 
 use apxperf::core::sweeps::find_family;
+use apxperf::metrics::ErrorStats;
 use apxperf::operators::{
     centered_diff, mask_u, sext, to_u, FaType, OperatorConfig, OperatorCtx, QuantMode, SiteMap,
 };
@@ -127,6 +128,33 @@ fn batch_operands(seed: u64, len: usize, mask: u64) -> (Vec<u64>, Vec<u64>) {
     (a, b)
 }
 
+/// Every accessor of an accumulator, floats as bit patterns:
+/// `(samples, min, max, scalar metrics, pdf, psd)`.
+type StatsBits = (u64, i64, i64, Vec<u64>, Vec<u64>, Vec<u64>);
+
+fn stats_bits(s: &ErrorStats, bits: u32) -> StatsBits {
+    let to_bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect();
+    let mut scalars = vec![
+        s.mean_error(),
+        s.mse(),
+        s.mse_db(),
+        s.mae(),
+        s.relative_error(),
+        s.error_rate(),
+        s.ber(),
+    ];
+    scalars.extend((0..bits).map(|k| s.positional_ber(k)));
+    scalars.extend((0..=bits + 1).map(|k| s.acceptance_probability_pow2(k)));
+    (
+        s.samples(),
+        s.min_error(),
+        s.max_error(),
+        to_bits(scalars),
+        to_bits(s.pdf()),
+        to_bits(s.psd()),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -228,6 +256,56 @@ proptest! {
         prop_assert!(d.unsigned_abs() <= 1u64 << (bits - 1));
         // adding the diff back recovers x (mod 2^bits)
         prop_assert_eq!(y.wrapping_add(d as u64) & m, x);
+    }
+
+    /// Batched error accumulation is the per-pair accumulation: one
+    /// `record_batch` over the whole stream, `record_batch` over random
+    /// split points (empty and ragged 64-sample blocks included) and one
+    /// `record` per pair agree on every accessor bit for bit, and the
+    /// per-position bit-flip counts match a naive per-bit count.
+    #[test]
+    fn record_batch_matches_per_pair_record(
+        bits in 1u32..=63,
+        len in 0usize..=200,
+        seed in any::<u64>(),
+        split_seed in any::<u64>(),
+    ) {
+        let mask = mask_u(bits);
+        let (refs, approx) = batch_operands(seed, len, mask);
+        // about one pair in four exact, so e = 0 occurs at every width
+        let outs: Vec<u64> = refs
+            .iter()
+            .zip(&approx)
+            .map(|(&r, &o)| if o % 4 == 0 { r } else { o })
+            .collect();
+
+        let mut whole = ErrorStats::new(bits, bits);
+        whole.record_batch(&refs, &outs);
+
+        let (cuts, _) = batch_operands(split_seed, 6, u64::MAX);
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| (c % (len as u64 + 1)) as usize).collect();
+        cuts.push(len);
+        cuts.sort_unstable();
+        let mut split = ErrorStats::new(bits, bits);
+        let mut start = 0;
+        for end in cuts {
+            split.record_batch(&refs[start..end], &outs[start..end]);
+            start = end;
+        }
+
+        let mut pairwise = ErrorStats::new(bits, bits);
+        for (&r, &o) in refs.iter().zip(&outs) {
+            pairwise.record(r, o);
+        }
+
+        let expected = stats_bits(&pairwise, bits);
+        prop_assert_eq!(stats_bits(&whole, bits), expected.clone(), "whole batch, {} bits", bits);
+        prop_assert_eq!(stats_bits(&split, bits), expected, "split batches, {} bits", bits);
+        for k in 0..bits {
+            let flips = refs.iter().zip(&outs).filter(|&(&r, &o)| (r ^ o) >> k & 1 == 1).count();
+            let counted = (whole.positional_ber(k) * len as f64).round() as usize;
+            prop_assert_eq!(counted, flips, "bit {} of {}", k, bits);
+        }
     }
 
     /// MSSIM of an image with itself is 1; with an inverted copy it is low.
