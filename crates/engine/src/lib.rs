@@ -5,10 +5,11 @@
 //! functional and gate-level models on a cluster; this crate provides the
 //! workstation equivalent. Three pieces cooperate:
 //!
-//! * [`Engine`] — a handle over the vendored work-stealing thread pool.
-//!   The worker count comes from the `APXPERF_THREADS` environment
-//!   variable (falling back to the machine's available parallelism) or an
-//!   explicit [`Engine::new`].
+//! * [`Engine`] — a fork-join handle: each parallel map runs on the
+//!   calling thread plus scoped helper threads, all claiming task indices
+//!   from one shared counter. The worker count comes from the
+//!   `APXPERF_THREADS` environment variable (falling back to the
+//!   machine's available parallelism) or an explicit [`Engine::new`].
 //! * [`plan_shards`] — splits a sample count into fixed-size shards. The
 //!   plan depends **only on the total count**, never on the thread count.
 //! * [`shard_seed`] — derives one independent RNG stream per
@@ -40,7 +41,9 @@
 #![warn(missing_docs)]
 
 use std::num::NonZeroUsize;
-use std::sync::Mutex;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 /// Environment variable selecting the worker count for
 /// [`Engine::from_env`] (and everything built on it, including the repro
@@ -74,16 +77,23 @@ pub const MAX_THREADS: usize = 1024;
 /// Reads the `APXPERF_THREADS` override, falling back to the machine's
 /// available parallelism. Always in `1..=MAX_THREADS`; an override
 /// outside that range is ignored like an unparsable one.
+///
+/// The machine's parallelism is queried once per process: the query
+/// reads the scheduler affinity and cgroup quota files, which costs
+/// tens of µs, and every `Characterizer::new` lands here.
 #[must_use]
 pub fn default_threads() -> usize {
+    static MACHINE: OnceLock<usize> = OnceLock::new();
     std::env::var(THREADS_ENV)
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|n| (1..=MAX_THREADS).contains(n))
         .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map_or(1, NonZeroUsize::get)
-                .min(MAX_THREADS)
+            *MACHINE.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map_or(1, NonZeroUsize::get)
+                    .min(MAX_THREADS)
+            })
         })
 }
 
@@ -101,8 +111,8 @@ pub struct Shard {
 /// Splits `total` samples into [`SHARD_SAMPLES`]-sized shards (the last
 /// shard takes the remainder). `total == 0` yields no shards.
 ///
-/// The plan is a pure function of `total`: thread counts, pool state and
-/// scheduling never influence it — that invariance is what makes sharded
+/// The plan is a pure function of `total`: thread counts and scheduling
+/// never influence it — that invariance is what makes sharded
 /// reports bit-identical across machines.
 #[must_use]
 pub fn plan_shards(total: usize) -> Vec<Shard> {
@@ -198,10 +208,10 @@ pub fn shard_seed(master: u64, stream: u64, shard: u64) -> u64 {
 }
 
 /// The execution engine: a cheap, cloneable handle that runs indexed
-/// parallel maps on the vendored work-stealing pool.
+/// parallel maps as fork-joins over scoped threads.
 #[derive(Debug, Clone)]
 pub struct Engine {
-    pool: rayon::ThreadPool,
+    threads: usize,
 }
 
 impl Default for Engine {
@@ -215,11 +225,9 @@ impl Engine {
     /// `1..=`[`MAX_THREADS`]).
     #[must_use]
     pub fn new(threads: usize) -> Self {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads.clamp(1, MAX_THREADS))
-            .build()
-            .expect("thread pool construction cannot fail");
-        Engine { pool }
+        Engine {
+            threads: threads.clamp(1, MAX_THREADS),
+        }
     }
 
     /// Creates an engine honouring `APXPERF_THREADS` (see
@@ -231,7 +239,7 @@ impl Engine {
 
     /// A serial engine: one worker. Used inside already-parallel regions
     /// (e.g. each task of a config-level sweep) to avoid oversubscribing
-    /// the machine with nested pools.
+    /// the machine with nested fork-joins.
     #[must_use]
     pub fn single_threaded() -> Self {
         Engine::new(1)
@@ -240,14 +248,19 @@ impl Engine {
     /// The worker count.
     #[must_use]
     pub fn threads(&self) -> usize {
-        self.pool.current_num_threads()
+        self.threads
     }
 
-    /// Evaluates `f(0), f(1), …, f(count - 1)` on the pool and returns the
-    /// results **in index order**, however the tasks were scheduled. This
-    /// is the only primitive the sharded loops need: per-shard work runs
+    /// Evaluates `f(0), f(1), …, f(count - 1)` and returns the results
+    /// **in index order**, however the tasks were scheduled. This is the
+    /// only primitive the sharded loops need: per-shard work runs
     /// concurrently, and the caller folds the ordered partials serially so
     /// floating-point merges are reproducible.
+    ///
+    /// The calling thread works beside `min(threads, count) - 1` scoped
+    /// helper threads; every worker claims the next unclaimed index until
+    /// none is left, so a helper that fails to spawn only leaves its
+    /// share to the others.
     ///
     /// # Example
     /// ```
@@ -260,40 +273,68 @@ impl Engine {
     /// ```
     ///
     /// # Panics
-    /// Propagates panics from `f`: the pool catches the unwind, still
-    /// drains the remaining tasks, and resumes the first panic after the
-    /// barrier — so `map_indexed` panics rather than deadlocks or
-    /// returns partial results.
+    /// Propagates panics from `f`: a panicking task stops further indices
+    /// from being claimed, and once every worker has returned the first
+    /// panic resumes with its own payload — so `map_indexed` panics
+    /// rather than deadlocks or returns partial results.
     pub fn map_indexed<R, F>(&self, count: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        if count == 0 {
-            return Vec::new();
-        }
-        // With one worker (or one task) skip the pool entirely: same
-        // results by construction, none of the dispatch overhead.
-        if self.threads() == 1 || count == 1 {
+        let workers = self.threads.min(count);
+        if workers <= 1 {
             return (0..count).map(f).collect();
         }
-        let slots: Vec<Mutex<Option<R>>> = (0..count).map(|_| Mutex::new(None)).collect();
-        self.pool.scope(|s| {
-            for (i, slot) in slots.iter().enumerate() {
-                let f = &f;
-                s.spawn(move |_| {
-                    let value = f(i);
-                    *slot.lock().unwrap() = Some(value);
-                });
+        // Relaxed: the counter only hands out indices; results and the
+        // panic payload reach the caller through the joins.
+        let next = AtomicUsize::new(0);
+        let first_panic = Mutex::new(None);
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= count {
+                    return done;
+                }
+                match panic::catch_unwind(AssertUnwindSafe(|| f(i))) {
+                    Ok(value) => done.push((i, value)),
+                    Err(payload) => {
+                        next.store(count, Ordering::Relaxed);
+                        first_panic
+                            .lock()
+                            .expect("nothing panics while holding the slot")
+                            .get_or_insert(payload);
+                        return done;
+                    }
+                }
             }
+        };
+        let parts = std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..workers)
+                .filter_map(|_| std::thread::Builder::new().spawn_scoped(s, work).ok())
+                .collect();
+            let mut parts = vec![work()];
+            parts.extend(
+                helpers
+                    .into_iter()
+                    .map(|h| h.join().expect("tasks catch their own panics")),
+            );
+            parts
         });
+        if let Some(payload) = first_panic
+            .into_inner()
+            .expect("nothing panics while holding the slot")
+        {
+            panic::resume_unwind(payload);
+        }
+        let mut slots: Vec<Option<R>> = (0..count).map(|_| None).collect();
+        for (i, value) in parts.into_iter().flatten() {
+            slots[i] = Some(value);
+        }
         slots
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("slot mutexes are never poisoned")
-                    .expect("scope barrier guarantees every slot is filled")
-            })
+            .map(|slot| slot.expect("every index was claimed and completed"))
             .collect()
     }
 }
@@ -344,33 +385,87 @@ mod tests {
         assert_eq!(shard_seed(1, 2, 3), shard_seed(1, 2, 3));
     }
 
+    /// The worker counts the fork-join contract is checked at.
+    const THREAD_COUNTS: [usize; 4] = [1, 2, 8, MAX_THREADS];
+
     #[test]
     fn map_indexed_preserves_order_for_any_thread_count() {
-        let expected: Vec<usize> = (0..257).map(|i| i * i).collect();
-        for threads in [1, 2, 8] {
+        for threads in THREAD_COUNTS {
             let engine = Engine::new(threads);
             assert_eq!(engine.threads(), threads);
-            assert_eq!(engine.map_indexed(257, |i| i * i), expected);
+            for count in [2usize, 3, 64, 257] {
+                let expected: Vec<usize> = (0..count).map(|i| i * i).collect();
+                assert_eq!(
+                    engine.map_indexed(count, |i| i * i),
+                    expected,
+                    "{threads} threads"
+                );
+            }
         }
     }
 
     #[test]
     fn map_indexed_handles_empty_and_single() {
-        let engine = Engine::new(4);
-        assert_eq!(engine.map_indexed(0, |i| i), Vec::<usize>::new());
-        assert_eq!(engine.map_indexed(1, |i| i + 7), vec![7]);
+        for threads in THREAD_COUNTS {
+            let engine = Engine::new(threads);
+            assert_eq!(engine.map_indexed(0, |i| i), Vec::<usize>::new());
+            assert_eq!(engine.map_indexed(1, |i| i + 7), vec![7]);
+        }
     }
 
     #[test]
     fn map_indexed_panics_cleanly_instead_of_hanging() {
-        let engine = Engine::new(4);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.map_indexed(64, |i| {
-                assert!(i != 13, "shard failure");
-                i
-            })
-        }));
-        assert!(result.is_err());
+        // ...with the panicking task's own payload, at any thread count
+        for threads in THREAD_COUNTS {
+            let engine = Engine::new(threads);
+            for count in [16, 64] {
+                let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    engine.map_indexed(count, |i| {
+                        assert!(i != 13, "shard {i} failed");
+                        i
+                    })
+                }))
+                .expect_err("a panicking task must fail the map");
+                let message = payload
+                    .downcast_ref::<String>()
+                    .expect("a formatted panic message");
+                assert_eq!(
+                    message, "shard 13 failed",
+                    "{threads} threads, {count} tasks"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn map_indexed_never_runs_on_more_threads_than_workers_or_tasks() {
+        for threads in THREAD_COUNTS {
+            for count in [1usize, 3, 16] {
+                let seen = Mutex::new(std::collections::HashSet::new());
+                Engine::new(threads).map_indexed(count, |_| {
+                    seen.lock().unwrap().insert(std::thread::current().id());
+                    // The bound holds under any interleaving; the pause
+                    // only gives surplus workers a chance to break it.
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                });
+                let used = seen.into_inner().unwrap().len();
+                assert!(
+                    (1..=threads.min(count)).contains(&used),
+                    "{threads} threads, {count} tasks: {used} distinct threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn nested_map_indexed_completes() {
+        for threads in THREAD_COUNTS {
+            let engine = Engine::new(threads);
+            let sums = engine.map_indexed(4, |i| {
+                engine.map_indexed(4, |j| 4 * i + j).iter().sum::<usize>()
+            });
+            assert_eq!(sums, vec![6, 22, 38, 54], "{threads} threads");
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!    cross-checks the VHDL and C models).
 //! 3. **Timing & area** — [`sta`] performs a load-aware static timing
 //!    analysis; area is rolled up from the cell library.
-//! 4. **Power** — [`power`] runs an event-driven (transport-delay)
-//!    gate-level simulation on random vectors and counts every transition,
+//! 4. **Power** — [`power`] runs a transport-delay gate-level
+//!    simulation on random vectors and counts every transition,
 //!    glitches included, converting activity into dynamic power at the
 //!    library's operating point (the "Gate-Level Sim. + Power Estimation"
 //!    boxes).

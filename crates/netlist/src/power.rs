@@ -1,35 +1,38 @@
-//! Event-driven gate-level power estimation, 64 lanes at a time.
+//! Gate-level power estimation by transport-delay simulation, 64 lanes
+//! at a time.
 //!
-//! A transport-delay event simulation applies a stream of random input
-//! vectors to the netlist and counts **every** output transition — glitches
-//! included, which zero-delay simulation would miss and which dominate the
+//! The simulation applies a stream of random input vectors to the
+//! netlist and counts **every** output transition — glitches included,
+//! which zero-delay simulation would miss and which dominate the
 //! activity of deep structures like array multipliers. Transition counts
 //! are weighted by each cell's switching energy and converted to power at
 //! the library's operating point, mirroring the Modelsim-activity →
 //! PrimeTime step of the original APXPERF flow.
 //!
-//! # The 64-lane bitsliced kernel
+//! # The 64-lane levelized kernel
 //!
 //! Net values are one `u64` word per net — bit `l` belongs to lane `l` —
-//! and every gate evaluation goes through [`apx_cells::CellKind::eval64`], so one
-//! event services up to 64 independent vector streams at once.
-//! Transitions are counted as `popcount(old ^ new)` over the lanes that
-//! scheduled the event. Glitch semantics are untouched: transport delays
-//! are a property of the gate (see [`crate::sta::quantize_delays`]), not of the
-//! lane, so all lanes share one delay model and merging their event sets
-//! is sound.
+//! and every gate evaluation goes through [`apx_cells::CellKind::eval64`],
+//! so one evaluation services up to 64 independent vector streams at
+//! once. Glitch semantics are untouched: transport delays are a property
+//! of the gate (see [`crate::sta::quantize_delays`]), not of the lane, so
+//! all lanes share one delay model and their evaluations can be merged.
 //!
-//! Events live in a **timing wheel** keyed on the quantized STA delay
-//! ticks rather than a binary heap: all pending events lie within
-//! `max_ticks` of the current time, so a circular array of
-//! `max_ticks + 1` slots plus a small heap of distinct non-empty
-//! timestamps replaces one heap operation per (event × output pin).
-//! A per-gate stamp dedups scheduling per `(t, gate)` — a gate whose
-//! three inputs all change at the same instant is evaluated once, for
-//! all lanes — and each slot is drained in ascending gate index
-//! (topological order), which makes same-timestamp evaluation order
-//! deterministic and identical between the bitsliced kernel and the
-//! scalar reference.
+//! Each applied step (one new word per primary input) is one pass over
+//! the gates in index order, which is topological order. Every net keeps
+//! a log of the step's changes: `(time, diff)` entries in ascending time,
+//! `diff` holding the lanes that flip, so a net's value at any instant is
+//! its step-start word XOR the diffs logged up to then. When the pass
+//! reaches a gate, its drivers have lower indices and have logged
+//! everything it will read, so the gate's evaluation instants are known:
+//! each change time of each input, plus the delay ticks of each valid
+//! output pin, with the changed lanes OR-merged per instant. At each
+//! instant, in ascending order, the gate evaluates on its inputs as of
+//! that instant (inclusive), both outputs take the new value in the
+//! merged lanes only, and the lanes that flip are counted with
+//! `popcount` and logged. Every delay is at least one tick, so no gate
+//! reacts at the instant its input changes — which is what lets one
+//! pass settle the whole step.
 //!
 //! # Lane sub-stream semantics
 //!
@@ -50,10 +53,18 @@
 //!
 //! The decomposition is a pure function of the vector count — thread
 //! count and batch width never enter — so reports stay bit-identical
-//! for any worker count, and the bitsliced kernel is pinned bit-exactly
-//! (per-gate transition counts) against [`transition_counts_reference`],
-//! a scalar one-lane-at-a-time implementation of the *same* semantics
-//! built on the plain 1-bit [`apx_cells::CellKind::eval`].
+//! for any worker count.
+//!
+//! # The scalar reference
+//!
+//! [`transition_counts_reference`] simulates the *same* semantics one
+//! lane at a time with the plain 1-bit [`apx_cells::CellKind::eval`] and
+//! a conventional event queue: a **timing wheel** keyed on the delay
+//! ticks (`max_ticks + 1` circular slots plus a heap of the distinct
+//! non-empty timestamps), scheduling deduplicated per `(t, gate)`, and
+//! each timestamp drained in ascending gate index. Sharing no code with
+//! the levelized kernel beyond the cell functions, it pins that kernel
+//! bit-exactly (per-gate transition counts).
 //!
 //! Relative to the pre-bitslice estimator (one serial vector chain per
 //! shard), absolute transition totals legitimately change: the stream
@@ -65,7 +76,7 @@
 //! every pre-bitslice cache blob misses cleanly instead of resurfacing
 //! numbers from the old stream definition.
 
-use crate::ir::Netlist;
+use crate::ir::{NetId, Netlist};
 use crate::sta::{quantize_delays, DelayTicks};
 use apx_cells::Library;
 use apx_engine::{plan_lanes, plan_shards_sized, shard_seed, Engine, SIM_LANES};
@@ -74,7 +85,7 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Vectors per power shard: event-driven vectors are orders of magnitude
+/// Vectors per power shard: gate-level vectors are orders of magnitude
 /// more expensive than error samples, so shards are much smaller than the
 /// generic [`apx_engine::SHARD_SAMPLES`] to expose parallelism at the
 /// default vector counts.
@@ -128,7 +139,8 @@ impl PowerReport {
     }
 }
 
-/// Compressed-sparse-row fanout map: gate indices driven by each net.
+/// Compressed-sparse-row fanout map of the scalar reference: gate
+/// indices driven by each net.
 struct Fanout {
     offsets: Vec<u32>,
     gates: Vec<u32>,
@@ -164,26 +176,25 @@ impl Fanout {
     }
 }
 
-/// Timing wheel: the event queue of the transport-delay simulation.
+/// Timing wheel: the event queue of the scalar reference simulation.
 ///
 /// Every pending event lies within `horizon` (the largest per-pin gate
 /// delay in ticks) of the current time, so `horizon + 1` circular slots
 /// indexed by `t % len` hold the events of each distinct timestamp
 /// without collision. A small heap of the distinct non-empty timestamps
 /// replaces per-event heap traffic; a per-gate stamp dedups scheduling
-/// per `(t, gate)` so one evaluation services every input change (and
-/// every lane) arriving at that instant.
+/// per `(t, gate)` so one evaluation services every input change
+/// arriving at that instant.
 struct Wheel {
-    /// `slots[t % len]` holds the `(gate, lane-mask)` entries of time `t`.
-    slots: Vec<Vec<(u32, u64)>>,
+    /// `slots[t % len]` holds the gate indices queued for time `t`.
+    slots: Vec<Vec<u32>>,
     /// Distinct non-empty timestamps (min-heap).
     times: BinaryHeap<Reverse<u64>>,
     /// Per gate: the timestamp it was last queued for.
     sched_t: Vec<u64>,
-    /// Per gate: its entry's position inside that timestamp's slot.
-    sched_pos: Vec<u32>,
-    /// Whether `(t, gate)` scheduling is deduplicated (the production
-    /// path; the off switch exists to prove dedup never changes counts).
+    /// Whether `(t, gate)` scheduling is deduplicated (the reference's
+    /// normal mode; the off switch exists to prove dedup never changes
+    /// counts).
     dedup: bool,
 }
 
@@ -194,87 +205,96 @@ impl Wheel {
             slots: vec![Vec::new(); len],
             times: BinaryHeap::new(),
             sched_t: vec![u64::MAX; num_gates],
-            sched_pos: vec![0; num_gates],
             dedup,
         }
     }
 
-    /// Queues gate `gi` for evaluation at time `t`, on behalf of the
-    /// lanes in `mask`. A gate already queued at `t` absorbs the mask
-    /// into its pending entry instead of enqueuing again.
+    /// Queues gate `gi` for evaluation at time `t`, unless it is already
+    /// queued there.
     #[inline]
-    fn schedule(&mut self, gi: u32, t: u64, mask: u64) {
-        let slot = (t % self.slots.len() as u64) as usize;
+    fn schedule(&mut self, gi: u32, t: u64) {
         if self.dedup && self.sched_t[gi as usize] == t {
             // The stamped entry is still pending: timestamps are drained
-            // in increasing order and never revisited, so a matching
-            // stamp implies the position is live.
-            self.slots[slot][self.sched_pos[gi as usize] as usize].1 |= mask;
+            // in increasing order and never revisited.
             return;
         }
+        let slot = (t % self.slots.len() as u64) as usize;
         if self.slots[slot].is_empty() {
             self.times.push(Reverse(t));
         }
         self.sched_t[gi as usize] = t;
-        self.sched_pos[gi as usize] = self.slots[slot].len() as u32;
-        self.slots[slot].push((gi, mask));
+        self.slots[slot].push(gi);
     }
 
     /// Drains the earliest non-empty timestamp into `batch`, sorted by
     /// ascending gate index (topological order) with same-gate entries
     /// merged, and returns the timestamp. `None` when quiescent.
-    fn pop_into(&mut self, batch: &mut Vec<(u32, u64)>) -> Option<u64> {
+    fn pop_into(&mut self, batch: &mut Vec<u32>) -> Option<u64> {
         let Reverse(t) = self.times.pop()?;
         let slot = (t % self.slots.len() as u64) as usize;
         batch.clear();
         batch.append(&mut self.slots[slot]);
-        batch.sort_unstable_by_key(|&(gi, _)| gi);
+        batch.sort_unstable();
         if self.dedup {
             // Merge the rare same-gate duplicates the stamp cannot catch
             // (a gate whose stamp moved to a later timestamp and was
             // then re-scheduled at this one).
-            batch.dedup_by(|b, a| {
-                if a.0 == b.0 {
-                    a.1 |= b.1;
-                    true
-                } else {
-                    false
-                }
-            });
+            batch.dedup();
         }
         Some(t)
     }
 }
 
-/// 64-lane bitsliced event-driven transition counter — the production
-/// kernel behind [`estimate`].
-struct BitEventSim<'a> {
-    nl: &'a Netlist,
-    /// Current value word per net (bit `l` = lane `l`).
-    values: Vec<u64>,
-    fanout: Fanout,
-    /// Propagation delay per gate output pin, in ticks.
-    ticks: &'a [[u64; 2]],
-    /// Transition counter per gate (both outputs, all lanes combined).
-    transitions: Vec<u64>,
-    wheel: Wheel,
-    batch: Vec<(u32, u64)>,
-    /// Monotone simulation clock; each applied step starts here, so
-    /// wheel stamps never collide across steps or lanes.
-    clock: u64,
+/// One change of a net within a step: at `time` the lanes set in `diff`
+/// flip.
+#[derive(Debug, Clone, Copy)]
+struct Change {
+    time: u64,
+    diff: u64,
 }
 
-impl<'a> BitEventSim<'a> {
+/// One instant at which some input of a gate changes: the lanes that
+/// change on any pin, and the gate's input words from then on.
+#[derive(Debug, Clone, Copy)]
+struct InputChange {
+    time: u64,
+    lanes: u64,
+    words: [u64; 3],
+}
+
+/// 64-lane levelized transition counter — the production kernel behind
+/// [`estimate`] (see the [module docs](self)).
+struct LevelSim<'a> {
+    nl: &'a Netlist,
+    /// Propagation delay per gate output pin, in ticks.
+    ticks: &'a [[u64; 2]],
+    /// Value word per net at the start of the current step (bit `l` =
+    /// lane `l`).
+    values: Vec<u64>,
+    /// The current step's changes, each net's in one ascending-time run.
+    log: Vec<Change>,
+    /// Per net: its run in `log`, as `start..end`.
+    runs: Vec<(usize, usize)>,
+    /// Scratch: the merged input changes of the gate being simulated.
+    inputs: Vec<InputChange>,
+    /// Scratch: the changes of a gate's second output pin, appended to
+    /// `log` after the first pin's run.
+    second: Vec<Change>,
+    /// Transition counter per gate (both outputs, all lanes combined).
+    transitions: Vec<u64>,
+}
+
+impl<'a> LevelSim<'a> {
     fn new(nl: &'a Netlist, delays: &'a DelayTicks) -> Self {
-        let mut sim = BitEventSim {
+        let mut sim = LevelSim {
             nl,
-            values: vec![0; nl.num_nets()],
-            fanout: Fanout::new(nl),
             ticks: &delays.ticks,
+            values: vec![0; nl.num_nets()],
+            log: Vec::new(),
+            runs: vec![(0, 0); nl.num_nets()],
+            inputs: Vec::new(),
+            second: Vec::new(),
             transitions: vec![0; nl.gates().len()],
-            wheel: Wheel::new(nl.gates().len(), delays.max_ticks, true),
-            batch: Vec::new(),
-            clock: 0,
         };
         sim.settle_all_zeros();
         sim
@@ -282,11 +302,13 @@ impl<'a> BitEventSim<'a> {
 
     /// Establishes the quiescent all-zeros-input state: one zero-delay
     /// topological sweep, uncounted. Without it, constant-driven logic
-    /// (tie cells have no inputs, so no event ever evaluates them) would
-    /// sit at an inconsistent power-up state forever.
+    /// (tie cells have no inputs, so nothing ever re-evaluates them)
+    /// would sit at an inconsistent power-up state forever.
     fn settle_all_zeros(&mut self) {
         for gate in self.nl.gates() {
-            let (o0, o1) = gate.kind.eval64(self.read_ins(gate));
+            let (o0, o1) = gate
+                .kind
+                .eval64(gate.ins.map(|net| word(&self.values, net)));
             for (out, word) in gate.outs.iter().zip([o0, o1]) {
                 if out.is_valid() {
                     self.values[out.index()] = word;
@@ -295,77 +317,155 @@ impl<'a> BitEventSim<'a> {
         }
     }
 
-    #[inline]
-    fn read_ins(&self, gate: &crate::Gate) -> [u64; 3] {
-        let read = |slot: crate::NetId| {
-            if slot.is_valid() {
-                self.values[slot.index()]
-            } else {
-                0
-            }
-        };
-        [read(gate.ins[0]), read(gate.ins[1]), read(gate.ins[2])]
-    }
-
-    /// Schedules every reader of `net` for re-evaluation, one entry per
-    /// valid output pin's delay, on behalf of the changed lanes in
-    /// `mask`.
-    #[inline]
-    fn schedule_fanout(&mut self, net: usize, now: u64, mask: u64) {
-        for k in 0..self.fanout.of(net).len() {
-            let gi = self.fanout.of(net)[k];
-            let ticks = self.ticks[gi as usize];
-            let outs = self.nl.gates()[gi as usize].outs;
-            for (o, out) in outs.iter().enumerate() {
-                if out.is_valid() {
-                    self.wheel.schedule(gi, now + ticks[o], mask);
-                }
-            }
-        }
-    }
-
-    /// Applies new primary-input words at the current clock and
-    /// simulates until quiescence. `pi_nets` and `pi_words` are the
-    /// primary-input net indices and their new 64-lane values.
+    /// Applies new primary-input words and simulates the step to
+    /// quiescence in one pass over the gates. `pi_nets` and `pi_words`
+    /// are the primary-input net indices and their new 64-lane values.
     fn apply_step(&mut self, pi_nets: &[usize], pi_words: &[u64]) {
-        let now = self.clock;
+        self.log.clear();
+        self.runs.fill((0, 0));
         for (&net, &word) in pi_nets.iter().zip(pi_words) {
             let diff = self.values[net] ^ word;
             if diff != 0 {
-                self.values[net] = word;
-                self.schedule_fanout(net, now, diff);
+                self.runs[net] = (self.log.len(), self.log.len() + 1);
+                self.log.push(Change { time: 0, diff });
             }
         }
-        let mut batch = std::mem::take(&mut self.batch);
-        let mut last = now;
-        while let Some(t) = self.wheel.pop_into(&mut batch) {
-            last = t;
-            for &(gi, mask) in &batch {
-                let gate = self.nl.gates()[gi as usize];
-                let (o0, o1) = gate.kind.eval64(self.read_ins(&gate));
-                for (out, word) in gate.outs.iter().zip([o0, o1]) {
-                    if !out.is_valid() {
-                        continue;
-                    }
-                    let diff = (self.values[out.index()] ^ word) & mask;
-                    if diff != 0 {
-                        self.values[out.index()] ^= diff;
-                        self.transitions[gi as usize] += u64::from(diff.count_ones());
-                        self.schedule_fanout(out.index(), t, diff);
-                    }
+        for gi in 0..self.nl.gates().len() {
+            self.simulate_gate(gi);
+        }
+        for (value, &(start, end)) in self.values.iter_mut().zip(&self.runs) {
+            for change in &self.log[start..end] {
+                *value ^= change.diff;
+            }
+        }
+    }
+
+    /// Simulates gate `gi` over the whole step, logging its output
+    /// changes. Its inputs' logs are complete: every driver has a lower
+    /// index.
+    fn simulate_gate(&mut self, gi: usize) {
+        let gate = self.nl.gates()[gi];
+        let mut pin_delays = gate
+            .outs
+            .iter()
+            .zip(self.ticks[gi])
+            .filter(|(out, _)| out.is_valid())
+            .map(|(_, delay)| delay);
+        let Some(first_delay) = pin_delays.next() else {
+            return; // drives nothing
+        };
+        let second_delay = pin_delays.next().filter(|&d| d != first_delay);
+        let LevelSim {
+            values,
+            log,
+            runs,
+            inputs,
+            second,
+            transitions,
+            ..
+        } = self;
+
+        // Merge the input pins' runs into one ascending list of input
+        // changes, each with the input words it leaves behind.
+        let mut words = gate.ins.map(|net| word(values, net));
+        let mut reads = gate.ins.map(|net| {
+            if net.is_valid() {
+                runs[net.index()]
+            } else {
+                (0, 0)
+            }
+        });
+        inputs.clear();
+        loop {
+            let next = reads
+                .iter()
+                .filter(|&&(pos, end)| pos < end)
+                .map(|&(pos, _)| log[pos].time)
+                .min();
+            let Some(time) = next else { break };
+            let mut lanes = 0;
+            for (word, (pos, end)) in words.iter_mut().zip(&mut reads) {
+                if *pos < *end && log[*pos].time == time {
+                    *word ^= log[*pos].diff;
+                    lanes |= log[*pos].diff;
+                    *pos += 1;
+                }
+            }
+            inputs.push(InputChange { time, lanes, words });
+        }
+
+        // The gate evaluates at every input change time plus each
+        // distinct output pin delay: one cursor into `inputs` per delay,
+        // merged, with the lanes of coinciding instants OR-merged.
+        let n = inputs.len();
+        let mut due = [
+            (0, first_delay),
+            second_delay.map_or((n, 0), |delay| (0, delay)),
+        ];
+        let mut outs = gate.outs.map(|net| word(values, net));
+        let first = log.len();
+        second.clear();
+        let mut seen = 0;
+        loop {
+            let next = due
+                .iter()
+                .filter(|&&(k, _)| k < n)
+                .map(|&(k, delay)| inputs[k].time + delay)
+                .min();
+            let Some(time) = next else { break };
+            let mut mask = 0;
+            for (k, delay) in &mut due {
+                if *k < n && inputs[*k].time + *delay == time {
+                    mask |= inputs[*k].lanes;
+                    *k += 1;
+                }
+            }
+            // Inputs as of `time`, inclusive. Delays are ≥ 1 tick, so
+            // the change that scheduled this instant is already applied.
+            while seen < n && inputs[seen].time <= time {
+                seen += 1;
+            }
+            let (o0, o1) = gate.kind.eval64(inputs[seen - 1].words);
+            for (o, word) in [o0, o1].into_iter().enumerate() {
+                let diff = (outs[o] ^ word) & mask;
+                if !gate.outs[o].is_valid() || diff == 0 {
+                    continue;
+                }
+                outs[o] ^= diff;
+                transitions[gi] += u64::from(diff.count_ones());
+                let change = Change { time, diff };
+                if o == 0 {
+                    log.push(change);
+                } else {
+                    second.push(change);
                 }
             }
         }
-        self.batch = batch;
-        self.clock = last + 1;
+        if gate.outs[0].is_valid() {
+            runs[gate.outs[0].index()] = (first, log.len());
+        }
+        if gate.outs[1].is_valid() {
+            let start = log.len();
+            log.extend_from_slice(second);
+            runs[gate.outs[1].index()] = (start, log.len());
+        }
+    }
+}
+
+/// The value word of `net`, or 0 for an unused pin.
+fn word(values: &[u64], net: NetId) -> u64 {
+    if net.is_valid() {
+        values[net.index()]
+    } else {
+        0
     }
 }
 
 /// Scalar reference implementation of the lane sub-stream semantics:
 /// one lane at a time, `bool` net values, the plain 1-bit
-/// [`apx_cells::CellKind::eval`] — same timing wheel, same `(t, gate)` dedup, same
-/// ascending-gate-index order within a timestamp. The bitsliced kernel
-/// must match it per-gate bit-exactly.
+/// [`apx_cells::CellKind::eval`], events on a [`Wheel`] drained in
+/// ascending gate index within a timestamp. The levelized kernel must
+/// match it per-gate bit-exactly.
 struct ScalarEventSim<'a> {
     nl: &'a Netlist,
     values: Vec<bool>,
@@ -373,7 +473,7 @@ struct ScalarEventSim<'a> {
     ticks: &'a [[u64; 2]],
     transitions: Vec<u64>,
     wheel: Wheel,
-    batch: Vec<(u32, u64)>,
+    batch: Vec<u32>,
     clock: u64,
 }
 
@@ -421,7 +521,7 @@ impl<'a> ScalarEventSim<'a> {
             let outs = self.nl.gates()[gi as usize].outs;
             for (o, out) in outs.iter().enumerate() {
                 if out.is_valid() {
-                    self.wheel.schedule(gi, now + ticks[o], 1);
+                    self.wheel.schedule(gi, now + ticks[o]);
                 }
             }
         }
@@ -439,7 +539,7 @@ impl<'a> ScalarEventSim<'a> {
         let mut last = now;
         while let Some(t) = self.wheel.pop_into(&mut batch) {
             last = t;
-            for &(gi, _) in &batch {
+            for &gi in &batch {
                 let gate = self.nl.gates()[gi as usize];
                 let (o0, o1) = gate.kind.eval(self.read_ins(&gate));
                 for (out, val) in gate.outs.iter().zip([o0, o1]) {
@@ -468,7 +568,7 @@ fn pi_nets(nl: &Netlist) -> Vec<usize> {
         .collect()
 }
 
-/// Simulates one shard of the vector stream through the bitsliced
+/// Simulates one shard of the vector stream through the levelized
 /// kernel: 64 lane sub-streams, each with its own warm-up and RNG
 /// stream (see the [module docs](self)). Returns per-gate transition
 /// counts summed over all lanes.
@@ -483,7 +583,7 @@ fn transitions_for_shard(
     let mut rngs: Vec<StdRng> = (0..SIM_LANES)
         .map(|l| StdRng::seed_from_u64(shard_seed(stream, STREAM_POWER_LANE, l as u64)))
         .collect();
-    let mut sim = BitEventSim::new(nl, delays);
+    let mut sim = LevelSim::new(nl, delays);
     let mut words = vec![0u64; pi.len()];
 
     // Step 0 is every non-empty lane's uncounted warm-up vector; step s
@@ -556,7 +656,7 @@ fn transitions_for_shard_reference(
 }
 
 /// Per-gate transition counts of the full vector stream, produced by the
-/// 64-lane bitsliced kernel with shards simulated on `engine` and merged
+/// 64-lane levelized kernel with shards simulated on `engine` and merged
 /// in shard order — bit-identical for any thread count, and bit-identical
 /// to [`transition_counts_reference`].
 #[must_use]
@@ -586,7 +686,7 @@ pub fn transition_counts_with(
 /// Per-gate transition counts computed by the scalar lane-semantics
 /// reference: the same shard plan, lane decomposition and RNG streams as
 /// [`transition_counts_with`], simulated one lane at a time with 1-bit
-/// values. Exists to pin the bitsliced kernel bit-exactly; orders of
+/// values. Exists to pin the levelized kernel bit-exactly; orders of
 /// magnitude slower, never used on the production path.
 #[must_use]
 pub fn transition_counts_reference(
@@ -644,7 +744,7 @@ fn report_from_transitions(
 }
 
 /// Estimates power by applying `settings.vectors` random input vectors
-/// through the 64-lane bitsliced event-driven kernel.
+/// through the 64-lane levelized kernel.
 ///
 /// The vector stream decomposes into shards and lane sub-streams as
 /// described in the [module docs](self); per-gate transition counts are

@@ -92,7 +92,7 @@ pub fn analyze(nl: &Netlist, lib: &Library) -> TimingReport {
 }
 
 /// Per-output-pin propagation delay of each gate in ps (worst input arc
-/// plus load term), used by the event-driven power simulator.
+/// plus load term), used by the power simulators.
 #[must_use]
 pub(crate) fn gate_output_delays_ps(nl: &Netlist, lib: &Library) -> Vec<[u64; 2]> {
     let loads = net_loads_ff(nl, lib);
@@ -128,21 +128,22 @@ pub struct DelayTicks {
     /// reproduces the ps delays bit for bit and relative event order is
     /// untouched.
     pub tick_ps: u64,
-    /// Largest per-pin delay in ticks. This bounds the event simulator's
-    /// timing-wheel horizon: every pending event lies within `max_ticks`
-    /// of the current simulation time.
+    /// Largest per-pin delay in ticks: how far past an input change the
+    /// resulting output change can land. The scalar power reference sizes
+    /// its timing wheel on it (every pending event lies within
+    /// `max_ticks` of the current simulation time).
     pub max_ticks: u64,
 }
 
 /// Quantizes the per-output-pin propagation delays of every gate onto
 /// the coarsest exact tick grid.
 ///
-/// The event-driven power simulator keys its timing wheel on these
-/// ticks. Dividing all ps delays by their GCD is a *lossless*
-/// requantization — event timestamps scale uniformly, so coincidence
-/// (which gates evaluate in the same wheel slot) and ordering are
-/// identical to simulating in raw ps — while minimizing the wheel
-/// horizon the simulator has to sweep.
+/// The power simulators time every transition in these ticks. Dividing
+/// all ps delays by their GCD is a *lossless* requantization — change
+/// times scale uniformly, so coincidence (which changes land at the same
+/// instant, and so merge into one evaluation) and ordering are identical
+/// to simulating in raw ps — while keeping the numbers small (and the
+/// scalar reference's timing wheel short).
 ///
 /// # Example
 /// ```
@@ -183,6 +184,9 @@ pub fn quantize_delays(nl: &Netlist, lib: &Library) -> DelayTicks {
             for (o, &out) in gate.outs.iter().enumerate() {
                 if out.is_valid() {
                     t[o] = delays[o] / tick_ps;
+                    // the levelized power pass relies on it: no gate
+                    // reacts at the instant its input changes
+                    debug_assert!(t[o] >= 1, "a used pin is under one tick");
                     max_ticks = max_ticks.max(t[o]);
                 }
             }

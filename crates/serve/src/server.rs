@@ -1,8 +1,8 @@
 //! The daemon proper: bind, accept loop, request routing and the
 //! endpoint handlers. One thread per connection (requests are
 //! short-lived: a cache read-through, which may wait on an identical
-//! in-flight read, or a job submission), the engine's work-stealing
-//! pool underneath each computation, and a scoped-thread barrier as the
+//! in-flight read, or a job submission), the engine's fork-join maps
+//! underneath each computation, and a scoped-thread barrier as the
 //! graceful-shutdown drain — `run` returns only after every in-flight
 //! connection and every accepted job has finished.
 
