@@ -8,10 +8,9 @@
 //! derived from the same table — so usage output is consistent by
 //! construction.
 
-use apx_apps::WorkloadParams;
 use apx_cache::Cache;
-use apx_core::query::QueryParams;
-use apx_core::{CharacterizerSettings, Engine};
+use apx_core::query::{parse_positive, parse_uint, QueryParams};
+use apx_core::Engine;
 use apx_engine::MAX_THREADS;
 use std::path::PathBuf;
 
@@ -176,20 +175,13 @@ fn spec(name: &str) -> Option<&'static FlagSpec> {
 /// Fully parsed arguments of one subcommand invocation.
 #[derive(Debug, Clone)]
 pub struct Args {
-    /// `--samples`.
-    pub samples: usize,
-    /// `--vectors`.
-    pub vectors: usize,
-    /// `--seed`.
-    pub seed: u64,
+    /// `--samples`, `--vectors`, `--seed`, `--size`, `--sets` and
+    /// `--points`: the same [`QueryParams`] the serve daemon resolves
+    /// requests into, so CLI and server derive identical settings (and
+    /// cache keys) from identical inputs.
+    pub params: QueryParams,
     /// `--threads` (0 = auto: `APXPERF_THREADS` / machine parallelism).
     pub threads: usize,
-    /// `--size`.
-    pub size: usize,
-    /// `--sets`.
-    pub sets: usize,
-    /// `--points`.
-    pub points: usize,
     /// `--cache-dir`.
     pub cache_dir: Option<PathBuf>,
     /// `--no-cache`.
@@ -230,13 +222,8 @@ pub struct Args {
 impl Default for Args {
     fn default() -> Self {
         Args {
-            samples: 100_000,
-            vectors: 1_500,
-            seed: 0xDA7E_2017,
+            params: QueryParams::default(),
             threads: 0,
-            size: 128,
-            sets: 5,
-            points: 500,
             cache_dir: None,
             no_cache: false,
             cache_capacity: None,
@@ -258,18 +245,6 @@ impl Default for Args {
     }
 }
 
-fn parse_int(flag: &str, value: &str) -> Result<u64, String> {
-    let parsed = if let Some(hex) = value
-        .strip_prefix("0x")
-        .or_else(|| value.strip_prefix("0X"))
-    {
-        u64::from_str_radix(hex, 16)
-    } else {
-        value.parse::<u64>()
-    };
-    parsed.map_err(|_| format!("--{flag}: `{value}` is not an integer"))
-}
-
 /// A byte size: a plain integer (decimal or 0x-hex) with an optional
 /// `K`/`M`/`G`/`T` suffix (powers of 1024, case-insensitive) — so cache
 /// budgets read naturally: `--max-bytes 64M`.
@@ -281,29 +256,17 @@ fn parse_bytes(flag: &str, value: &str) -> Result<u64, String> {
         Some('T') => (&value[..value.len() - 1], 40),
         _ => (value, 0),
     };
-    let base = parse_int(flag, number)
-        .map_err(|_| format!("--{flag}: `{value}` is not a byte size (e.g. 1048576 or 64M)"))?;
+    let base = parse_uint(flag, number)
+        .map_err(|_| format!("{flag}: `{value}` is not a byte size (e.g. 1048576 or 64M)"))?;
     base.checked_shl(shift)
         .filter(|scaled| scaled >> shift == base)
-        .ok_or_else(|| format!("--{flag}: `{value}` overflows"))
-}
-
-/// [`parse_int`] for engine knobs that cannot meaningfully be zero
-/// (`--threads 0`, `--samples 0`, `--vectors 0` would panic or produce
-/// NaN metrics deep in the pipeline — reject them at the door instead).
-fn parse_positive(flag: &str, value: &str) -> Result<u64, String> {
-    match parse_int(flag, value)? {
-        0 => Err(format!(
-            "--{flag}: must be at least 1 (omit the flag for the default)"
-        )),
-        n => Ok(n),
-    }
+        .ok_or_else(|| format!("{flag}: `{value}` overflows"))
 }
 
 /// `--threads`: at least 1 and at most [`MAX_THREADS`], beyond which
 /// workers fail to spawn instead of running anything faster.
 fn parse_threads(value: &str) -> Result<usize, String> {
-    match parse_positive("threads", value)? {
+    match parse_positive("--threads", value)? {
         n if n > MAX_THREADS as u64 => {
             Err(format!("--threads: must be at most {MAX_THREADS}, got {n}"))
         }
@@ -353,17 +316,15 @@ impl Args {
             let value = iter
                 .next()
                 .ok_or_else(|| format!("--{name} expects a value"))?;
+            if args.params.set(name, value)? {
+                continue;
+            }
+            let flag = format!("--{name}");
             match name {
-                "samples" => args.samples = parse_positive(name, value)? as usize,
-                "vectors" => args.vectors = parse_positive(name, value)? as usize,
-                "seed" => args.seed = parse_int(name, value)?,
                 "threads" => args.threads = parse_threads(value)?,
-                "size" => args.size = parse_int(name, value)? as usize,
-                "sets" => args.sets = parse_int(name, value)? as usize,
-                "points" => args.points = parse_int(name, value)? as usize,
                 "cache-dir" => args.cache_dir = Some(PathBuf::from(value)),
-                "cache-capacity" => args.cache_capacity = Some(parse_bytes(name, value)?),
-                "max-bytes" => args.max_bytes = Some(parse_bytes(name, value)?),
+                "cache-capacity" => args.cache_capacity = Some(parse_bytes(&flag, value)?),
+                "max-bytes" => args.max_bytes = Some(parse_bytes(&flag, value)?),
                 "format" => args.format = Format::parse(value)?,
                 "out" => args.out = value.clone(),
                 "family" => args.family = value.clone(),
@@ -372,7 +333,7 @@ impl Args {
                 "families" => args.families = Some(value.clone()),
                 "addr" => args.addr = value.clone(),
                 "port-file" => args.port_file = Some(PathBuf::from(value)),
-                "queue" => args.queue = parse_positive(name, value)? as usize,
+                "queue" => args.queue = parse_positive(&flag, value)? as usize,
                 other => return Err(format!("unknown flag --{other}")),
             }
         }
@@ -386,19 +347,6 @@ impl Args {
         self.explicit.contains(&name)
     }
 
-    /// `--seed` when explicitly given, otherwise `default` — used by the
-    /// application subcommands to keep the workload-fixture seeds of the
-    /// former standalone binaries, so default outputs stay comparable
-    /// run over run and PR over PR.
-    #[must_use]
-    pub fn seed_or(&self, default: u64) -> u64 {
-        if self.was_set("seed") {
-            self.seed
-        } else {
-            default
-        }
-    }
-
     /// `--family` when explicitly given, otherwise `default` — lets the
     /// `app` subcommand default to the small named-operating-points
     /// family while `sweep` keeps its historical `adders` default.
@@ -408,41 +356,6 @@ impl Args {
             &self.family
         } else {
             default
-        }
-    }
-
-    /// The shared query parameters these arguments select — the same
-    /// [`QueryParams`] the serve daemon resolves request bodies into, so
-    /// CLI and server derive identical settings (and cache keys) from
-    /// identical inputs.
-    #[must_use]
-    pub fn query_params(&self) -> QueryParams {
-        QueryParams {
-            samples: self.samples,
-            vectors: self.vectors,
-            seed: self.was_set("seed").then_some(self.seed),
-            size: self.size,
-            sets: self.sets,
-            points: self.points,
-        }
-    }
-
-    /// The workload-shaping parameters these arguments select
-    /// (`--size`/`--sets`/`--points` mapped onto the shared
-    /// [`WorkloadParams`] every registry constructor takes).
-    #[must_use]
-    pub fn workload_params(&self) -> WorkloadParams {
-        self.query_params().workload_params()
-    }
-
-    /// The characterizer settings these arguments select (the repro
-    /// preset: 2 000 verification vectors, exhaustive up to 16 operand
-    /// bits).
-    #[must_use]
-    pub fn settings(&self) -> CharacterizerSettings {
-        CharacterizerSettings {
-            seed: self.seed,
-            ..self.query_params().settings()
         }
     }
 
@@ -525,13 +438,13 @@ mod tests {
     #[test]
     fn defaults_match_the_documented_values() {
         let args = Args::parse(&[], ALL, 0).unwrap();
-        assert_eq!(args.samples, 100_000);
-        assert_eq!(args.vectors, 1_500);
-        assert_eq!(args.seed, 0xDA7E_2017);
+        assert_eq!(args.params.samples, 100_000);
+        assert_eq!(args.params.vectors, 1_500);
+        assert_eq!(args.params.seed, None);
         assert_eq!(args.threads, 0);
         assert_eq!(args.format, Format::Tty);
         assert!(!args.no_cache);
-        let settings = args.settings();
+        let settings = args.params.settings();
         assert_eq!(settings.error_samples, 100_000);
         assert_eq!(settings.seed, 0xDA7E_2017);
     }
@@ -554,8 +467,8 @@ mod tests {
             0,
         )
         .unwrap();
-        assert_eq!(args.samples, 2000);
-        assert_eq!(args.seed, 0xBEEF);
+        assert_eq!(args.params.samples, 2000);
+        assert_eq!(args.params.seed, Some(0xBEEF));
         assert!(args.no_cache);
         assert_eq!(args.format, Format::Csv);
         assert_eq!(args.engine().threads(), 4);
@@ -642,7 +555,7 @@ mod tests {
         .unwrap();
         assert_eq!(args.workload.as_deref(), Some("fir"));
         assert_eq!(args.family_or("points"), "all", "explicit --family wins");
-        let params = args.workload_params();
+        let params = args.params.workload_params();
         assert_eq!(params.size, 64);
         assert_eq!(params.sets, 5);
         let defaulted = Args::parse(&[], &["family"], 0).unwrap();

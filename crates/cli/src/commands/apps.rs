@@ -15,10 +15,7 @@ pub(super) fn app(args: &Args) -> Result<(), String> {
     let name = args.positional.first().ok_or_else(|| {
         "expected a workload name, e.g. `apxperf app fir` (see `apxperf list`)".to_owned()
     })?;
-    let family_name = args.family_or("points");
-    let sweep_family = sweeps::find_family(family_name).ok_or_else(|| {
-        format!("--family: `{family_name}` is not a registered family — see `apxperf list`")
-    })?;
+    let sweep_family = query::lookup_family("--family", args.family_or("points"))?;
     let configs = (sweep_family.configs)();
     let cache = args.cache();
     let (workload, cells) = workload_cells(args, &cache, name, &configs)?;

@@ -19,7 +19,7 @@ pub(super) fn ablations(args: &Args) -> Result<(), String> {
     let cache = args.cache();
     let lib = Library::fdsoi28();
     let mut chz = Characterizer::new(&lib)
-        .with_settings(args.settings())
+        .with_settings(args.params.settings())
         .with_engine(args.engine())
         .with_cache(cache.clone());
 
@@ -116,7 +116,7 @@ pub(super) fn ablations(args: &Args) -> Result<(), String> {
     let mut orderings = Vec::new();
     for lib in [Library::fdsoi28(), Library::generic45()] {
         let mut chz = Characterizer::new(&lib)
-            .with_settings(args.settings())
+            .with_settings(args.params.settings())
             .with_engine(args.engine())
             .with_cache(cache.clone());
         let fxp = chz.characterize(&OperatorConfig::AddTrunc { n: 16, q: 10 });
@@ -186,7 +186,7 @@ pub(super) fn bench_baseline(args: &Args) -> Result<(), String> {
     // reduced-sample defaults (this is a trend recorder, not a repro
     // run) — applied only when the flag was not explicitly passed, so
     // a deliberate `--samples 100000` is honoured
-    let mut settings = args.settings();
+    let mut settings = args.params.settings();
     if !args.was_set("samples") {
         settings.error_samples = 20_000;
     }

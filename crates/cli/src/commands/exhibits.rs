@@ -73,7 +73,7 @@ pub(super) fn render(exhibit: &Exhibit, args: &Args) -> Result<(), String> {
         Rows::Reports(columns) => {
             let reports = sweeps::characterize_all_cached(
                 &Library::fdsoi28(),
-                args.settings(),
+                args.params.settings(),
                 &configs,
                 &args.engine(),
                 &cache,
@@ -87,7 +87,9 @@ pub(super) fn render(exhibit: &Exhibit, args: &Args) -> Result<(), String> {
     };
     println!(
         "{}",
-        exhibit.title.replace("{size}", &args.size.to_string())
+        exhibit
+            .title
+            .replace("{size}", &args.params.size.to_string())
     );
     print!("{}", output::render(args.format, &headers, &rows));
     if !exhibit.paper.is_empty() {
@@ -211,7 +213,7 @@ pub(super) const FIG6: Command = Command {
                 ("family", |c, _| family(&c.config).to_owned()),
                 ("MSSIM", |c, _| fmt(c.run.score.value(), 4)),
                 ("E_dct_pJ/blk", |c, args| {
-                    let blocks = (args.size / 8) * (args.size / 8);
+                    let blocks = (args.params.size / 8) * (args.params.size / 8);
                     fmt(c.model.energy_pj(c.run.counts) / blocks as f64, 3)
                 }),
                 ("stream_B", |c, _| {

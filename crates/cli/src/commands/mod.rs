@@ -244,13 +244,13 @@ pub(crate) fn workload_cells(
     name: &str,
     configs: &[OperatorConfig],
 ) -> Result<(Box<dyn Workload>, Vec<WorkloadCell>), String> {
-    let (workload, seed) = query::resolve_workload(&args.query_params(), name)?;
+    let (workload, seed) = query::resolve_workload(&args.params, name)?;
     let lib = Library::fdsoi28();
     let cells = appenergy::sweep_workload_cached(
         workload.as_ref(),
         seed,
         &lib,
-        args.settings(),
+        args.params.settings(),
         configs,
         &args.engine(),
         cache,

@@ -26,7 +26,7 @@ pub(super) fn pareto(args: &Args) -> Result<(), String> {
     let cache = args.cache();
     let text = query::pareto_text(
         &Library::fdsoi28(),
-        &args.query_params(),
+        &args.params,
         name,
         args.was_set("family").then_some(args.family.as_str()),
         args.all,

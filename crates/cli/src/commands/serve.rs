@@ -15,7 +15,7 @@ pub(crate) fn serve(args: &Args) -> Result<(), String> {
         port_file: args.port_file.clone(),
         cache: args.cache(),
         engine: args.engine(),
-        defaults: args.query_params(),
+        defaults: args.params,
         watch_signals: true,
     };
     let server = Server::bind(config)?;

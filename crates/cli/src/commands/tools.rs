@@ -17,7 +17,7 @@ pub(super) fn sweep(args: &Args) -> Result<(), String> {
     let cache = args.cache();
     let text = query::sweep_text(
         &Library::fdsoi28(),
-        &args.query_params(),
+        &args.params,
         &args.family,
         args.workload.as_deref(),
         args.format,
@@ -44,7 +44,7 @@ pub(super) fn report(args: &Args) -> Result<(), String> {
     let cache = args.cache();
     let (text, _hit) = query::report_text(
         &Library::fdsoi28(),
-        &args.query_params(),
+        &args.params,
         spec,
         &args.engine(),
         &cache,
@@ -188,16 +188,12 @@ fn pack_selection(args: &Args) -> Result<Option<Vec<apx_cache::CacheKey>>, Strin
     if !args.was_set("family") && args.workload.is_none() {
         return Ok(None);
     }
-    let family_name = args.family_or("points");
-    let family = apx_core::sweeps::find_family(family_name).ok_or_else(|| {
-        format!("--family: `{family_name}` is not a registered family — see `apxperf list`")
-    })?;
-    let configs = (family.configs)();
+    let configs = (query::lookup_family("--family", args.family_or("points"))?.configs)();
     let lib = Library::fdsoi28();
-    let settings = args.settings();
+    let settings = args.params.settings();
     let keys = match &args.workload {
         Some(name) => {
-            let (workload, seed) = query::resolve_workload(&args.query_params(), name)?;
+            let (workload, seed) = query::resolve_workload(&args.params, name)?;
             core_cache::sweep_key_closure(
                 &lib,
                 &settings,
@@ -296,25 +292,10 @@ fn gc(args: &Args, cache: &apx_cache::Cache) -> Result<(), String> {
 /// (`null` when no characterizing run has recorded any) as one JSON
 /// object.
 fn stats_json(cache: &apx_cache::Cache) -> String {
-    use serde::Value;
+    use serde::{Serialize, Value};
     let lib = Library::fdsoi28();
     let dir = match cache.dir() {
         Some(dir) => Value::String(dir.display().to_string()),
-        None => Value::Null,
-    };
-    let last_run = match cache.last_run_stats() {
-        Some(run) => Value::Object(vec![
-            ("hits".to_owned(), Value::UInt(u128::from(run.hits))),
-            ("misses".to_owned(), Value::UInt(u128::from(run.misses))),
-            ("writes".to_owned(), Value::UInt(u128::from(run.writes))),
-            (
-                "evictions".to_owned(),
-                Value::UInt(u128::from(run.evictions)),
-            ),
-            ("imports".to_owned(), Value::UInt(u128::from(run.imports))),
-            ("blobs".to_owned(), Value::UInt(u128::from(run.blobs))),
-            ("bytes".to_owned(), Value::UInt(u128::from(run.bytes))),
-        ]),
         None => Value::Null,
     };
     let stats = cache.stats();
@@ -340,7 +321,7 @@ fn stats_json(cache: &apx_cache::Cache) -> String {
                 ),
             ]),
         ),
-        ("last_run".to_owned(), last_run),
+        ("last_run".to_owned(), cache.last_run_stats().to_value()),
     ]);
     serde_json::to_string_pretty(&object).expect("JSON rendering is infallible")
 }

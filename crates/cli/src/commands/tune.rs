@@ -8,7 +8,7 @@ use super::report_cache_use;
 use crate::args::Args;
 use apx_cells::Library;
 use apx_core::output::{family, fmt, render};
-use apx_core::{query, sweeps};
+use apx_core::query;
 use apx_metrics::QualityBudget;
 use apx_operators::OperatorConfig;
 
@@ -20,10 +20,7 @@ fn candidate_configs(args: &Args) -> Result<Vec<OperatorConfig>, String> {
     let list = args.families.as_deref().unwrap_or("points,sized");
     let mut configs = Vec::new();
     for name in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        let fam = sweeps::find_family(name).ok_or_else(|| {
-            format!("--families: `{name}` is not a registered family — see `apxperf list`")
-        })?;
-        configs.extend((fam.configs)());
+        configs.extend((query::lookup_family("--families", name)?.configs)());
     }
     if configs.is_empty() {
         return Err("--families: expected at least one family name".to_owned());
@@ -49,14 +46,14 @@ pub(super) fn tune(args: &Args) -> Result<(), String> {
     })?;
     let budget: QualityBudget = budget_text.parse()?;
     let configs = candidate_configs(args)?;
-    let (workload, seed) = query::resolve_workload(&args.query_params(), name)?;
+    let (workload, seed) = query::resolve_workload(&args.params, name)?;
     let cache = args.cache();
     let lib = Library::fdsoi28();
     let outcome = apx_core::tune::tune(
         workload.as_ref(),
         seed,
         &lib,
-        args.settings(),
+        args.params.settings(),
         budget,
         &configs,
         &args.engine(),

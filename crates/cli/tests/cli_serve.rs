@@ -107,13 +107,21 @@ impl Drop for DaemonProcess {
 }
 
 fn request(addr: SocketAddr, method: &str, path: &str) -> (u16, String) {
+    request_with_body(addr, method, path, "")
+}
+
+fn request_with_body(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("daemon accepts connections");
     stream
         .set_read_timeout(Some(Duration::from_secs(300)))
         .unwrap();
     stream
         .write_all(
-            format!("{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n").as_bytes(),
+            format!(
+                "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
         )
         .unwrap();
     let mut raw = Vec::new();
@@ -152,6 +160,40 @@ fn served_reports_match_the_cli_stdout_and_shutdown_exits_zero() {
         &cli.stdout[..],
         "served body must be byte-identical to the CLI stdout"
     );
+
+    // an input the CLI rejects is a 400 at submission carrying the CLI's
+    // message, not an accepted job that fails later
+    for (path, body, flags) in [
+        (
+            "/sweep",
+            r#"{"workload":"jpeg","size":7}"#,
+            ["sweep", "--workload", "jpeg", "--size", "7"],
+        ),
+        (
+            "/pareto",
+            r#"{"workload":"kmeans","sets":0}"#,
+            ["pareto", "--workload", "kmeans", "--sets", "0"],
+        ),
+    ] {
+        let cli = apxperf()
+            .args(flags)
+            .arg("--no-cache")
+            .output()
+            .expect("apxperf runs");
+        assert_eq!(cli.status.code(), Some(1), "{cli:?}");
+        let stderr = String::from_utf8(cli.stderr).expect("stderr is UTF-8");
+        let message = stderr
+            .strip_prefix("error: ")
+            .and_then(|rest| rest.strip_suffix('\n'))
+            .unwrap_or_else(|| panic!("one error line: {stderr:?}"));
+        let error = serde::Value::Object(vec![(
+            "error".to_owned(),
+            serde::Value::String(message.to_owned()),
+        )]);
+        let (status, reply) = request_with_body(daemon.addr, "POST", path, body);
+        assert_eq!(status, 400, "{path} {body}: {reply}");
+        assert_eq!(reply, serde_json::to_string(&error).unwrap() + "\n");
+    }
 
     let (status, reply) = request(daemon.addr, "POST", "/shutdown");
     assert_eq!(status, 200);

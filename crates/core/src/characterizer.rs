@@ -13,6 +13,11 @@ use serde::{Deserialize, Serialize};
 /// Stream id mixed into [`shard_seed`] for the error-sampling draws.
 const STREAM_ERROR: u64 = 0xE55_0E57;
 
+/// Operand pairs per in-shard `eval_batch` call. A shard draws its
+/// operands in sequence however they are grouped, so the width moves
+/// only the wall-clock, never a reported bit.
+const EVAL_BATCH: usize = 4096;
+
 /// Tunables of the characterization pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CharacterizerSettings {
@@ -61,7 +66,6 @@ pub struct Characterizer<'a> {
     settings: CharacterizerSettings,
     engine: Engine,
     cache: Cache,
-    batch: usize,
 }
 
 impl<'a> Characterizer<'a> {
@@ -76,7 +80,6 @@ impl<'a> Characterizer<'a> {
             settings: CharacterizerSettings::default(),
             engine: Engine::from_env(),
             cache: Cache::default(),
-            batch: apx_engine::EVAL_BATCH,
         }
     }
 
@@ -92,17 +95,6 @@ impl<'a> Characterizer<'a> {
     #[must_use]
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Sets the samples-per-`eval_batch`-call width inside one shard
-    /// (default [`apx_engine::EVAL_BATCH`], clamped to ≥ 1). Like the
-    /// thread count this is a **pure wall-clock knob**: each shard draws
-    /// its operands sequentially regardless of how they are grouped into
-    /// batches, so no reported number ever depends on it.
-    #[must_use]
-    pub fn with_eval_batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
         self
     }
 
@@ -196,14 +188,13 @@ impl<'a> Characterizer<'a> {
             STREAM_ERROR,
             index as u64,
         ));
-        let batch = self.batch;
-        let mut av = vec![0u64; batch];
-        let mut bv = vec![0u64; batch];
-        let mut refs = vec![0u64; batch];
-        let mut outs = vec![0u64; batch];
+        let mut av = vec![0u64; EVAL_BATCH];
+        let mut bv = vec![0u64; EVAL_BATCH];
+        let mut refs = vec![0u64; EVAL_BATCH];
+        let mut outs = vec![0u64; EVAL_BATCH];
         let mut remaining = samples;
         while remaining > 0 {
-            let len = remaining.min(batch);
+            let len = remaining.min(EVAL_BATCH);
             for (a, b) in av[..len].iter_mut().zip(&mut bv[..len]) {
                 *a = rng.random::<u64>() & mask;
                 *b = rng.random::<u64>() & mask;

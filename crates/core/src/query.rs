@@ -8,16 +8,24 @@
 //! **byte-identical** to the corresponding CLI stdout by construction —
 //! the property the serve e2e suite pins.
 //!
+//! The inputs are decided here too, once for both front ends:
 //! [`QueryParams`] mirrors the shared CLI flags (`--samples`,
 //! `--vectors`, `--seed`, `--size`, `--sets`, `--points`) with the same
-//! defaults, and [`QueryParams::settings`] applies the repro preset
+//! defaults, and [`QueryParams::set`] is the one parsing rule for them —
+//! a CLI flag, a `GET /report` query parameter and a `POST` body field
+//! all go through it. [`lookup_family`], [`resolve_workload`] and
+//! [`overlay_configs`] are the one family, workload and `--family`/`--all`
+//! check. The daemon runs them before it enqueues a job, so an invalid
+//! request is a `400` at submission carrying the CLI's message, never a
+//! failed job. [`QueryParams::settings`] applies the repro preset
 //! (2 000 verification vectors, exhaustive up to 16 operand bits) that
 //! every CLI run uses.
 
 use crate::appenergy::{self, WorkloadCell};
 use crate::output::{family, fmt, render, Format};
 use crate::pareto::{workload_pareto, ParetoEntry};
-use crate::{cache as core_cache, sweeps, Characterizer, CharacterizerSettings, OperatorReport};
+use crate::sweeps::{self, SweepFamily};
+use crate::{cache as core_cache, Characterizer, CharacterizerSettings, OperatorReport};
 use apx_apps::{Workload, WorkloadParams};
 use apx_cache::{Cache, Lookup};
 use apx_cells::Library;
@@ -69,6 +77,31 @@ impl Default for QueryParams {
 }
 
 impl QueryParams {
+    /// Sets the parameter `key` (the CLI flag name without `--`, which is
+    /// also the serve query and body key) from its text: an unsigned
+    /// integer, decimal or 0x-hex, and at least 1 for `samples` and
+    /// `vectors`. A set `seed` counts as explicit.
+    ///
+    /// Returns `Ok(false)` when `key` is not one of the six parameters,
+    /// for the caller to report in its own terms.
+    ///
+    /// # Errors
+    /// A malformed or zero value, as a user-facing message naming the
+    /// flag.
+    pub fn set(&mut self, key: &str, text: &str) -> Result<bool, String> {
+        let label = format!("--{key}");
+        match key {
+            "samples" => self.samples = parse_positive(&label, text)? as usize,
+            "vectors" => self.vectors = parse_positive(&label, text)? as usize,
+            "seed" => self.seed = Some(parse_uint(&label, text)?),
+            "size" => self.size = parse_uint(&label, text)? as usize,
+            "sets" => self.sets = parse_uint(&label, text)? as usize,
+            "points" => self.points = parse_uint(&label, text)? as usize,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
     /// The characterizer settings these parameters select (the repro
     /// preset the CLI has always used).
     #[must_use]
@@ -91,6 +124,52 @@ impl QueryParams {
             points: self.points,
         }
     }
+}
+
+/// Parses an unsigned integer, decimal or `0x`-hex — the number syntax
+/// of every CLI flag and request parameter. `label` names the input in
+/// the error (`--samples`, `max_bytes`).
+///
+/// # Errors
+/// Anything else, as a user-facing message.
+pub fn parse_uint(label: &str, text: &str) -> Result<u64, String> {
+    let parsed = match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => text.parse::<u64>(),
+    };
+    parsed.map_err(|_| format!("{label}: `{text}` is not an integer"))
+}
+
+/// [`parse_uint`] for knobs that cannot meaningfully be zero: zero
+/// samples, vectors or threads would panic or produce NaN metrics deep
+/// in the pipeline, so they are rejected at the door instead.
+///
+/// # Errors
+/// A malformed or zero value, as a user-facing message.
+pub fn parse_positive(label: &str, text: &str) -> Result<u64, String> {
+    match parse_uint(label, text)? {
+        0 => Err(format!(
+            "{label}: must be at least 1 (omit the flag for the default)"
+        )),
+        n => Ok(n),
+    }
+}
+
+/// Looks a registered §IV family up by name — the one family lookup
+/// behind `sweep`, `pareto`, `app`, `cache pack` and `tune --families`,
+/// on the CLI and in the daemon alike. `flag` names the input in the
+/// error.
+///
+/// # Errors
+/// An unknown name, listing the registered ones.
+pub fn lookup_family(flag: &str, name: &str) -> Result<&'static SweepFamily, String> {
+    sweeps::find_family(name).ok_or_else(|| {
+        let names: Vec<&str> = sweeps::FAMILIES.iter().map(|f| f.name).collect();
+        format!(
+            "{flag}: `{name}` is not one of {} — see `apxperf list`",
+            names.join(", ")
+        )
+    })
 }
 
 /// Resolves a workload name against the registry, builds the instance
@@ -217,13 +296,7 @@ pub fn sweep_text(
     engine: &Engine,
     cache: &Cache,
 ) -> Result<String, String> {
-    let Some(sweep_family) = sweeps::find_family(family_name) else {
-        let names: Vec<&str> = sweeps::FAMILIES.iter().map(|f| f.name).collect();
-        return Err(format!(
-            "--family: `{family_name}` is not one of {}",
-            names.join(", ")
-        ));
-    };
+    let sweep_family = lookup_family("--family", family_name)?;
     let configs: Vec<OperatorConfig> = (sweep_family.configs)();
     if let Some(name) = workload_name {
         let (workload, seed) = resolve_workload(params, name)?;
@@ -278,7 +351,13 @@ pub fn sweep_text(
 /// approximate family (or everything under `all`) plus the full Sized
 /// baseline, first occurrence winning on duplicates (the exact operators
 /// belong to both sides).
-fn overlay_configs(family_name: Option<&str>, all: bool) -> Result<Vec<OperatorConfig>, String> {
+///
+/// # Errors
+/// `family_name` combined with `all`, or an unknown family.
+pub fn overlay_configs(
+    family_name: Option<&str>,
+    all: bool,
+) -> Result<Vec<OperatorConfig>, String> {
     if all && family_name.is_some() {
         return Err("--family and --all are mutually exclusive".to_owned());
     }
@@ -287,10 +366,7 @@ fn overlay_configs(family_name: Option<&str>, all: bool) -> Result<Vec<OperatorC
     } else {
         family_name.unwrap_or("points")
     };
-    let sweep_family = sweeps::find_family(selected).ok_or_else(|| {
-        format!("--family: `{selected}` is not a registered family — see `apxperf list`")
-    })?;
-    let mut configs = (sweep_family.configs)();
+    let mut configs = (lookup_family("--family", selected)?.configs)();
     configs.extend(sweeps::sized_baseline_16bit());
     let mut seen = Vec::with_capacity(configs.len());
     configs.retain(|config| {
@@ -419,6 +495,78 @@ mod tests {
         assert_eq!(settings.seed, DEFAULT_SEED);
         assert_eq!(settings.verify_samples, VERIFY_SAMPLES);
         assert_eq!(settings.exhaustive_up_to_bits, EXHAUSTIVE_UP_TO_BITS);
+    }
+
+    #[test]
+    fn parse_uint_takes_decimal_and_hex_only() {
+        assert_eq!(parse_uint("--seed", "42"), Ok(42));
+        assert_eq!(parse_uint("--seed", "0xBEEF"), Ok(0xBEEF));
+        assert_eq!(parse_uint("--seed", "0XbeEF"), Ok(0xBEEF));
+        for bad in ["", "-1", "+", "many", "0x", "1.5", "18446744073709551616"] {
+            assert_eq!(
+                parse_uint("--seed", bad),
+                Err(format!("--seed: `{bad}` is not an integer"))
+            );
+        }
+        assert!(parse_positive("--threads", "0")
+            .unwrap_err()
+            .contains("at least 1"));
+        assert_eq!(parse_positive("--threads", "0x2"), Ok(2));
+    }
+
+    #[test]
+    fn set_applies_on_top_of_defaults_and_rejects_zero_knobs() {
+        let defaults = QueryParams::default();
+        let mut params = defaults;
+        assert_eq!(params.set("samples", "2000"), Ok(true));
+        assert_eq!(params.set("seed", "0xBEEF"), Ok(true));
+        assert_eq!(params.samples, 2000);
+        assert_eq!(params.seed, Some(0xBEEF));
+        assert_eq!(params.vectors, defaults.vectors);
+        for (key, value) in [("vectors", 40), ("size", 64), ("sets", 2), ("points", 9)] {
+            assert_eq!(params.set(key, &value.to_string()), Ok(true), "{key}");
+        }
+        let expected = QueryParams {
+            samples: 2000,
+            vectors: 40,
+            seed: Some(0xBEEF),
+            size: 64,
+            sets: 2,
+            points: 9,
+        };
+        assert_eq!(params, expected);
+        // a typo is not a parameter: the caller reports it in its terms
+        assert_eq!(params.set("sample", "1"), Ok(false));
+        for key in ["samples", "vectors"] {
+            let err = params.set(key, "0").unwrap_err();
+            assert!(err.contains("at least 1"), "{key}: {err}");
+        }
+        let err = params.set("size", "seven").unwrap_err();
+        assert_eq!(err, "--size: `seven` is not an integer");
+        assert_eq!(params, expected, "a rejected value changes nothing");
+        // zero sizes are the workload constructors' to judge
+        assert_eq!(params.set("sets", "0"), Ok(true));
+    }
+
+    #[test]
+    fn name_and_size_checks_fail_before_any_computation() {
+        let err = lookup_family("--family", "nope").map(|_| ()).unwrap_err();
+        assert!(err.contains("is not one of"), "{err}");
+        assert!(err.contains("see `apxperf list`"), "{err}");
+        assert_eq!(lookup_family("--family", "points").unwrap().name, "points");
+        let err = overlay_configs(Some("points"), true).unwrap_err();
+        assert!(err.contains("mutually exclusive"), "{err}");
+        let err = overlay_configs(Some("nope"), false).unwrap_err();
+        assert!(err.starts_with("--family: `nope` is not one of"), "{err}");
+        assert!(!overlay_configs(None, true).unwrap().is_empty());
+        let err = resolve_workload(&small(), "nope").map(|_| ()).unwrap_err();
+        assert!(err.contains("unknown workload"), "{err}");
+        for (name, key, value) in [("jpeg", "size", "7"), ("kmeans", "sets", "0")] {
+            let mut params = small();
+            params.set(key, value).unwrap();
+            let err = resolve_workload(&params, name).map(|_| ()).unwrap_err();
+            assert!(err.starts_with(name), "{err}");
+        }
     }
 
     #[test]

@@ -58,16 +58,6 @@ pub const THREADS_ENV: &str = "APXPERF_THREADS";
 /// keeping >10 shards for the smallest default loop.
 pub const SHARD_SAMPLES: usize = 8192;
 
-/// Default samples per in-shard `eval_batch` call — how many operand
-/// pairs the characterization loops hand to an operator's (bitsliced)
-/// batch kernel at a time. Unlike [`SHARD_SAMPLES`] this is a **pure
-/// wall-clock knob**: shard plans and RNG draw order never depend on it
-/// (each shard draws its operands sequentially regardless of how they
-/// are grouped into batches), so widening it amortizes the bitslice
-/// transpose without moving a single reported bit. A regression test in
-/// `tests/determinism_threads.rs` pins that invariance.
-pub const EVAL_BATCH: usize = 4096;
-
 /// The most workers an [`Engine`] runs: well above the core counts the
 /// sweeps can use, and well below the counts at which spawning fails.
 /// [`Engine::new`] clamps to it, [`default_threads`] ignores an

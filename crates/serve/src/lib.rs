@@ -8,14 +8,19 @@
 //! `POST /sweep` / `POST /pareto` job result is exactly the stdout of
 //! the corresponding CLI invocation. Both sides render through the same
 //! [`apx_core::query`] layer, so the identity holds by construction.
+//! The inputs go through that layer as well: query parameters and body
+//! fields are parsed by [`apx_core::query::QueryParams::set`], and a
+//! `POST` body's family, workload and `family`/`all` are checked before
+//! the job is queued. An invalid request is a `400` at submission with
+//! the CLI's error message for the same flags, never a failed job.
 //!
 //! | Endpoint | Semantics |
 //! |---|---|
 //! | `GET /healthz` | liveness probe |
 //! | `GET /stats` | service counters (hits / misses / coalesced / …) |
 //! | `GET /report/<CONFIG>` | one operator report, read through the cache |
-//! | `POST /sweep` | enqueue a family sweep → `202` + job id |
-//! | `POST /pareto` | enqueue a Pareto query → `202` + job id |
+//! | `POST /sweep` | enqueue a family sweep → `202` + job id, or `400` |
+//! | `POST /pareto` | enqueue a Pareto query → `202` + job id, or `400` |
 //! | `GET /job/<id>` | poll a job |
 //! | `GET /job/<id>/result` | fetch a finished job's body |
 //! | `POST /shutdown` | request a graceful drain |

@@ -12,11 +12,11 @@ use crate::signal;
 use crate::stats::ServeStats;
 use apx_cache::{Cache, Lookup};
 use apx_cells::Library;
+use apx_core::output::Format;
 use apx_core::query::{self, QueryParams};
-use apx_core::{output::Format, sweeps};
 use apx_engine::Engine;
 use apx_operators::OperatorConfig;
-use serde::Value;
+use serde::{Serialize, Value};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -467,7 +467,10 @@ fn job_result(state: &Arc<ServeState>, id: &str) -> (u16, String) {
 fn stats_json(state: &Arc<ServeState>) -> String {
     let stats = state.stats.snapshot();
     let jobs = state.jobs.counts();
-    let cache = state.cache.stats();
+    let mut cache = vec![("enabled".to_owned(), Value::Bool(state.cache.is_enabled()))];
+    if let Value::Object(counters) = state.cache.stats().to_value() {
+        cache.extend(counters);
+    }
     let object = Value::Object(vec![
         ("hits".to_owned(), Value::UInt(u128::from(stats.hits))),
         ("misses".to_owned(), Value::UInt(u128::from(stats.misses))),
@@ -493,22 +496,7 @@ fn stats_json(state: &Arc<ServeState>) -> String {
                 ("failed".to_owned(), Value::UInt(u128::from(jobs.failed))),
             ]),
         ),
-        (
-            "cache".to_owned(),
-            Value::Object(vec![
-                ("enabled".to_owned(), Value::Bool(state.cache.is_enabled())),
-                ("hits".to_owned(), Value::UInt(u128::from(cache.hits))),
-                ("misses".to_owned(), Value::UInt(u128::from(cache.misses))),
-                ("writes".to_owned(), Value::UInt(u128::from(cache.writes))),
-                (
-                    "evictions".to_owned(),
-                    Value::UInt(u128::from(cache.evictions)),
-                ),
-                ("imports".to_owned(), Value::UInt(u128::from(cache.imports))),
-                ("blobs".to_owned(), Value::UInt(u128::from(cache.blobs))),
-                ("bytes".to_owned(), Value::UInt(u128::from(cache.bytes))),
-            ]),
-        ),
+        ("cache".to_owned(), Value::Object(cache)),
     ]);
     let mut text = serde_json::to_string_pretty(&object).expect("JSON rendering is infallible");
     text.push('\n');
@@ -559,83 +547,42 @@ fn cache_gc(state: &Arc<ServeState>, body: &str) -> (u16, String) {
             error_json(&format!("unknown field `{key}` (allowed: max_bytes)")),
         );
     }
-    let Some(max_bytes) = (match field_u64(&fields, "max_bytes") {
-        Ok(value) => value,
-        Err(message) => return (400, error_json(&message)),
-    }) else {
+    let Some(text) = field(&fields, "max_bytes").and_then(value_text) else {
         return (400, error_json("gc needs a `max_bytes` field (bytes)"));
     };
+    let max_bytes = match query::parse_uint("max_bytes", &text) {
+        Ok(max_bytes) => max_bytes,
+        Err(message) => return (400, error_json(&message)),
+    };
     match state.cache.gc(max_bytes) {
-        Ok(summary) => (
-            200,
-            compact(&[
-                (
-                    "examined_blobs",
-                    Value::UInt(u128::from(summary.examined_blobs)),
-                ),
-                (
-                    "examined_bytes",
-                    Value::UInt(u128::from(summary.examined_bytes)),
-                ),
-                (
-                    "evicted_blobs",
-                    Value::UInt(u128::from(summary.evicted_blobs)),
-                ),
-                (
-                    "evicted_bytes",
-                    Value::UInt(u128::from(summary.evicted_bytes)),
-                ),
-                (
-                    "remaining_blobs",
-                    Value::UInt(u128::from(summary.remaining_blobs)),
-                ),
-                (
-                    "remaining_bytes",
-                    Value::UInt(u128::from(summary.remaining_bytes)),
-                ),
-            ]),
-        ),
+        Ok(summary) => (200, json_line(&summary.to_value())),
         Err(err @ apx_cache::CacheError::Busy { .. }) => (409, err.to_json() + "\n"),
         Err(err) => (400, err.to_json() + "\n"),
     }
 }
 
 // ---------------------------------------------------------------------
-// request parsing
+// request parsing: the numeric parameters and the family, workload and
+// `--family`/`--all` checks are `apx_core::query`'s, so a request is
+// judged, and answered, exactly as the same CLI flags are
 
 fn error_json(message: &str) -> String {
     compact(&[("error", Value::String(message.to_owned()))])
 }
 
 fn compact(fields: &[(&str, Value)]) -> String {
-    let object = Value::Object(
+    json_line(&Value::Object(
         fields
             .iter()
             .map(|(k, v)| ((*k).to_owned(), v.clone()))
             .collect(),
-    );
-    let mut text = serde_json::to_string(&object).expect("JSON rendering is infallible");
+    ))
+}
+
+fn json_line(value: &Value) -> String {
+    let mut text = serde_json::to_string(value).expect("JSON rendering is infallible");
     text.push('\n');
     text
-}
-
-fn parse_uint(name: &str, value: &str) -> Result<u64, String> {
-    let parsed = if let Some(hex) = value
-        .strip_prefix("0x")
-        .or_else(|| value.strip_prefix("0X"))
-    {
-        u64::from_str_radix(hex, 16)
-    } else {
-        value.parse::<u64>()
-    };
-    parsed.map_err(|_| format!("{name}: `{value}` is not an integer"))
-}
-
-fn parse_positive(name: &str, value: &str) -> Result<u64, String> {
-    match parse_uint(name, value)? {
-        0 => Err(format!("{name}: must be at least 1")),
-        n => Ok(n),
-    }
 }
 
 /// Applies `?samples=&vectors=&seed=` query parameters on top of the
@@ -647,16 +594,12 @@ fn params_from_query(
 ) -> Result<QueryParams, String> {
     let mut params = defaults;
     for (key, value) in pairs {
-        match key.as_str() {
-            "samples" => params.samples = parse_positive(key, value)? as usize,
-            "vectors" => params.vectors = parse_positive(key, value)? as usize,
-            "seed" => params.seed = Some(parse_uint(key, value)?),
-            other => {
-                return Err(format!(
-                    "unknown query parameter `{other}` (samples, vectors, seed)"
-                ))
-            }
+        if !["samples", "vectors", "seed"].contains(&key.as_str()) {
+            return Err(format!(
+                "unknown query parameter `{key}` (samples, vectors, seed)"
+            ));
         }
+        params.set(key, value)?;
     }
     Ok(params)
 }
@@ -677,6 +620,17 @@ fn field<'a>(fields: &'a [(String, Value)], name: &str) -> Option<&'a Value> {
     fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
 }
 
+/// A field's value as the text the matching CLI flag would carry: a
+/// string as is, any other JSON value in its compact rendering, and
+/// `None` for `null` (the field keeps its default).
+fn value_text(value: &Value) -> Option<String> {
+    match value {
+        Value::Null => None,
+        Value::String(s) => Some(s.clone()),
+        other => Some(serde_json::to_string(other).expect("JSON rendering is infallible")),
+    }
+}
+
 fn field_string(fields: &[(String, Value)], name: &str) -> Result<Option<String>, String> {
     match field(fields, name) {
         None | Some(Value::Null) => Ok(None),
@@ -693,58 +647,24 @@ fn field_bool(fields: &[(String, Value)], name: &str) -> Result<bool, String> {
     }
 }
 
-fn field_u64(fields: &[(String, Value)], name: &str) -> Result<Option<u64>, String> {
-    match field(fields, name) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::UInt(u)) => u64::try_from(*u)
-            .map(Some)
-            .map_err(|_| format!("{name}: value out of range")),
-        Some(Value::Int(i)) => u64::try_from(*i)
-            .map(Some)
-            .map_err(|_| format!("{name}: value out of range")),
-        Some(Value::String(s)) => parse_uint(name, s).map(Some),
-        Some(other) => Err(format!("{name}: expected an integer, got {other:?}")),
-    }
-}
-
-/// Shared body fields: the numeric knobs plus `format`.
+/// Shared body fields: every field must be in `allowed`, the numeric
+/// ones go through [`QueryParams::set`], and `format` defaults to tty.
 fn body_params(
     defaults: QueryParams,
     fields: &[(String, Value)],
     allowed: &[&str],
 ) -> Result<(QueryParams, Format), String> {
-    for (key, _) in fields {
+    let mut params = defaults;
+    for (key, value) in fields {
         if !allowed.contains(&key.as_str()) {
             return Err(format!(
                 "unknown field `{key}` (allowed: {})",
                 allowed.join(", ")
             ));
         }
-    }
-    let mut params = defaults;
-    if let Some(samples) = field_u64(fields, "samples")? {
-        if samples == 0 {
-            return Err("samples: must be at least 1".to_owned());
+        if let Some(text) = value_text(value) {
+            params.set(key, &text)?;
         }
-        params.samples = samples as usize;
-    }
-    if let Some(vectors) = field_u64(fields, "vectors")? {
-        if vectors == 0 {
-            return Err("vectors: must be at least 1".to_owned());
-        }
-        params.vectors = vectors as usize;
-    }
-    if let Some(seed) = field_u64(fields, "seed")? {
-        params.seed = Some(seed);
-    }
-    if let Some(size) = field_u64(fields, "size")? {
-        params.size = size as usize;
-    }
-    if let Some(sets) = field_u64(fields, "sets")? {
-        params.sets = sets as usize;
-    }
-    if let Some(points) = field_u64(fields, "points")? {
-        params.points = points as usize;
     }
     let format = match field_string(fields, "format")? {
         Some(value) => Format::parse(&value)?,
@@ -773,18 +693,10 @@ fn sweep_request(
         ],
     )?;
     let family = field_string(fields, "family")?.unwrap_or_else(|| "adders".to_owned());
-    if sweeps::find_family(&family).is_none() {
-        let names: Vec<&str> = sweeps::FAMILIES.iter().map(|f| f.name).collect();
-        return Err(format!(
-            "--family: `{family}` is not one of {}",
-            names.join(", ")
-        ));
-    }
+    query::lookup_family("--family", &family)?;
     let workload = field_string(fields, "workload")?;
     if let Some(name) = &workload {
-        if apx_apps::workload::find(name).is_none() {
-            return Err(format!("unknown workload `{name}` — see `apxperf list`"));
-        }
+        query::resolve_workload(&params, name)?;
     }
     Ok(SweepRequest {
         family,
@@ -817,23 +729,12 @@ fn pareto_request(
     )?;
     let workload = field_string(fields, "workload")?
         .ok_or_else(|| "pareto needs a `workload` field — see `apxperf list`".to_owned())?;
-    if apx_apps::workload::find(&workload).is_none() {
-        return Err(format!(
-            "unknown workload `{workload}` — see `apxperf list`"
-        ));
-    }
     let family = field_string(fields, "family")?;
     let all = field_bool(fields, "all")?;
-    if all && family.is_some() {
-        return Err("--family and --all are mutually exclusive".to_owned());
-    }
-    if let Some(name) = &family {
-        if sweeps::find_family(name).is_none() {
-            return Err(format!(
-                "--family: `{name}` is not a registered family — see `apxperf list`"
-            ));
-        }
-    }
+    // the order `query::pareto_text` checks in, so the first error a
+    // request meets is the one the CLI would print
+    query::overlay_configs(family.as_deref(), all)?;
+    query::resolve_workload(&params, &workload)?;
     Ok(ParetoRequest {
         workload,
         family,
@@ -845,6 +746,10 @@ fn pareto_request(
 
 #[cfg(test)]
 mod tests {
+    //! What the request shells still decide: which keys and fields a
+    //! request may carry, and the defaults. Value parsing and the name,
+    //! size and `--family`/`--all` checks are `apx_core::query`'s and are
+    //! tested there.
     use super::*;
 
     #[test]
@@ -858,41 +763,42 @@ mod tests {
         assert_eq!(params.samples, 2000);
         assert_eq!(params.seed, Some(0xBEEF));
         assert_eq!(params.vectors, defaults.vectors);
-        let err =
-            params_from_query(defaults, &[("sample".to_owned(), "1".to_owned())]).unwrap_err();
-        assert!(err.contains("unknown query parameter"), "{err}");
-        let err =
-            params_from_query(defaults, &[("samples".to_owned(), "0".to_owned())]).unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
+        // a report ignores the workload shape, so its keys are typos here
+        for key in ["sample", "size"] {
+            let err = params_from_query(defaults, &[(key.to_owned(), "1".to_owned())]).unwrap_err();
+            assert!(err.contains("unknown query parameter"), "{err}");
+        }
     }
 
     #[test]
-    fn sweep_bodies_validate_names_up_front() {
+    fn sweep_bodies_take_numbers_or_strings_and_reject_unknown_fields() {
         let defaults = QueryParams::default();
-        let fields = parse_body(r#"{"family":"points","workload":"fir","samples":500}"#).unwrap();
+        let fields =
+            parse_body(r#"{"family":"points","workload":"fir","samples":500,"seed":"0x10"}"#)
+                .unwrap();
         let sweep = sweep_request(defaults, &fields).unwrap();
         assert_eq!(sweep.family, "points");
         assert_eq!(sweep.workload.as_deref(), Some("fir"));
         assert_eq!(sweep.params.samples, 500);
-        let fields = parse_body(r#"{"family":"nope"}"#).unwrap();
-        let err = sweep_request(defaults, &fields).unwrap_err();
-        assert!(err.contains("is not one of"), "{err}");
-        let fields = parse_body(r#"{"workload":"nope"}"#).unwrap();
-        let err = sweep_request(defaults, &fields).unwrap_err();
-        assert!(err.contains("unknown workload"), "{err}");
+        assert_eq!(sweep.params.seed, Some(0x10));
         let fields = parse_body(r#"{"familly":"points"}"#).unwrap();
         let err = sweep_request(defaults, &fields).unwrap_err();
         assert!(err.contains("unknown field"), "{err}");
+        for body in [
+            r#"{"samples":-1}"#,
+            r#"{"samples":1.5}"#,
+            r#"{"samples":true}"#,
+        ] {
+            let err = sweep_request(defaults, &parse_body(body).unwrap()).unwrap_err();
+            assert!(err.contains("is not an integer"), "{body}: {err}");
+        }
     }
 
     #[test]
-    fn pareto_bodies_enforce_the_cli_exclusions() {
+    fn pareto_bodies_need_a_workload() {
         let defaults = QueryParams::default();
         let err = pareto_request(defaults, &parse_body("{}").unwrap()).unwrap_err();
         assert!(err.contains("workload"), "{err}");
-        let fields = parse_body(r#"{"workload":"fir","family":"points","all":true}"#).unwrap();
-        let err = pareto_request(defaults, &fields).unwrap_err();
-        assert!(err.contains("mutually exclusive"), "{err}");
         let fields = parse_body(r#"{"workload":"fir","all":true,"format":"json"}"#).unwrap();
         let pareto = pareto_request(defaults, &fields).unwrap();
         assert!(pareto.all);
@@ -906,5 +812,6 @@ mod tests {
         assert_eq!(sweep.family, "adders");
         assert_eq!(sweep.workload, None);
         assert_eq!(sweep.format, Format::Tty);
+        assert_eq!(sweep.params, QueryParams::default());
     }
 }

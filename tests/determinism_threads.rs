@@ -55,37 +55,6 @@ fn approximate_report_is_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn report_is_bit_identical_across_eval_batch_widths() {
-    // the in-shard eval-batch width (how many samples are handed to one
-    // `eval_batch` call) is a pure wall-clock knob exactly like the
-    // thread count: draws are per-sample sequential within a shard, so
-    // regrouping them into wider or narrower batches must not move a
-    // single reported bit — on any thread count
-    let lib = Library::fdsoi28();
-    let config = OperatorConfig::MulTrunc { n: 16, q: 16 };
-    let report_for = |batch: usize, threads: usize| {
-        Characterizer::new(&lib)
-            .with_settings(settings())
-            .with_engine(Engine::new(threads))
-            .with_eval_batch(batch)
-            .characterize(&config)
-    };
-    let baseline = report_for(64, 1);
-    assert!(baseline.verified);
-    // ragged widths (1, 63, 65, 4097) cut the error accumulator's
-    // 64-sample bit-flip blocks off the multiples of 64
-    for batch in [1, 63, 64, 65, 1024, 4097, 8192] {
-        for threads in [1, 4] {
-            assert_eq!(
-                report_for(batch, threads),
-                baseline,
-                "report differs at batch={batch} threads={threads}"
-            );
-        }
-    }
-}
-
-#[test]
 fn full_error_stats_are_bit_identical_across_thread_counts() {
     // beyond the scalar summary: the PSD capture and PDF bins also merge
     // in shard order, so the non-scalar metrics must agree too

@@ -210,6 +210,49 @@ fn healthz_portfile_and_structured_errors() {
     let (status, body) = post(daemon.addr, "/pareto", "{}");
     assert_eq!(status, 400);
     assert!(body.contains("workload"), "{body}");
+    // a workload that rejects its size is refused at submission with the
+    // message the same CLI flags get (`apxperf sweep --workload jpeg
+    // --size 7`, `apxperf pareto --workload kmeans --sets 0`), not
+    // accepted as a job that then fails
+    let lib = Library::fdsoi28();
+    let engine = Engine::new(1);
+    let cli_sweep = query::sweep_text(
+        &lib,
+        &QueryParams {
+            size: 7,
+            ..small_params()
+        },
+        "adders",
+        Some("jpeg"),
+        Format::Tty,
+        &engine,
+        &Cache::default(),
+    )
+    .unwrap_err();
+    let cli_pareto = query::pareto_text(
+        &lib,
+        &QueryParams {
+            sets: 0,
+            ..small_params()
+        },
+        "kmeans",
+        None,
+        false,
+        Format::Tty,
+        &engine,
+        &Cache::default(),
+    )
+    .unwrap_err();
+    for (path, body, cli) in [
+        ("/sweep", r#"{"workload":"jpeg","size":7}"#, cli_sweep),
+        ("/pareto", r#"{"workload":"kmeans","sets":0}"#, cli_pareto),
+    ] {
+        let (status, reply) = post(daemon.addr, path, body);
+        assert_eq!(status, 400, "{path} {body}: {reply}");
+        let error = serde::Value::Object(vec![("error".to_owned(), serde::Value::String(cli))]);
+        assert_eq!(reply, serde_json::to_string(&error).unwrap() + "\n");
+        assert!(!reply.contains("\"job\""), "{reply}");
+    }
     let (status, body) = post(daemon.addr, "/sweep", "not json at all");
     assert_eq!(status, 400);
     assert!(body.contains("not JSON"), "{body}");
@@ -219,10 +262,17 @@ fn healthz_portfile_and_structured_errors() {
     let (status, body) = get(daemon.addr, "/job/banana");
     assert_eq!(status, 400, "{body}");
 
-    // none of the errors counted as report traffic
+    // none of the errors counted as report traffic or became a job
     let (status, stats) = get(daemon.addr, "/stats");
     assert_eq!(status, 200);
-    for field in ["hits", "misses", "coalesced", "rejected", "inflight"] {
+    for field in [
+        "hits",
+        "misses",
+        "coalesced",
+        "rejected",
+        "inflight",
+        "failed",
+    ] {
         assert_eq!(json_u64(&stats, field), 0, "{field} in {stats}");
     }
     daemon.shutdown();
