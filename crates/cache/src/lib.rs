@@ -184,12 +184,6 @@ impl KeyBuilder {
         self.push_str(label, &value.to_string())
     }
 
-    /// Feeds one labelled `usize` field (decimal encoding).
-    #[must_use]
-    pub fn push_usize(self, label: &str, value: usize) -> Self {
-        self.push_str(label, &value.to_string())
-    }
-
     /// Feeds one labelled structured field through its canonical compact
     /// JSON encoding.
     #[must_use]
@@ -684,7 +678,14 @@ impl Cache {
     /// run's cache traffic was. Best-effort and atomic, like blob
     /// writes; a disabled cache ignores the call.
     pub fn persist_run_stats(&self) {
-        if let Ok(json) = serde_json::to_string_pretty(&self.stats()) {
+        self.persist_stats(&self.stats());
+    }
+
+    /// [`Cache::persist_run_stats`] for a snapshot of [`Cache::stats`]
+    /// the caller already took, which spares a second scan of the
+    /// directory.
+    pub fn persist_stats(&self, stats: &CacheStats) {
+        if let Ok(json) = serde_json::to_string_pretty(stats) {
             self.write_record_atomic(Cache::RUN_STATS_FILE, &(json + "\n"));
         }
     }

@@ -233,6 +233,48 @@ impl Library {
         self.op
     }
 
+    /// Whether the two libraries agree field for field, floats compared
+    /// by bit pattern (so `-0.0` differs from `0.0`, unlike `==`). Equal
+    /// libraries therefore serialize identically.
+    #[must_use]
+    pub fn bitwise_eq(&self, other: &Library) -> bool {
+        self.name == other.name
+            && self.cells.keys().eq(other.cells.keys())
+            && self.float_bits() == other.float_bits()
+    }
+
+    /// The bit pattern of every float in the library.
+    fn float_bits(&self) -> Vec<u64> {
+        // exhaustive destructuring: a new field fails to compile here
+        // until it is covered
+        let Library {
+            name: _,
+            cells,
+            wire_cap_ff_per_fanout,
+            op: OperatingPoint { vdd_v, freq_mhz },
+        } = self;
+        let mut floats = vec![wire_cap_ff_per_fanout, vdd_v, freq_mhz];
+        for spec in cells.values() {
+            let CellSpec {
+                area_um2,
+                input_cap_ff,
+                arcs_ps,
+                drive_ps_per_ff,
+                energy_fj,
+                leakage_nw,
+            } = spec;
+            floats.extend([
+                area_um2,
+                input_cap_ff,
+                drive_ps_per_ff,
+                energy_fj,
+                leakage_nw,
+            ]);
+            floats.extend(arcs_ps.iter().flatten());
+        }
+        floats.into_iter().map(|x| x.to_bits()).collect()
+    }
+
     /// Returns a copy of this library at a different operating point.
     /// Switching energy scales with `(vdd / 1.0 V)²`.
     #[must_use]

@@ -272,7 +272,7 @@ pub(crate) fn report_cache_use(cache: &Cache) {
     if stats.hits + stats.misses + stats.writes == 0 {
         return;
     }
-    cache.persist_run_stats();
+    cache.persist_stats(&stats);
     eprintln!(
         "cache: {} hits, {} misses, {} writes ({})",
         stats.hits,

@@ -59,6 +59,7 @@ use apx_apps::Workload;
 use apx_cache::{ArchiveStamp, CacheKey, KeyBuilder};
 use apx_cells::Library;
 use apx_operators::{OpClass, OperatorConfig, SiteMap};
+use std::sync::{Mutex, PoisonError};
 
 /// Version of the cached-report schema. Bump on any change to the
 /// serialized [`OperatorReport`] shape *or* to the semantics of a keyed
@@ -74,16 +75,32 @@ use apx_operators::{OpClass, OperatorConfig, SiteMap};
 /// from the retired stream definition.
 pub const REPORT_SCHEMA_VERSION: u32 = 2;
 
+/// The last library [`library_fingerprint`] hashed, with its key. Shared
+/// by every thread, since `serve` answers each request on a fresh one.
+static LAST_LIBRARY: Mutex<Option<(Library, CacheKey)>> = Mutex::new(None);
+
 /// Stable fingerprint of a cell library: a content hash over its
 /// canonical JSON serialization, covering every cell spec, the wire-load
 /// model and the operating point. Editing any delay/energy/area number,
 /// retargeting the node or scaling the supply changes the fingerprint —
 /// and with it every report cache key derived from the library.
+///
+/// Serializing the library costs far more than the rest of a key, so
+/// the last library and its fingerprint are remembered process-wide and
+/// reused for a library that is [bitwise equal](Library::bitwise_eq).
 #[must_use]
 pub fn library_fingerprint(lib: &Library) -> CacheKey {
-    KeyBuilder::new("apxperf-library/v1")
-        .push_json("library", lib)
-        .finish()
+    let mut last = LAST_LIBRARY.lock().unwrap_or_else(PoisonError::into_inner);
+    match &*last {
+        Some((known, key)) if known.bitwise_eq(lib) => *key,
+        _ => {
+            let key = KeyBuilder::new("apxperf-library/v1")
+                .push_json("library", lib)
+                .finish();
+            *last = Some((lib.clone(), key));
+            key
+        }
+    }
 }
 
 /// The content-addressed key of one characterization report: a stable
@@ -432,6 +449,25 @@ mod tests {
             freq_mhz: 100.0,
         });
         assert_ne!(base, library_fingerprint(&scaled));
+    }
+
+    #[test]
+    fn remembered_fingerprint_tells_signed_zeros_apart() {
+        // `-0.0 == 0.0`, but the two serialize differently, so the
+        // remembered fingerprint of one must not answer for the other
+        let at = |vdd_v: f64| {
+            Library::fdsoi28().with_operating_point(OperatingPoint {
+                vdd_v,
+                freq_mhz: 100.0,
+            })
+        };
+        let (pos, neg) = (at(0.0), at(-0.0));
+        assert_ne!(
+            serde_json::to_string(&pos).unwrap(),
+            serde_json::to_string(&neg).unwrap()
+        );
+        assert_ne!(library_fingerprint(&pos), library_fingerprint(&neg));
+        assert_ne!(library_fingerprint(&neg), library_fingerprint(&pos));
     }
 
     #[test]

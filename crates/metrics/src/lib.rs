@@ -26,9 +26,9 @@
 //!
 //! ```
 //! use apx_metrics::ErrorStats;
-//! use apx_operators::{AddTrunc, ApxOperator};
+//! use apx_operators::OperatorConfig;
 //!
-//! let op = AddTrunc::new(16, 12);
+//! let op = OperatorConfig::AddTrunc { n: 16, q: 12 }.build();
 //! let mut stats = ErrorStats::new(op.ref_bits(), op.fullscale_bits());
 //! for a in (0..1u64 << 16).step_by(257) {
 //!     for b in (0..1u64 << 16).step_by(509) {

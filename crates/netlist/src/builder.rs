@@ -161,19 +161,9 @@ impl NetlistBuilder {
         self.gate1(CellKind::Xor2, &[a, b])
     }
 
-    /// `!(a ^ b)`
-    pub fn xnor(&mut self, a: NetId, b: NetId) -> NetId {
-        self.gate1(CellKind::Xnor2, &[a, b])
-    }
-
     /// `!(a & b)`
     pub fn nand(&mut self, a: NetId, b: NetId) -> NetId {
         self.gate1(CellKind::Nand2, &[a, b])
-    }
-
-    /// `sel ? d1 : d0`
-    pub fn mux(&mut self, sel: NetId, d0: NetId, d1: NetId) -> NetId {
-        self.gate1(CellKind::Mux2, &[d0, d1, sel])
     }
 
     /// Half adder: returns `(sum, carry)`.
@@ -184,21 +174,6 @@ impl NetlistBuilder {
     /// Full adder: returns `(sum, cout)`.
     pub fn full_adder(&mut self, a: NetId, b: NetId, cin: NetId) -> (NetId, NetId) {
         self.gate2(CellKind::Fa, &[a, b, cin])
-    }
-
-    /// Carry-propagate cell without the sum output:
-    /// `cout = (a & b) | ((a ^ b) & cin)`, built from shared
-    /// propagate/generate terms. Used by speculative carry chains (ACA,
-    /// ETAIV) where the sum bits of the chain are never consumed.
-    ///
-    /// Returns `(p, g, cout)` so callers can reuse the propagate term for
-    /// the sum XOR.
-    pub fn carry_cell(&mut self, a: NetId, b: NetId, cin: NetId) -> (NetId, NetId, NetId) {
-        let p = self.xor(a, b);
-        let g = self.and(a, b);
-        let pc = self.and(p, cin);
-        let cout = self.or(g, pc);
-        (p, g, cout)
     }
 
     /// `width`-bit ripple-carry adder over two equal-width buses.
@@ -344,12 +319,6 @@ impl NetlistBuilder {
         }
         // final carry-propagate stage shared with the tree variant
         self.final_carry_propagate(columns, width)
-    }
-
-    /// Number of gates added so far.
-    #[must_use]
-    pub fn gate_count(&self) -> usize {
-        self.gates.len()
     }
 
     /// Finalizes the netlist.

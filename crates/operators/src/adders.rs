@@ -1,10 +1,7 @@
-//! Adder operators: exact, carefully sized fixed-point (truncated /
-//! rounded), and the three approximate adders of the paper.
+//! The approximate adders of the paper. The exact and carefully sized
+//! fixed-point adders (`ADD`, `ADDt`, `ADDr`: §II-A, the "careful data
+//! sizing" side) are all [`SizedAdd`](crate::SizedAdd).
 //!
-//! * [`AddExact`] — plain ripple-carry adder, the accuracy reference.
-//! * [`AddTrunc`] / [`AddRound`] — fixed-point data sizing (§II-A): the
-//!   `n-q` operand LSBs are dropped (truncation) or rounded away and only a
-//!   `q`-bit adder is built. These are the "careful data sizing" side.
 //! * [`Aca`] — Almost Correct Adder (Verma, Brisk, Ienne — DATE'08):
 //!   every sum bit `i` is computed from an accurate addition of the bits
 //!   `i-P..=i` only (speculative carry of length `P`).
@@ -30,179 +27,6 @@ use apx_cells::CellKind;
 use apx_netlist::{Netlist, NetlistBuilder};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Exact `n`-bit ripple-carry adder with an `n`-bit (wrapping) output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AddExact {
-    n: u32,
-}
-
-impl AddExact {
-    /// Creates an exact adder over `n`-bit operands.
-    ///
-    /// # Panics
-    /// Panics unless `2 <= n <= 32`.
-    #[must_use]
-    pub fn new(n: u32) -> Self {
-        assert!((2..=32).contains(&n), "n out of range");
-        AddExact { n }
-    }
-}
-
-impl ApxOperator for AddExact {
-    fn name(&self) -> String {
-        format!("ADD({},{})", self.n, self.n)
-    }
-    fn op_class(&self) -> OpClass {
-        OpClass::Adder
-    }
-    fn input_bits(&self) -> u32 {
-        self.n
-    }
-    fn output_bits(&self) -> u32 {
-        self.n
-    }
-    fn eval_u(&self, a: u64, b: u64) -> u64 {
-        a.wrapping_add(b) & mask_u(self.n)
-    }
-    fn netlist(&self) -> Netlist {
-        let mut b = NetlistBuilder::new(self.name());
-        let av = b.input_bus("a", self.n as usize);
-        let bv = b.input_bus("b", self.n as usize);
-        let zero = b.tie0();
-        let (sum, _cout) = b.ripple_adder(&av, &bv, zero);
-        b.output_bus("y", &sum);
-        let mut nl = b.finish();
-        nl.prune_dead_gates();
-        nl
-    }
-}
-
-/// Truncated fixed-point adder `ADDt(n, q)`: both operands lose their
-/// `n-q` LSBs before a `q`-bit exact addition.
-///
-/// This is the paper's careful-data-sizing baseline: accuracy falls with
-/// `q`, but so do area, power **and the width of everything downstream**.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AddTrunc {
-    n: u32,
-    q: u32,
-}
-
-impl AddTrunc {
-    /// Creates `ADDt(n, q)`.
-    ///
-    /// # Panics
-    /// Panics unless `2 <= n <= 32` and `1 <= q <= n`.
-    #[must_use]
-    pub fn new(n: u32, q: u32) -> Self {
-        assert!((2..=32).contains(&n), "n out of range");
-        assert!((1..=n).contains(&q), "q out of range");
-        AddTrunc { n, q }
-    }
-
-    /// Number of output bits kept.
-    #[must_use]
-    pub fn kept_bits(&self) -> u32 {
-        self.q
-    }
-}
-
-impl ApxOperator for AddTrunc {
-    fn name(&self) -> String {
-        format!("ADDt({},{})", self.n, self.q)
-    }
-    fn op_class(&self) -> OpClass {
-        OpClass::Adder
-    }
-    fn input_bits(&self) -> u32 {
-        self.n
-    }
-    fn output_bits(&self) -> u32 {
-        self.q
-    }
-    fn output_shift(&self) -> u32 {
-        self.n - self.q
-    }
-    fn eval_u(&self, a: u64, b: u64) -> u64 {
-        let s = self.n - self.q;
-        ((a >> s).wrapping_add(b >> s)) & mask_u(self.q)
-    }
-    fn netlist(&self) -> Netlist {
-        let s = (self.n - self.q) as usize;
-        let mut b = NetlistBuilder::new(self.name());
-        let av = b.input_bus("a", self.n as usize);
-        let bv = b.input_bus("b", self.n as usize);
-        let zero = b.tie0();
-        let (sum, _cout) = b.ripple_adder(&av[s..], &bv[s..], zero);
-        b.output_bus("y", &sum);
-        let mut nl = b.finish();
-        nl.prune_dead_gates();
-        nl
-    }
-}
-
-/// Rounded fixed-point adder `ADDr(n, q)`: each operand is rounded to the
-/// nearest multiple of `2^(n-q)` before the `q`-bit addition
-/// (`(x + 2^(s-1)) >> s == (x >> s) + x_{s-1}`), which removes the
-/// truncation bias at the cost of two extra carry inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AddRound {
-    n: u32,
-    q: u32,
-}
-
-impl AddRound {
-    /// Creates `ADDr(n, q)`.
-    ///
-    /// # Panics
-    /// Panics unless `2 <= n <= 32` and `1 <= q < n` (use [`AddExact`] for
-    /// `q == n`, where there is nothing to round).
-    #[must_use]
-    pub fn new(n: u32, q: u32) -> Self {
-        assert!((2..=32).contains(&n), "n out of range");
-        assert!((1..n).contains(&q), "q out of range");
-        AddRound { n, q }
-    }
-}
-
-impl ApxOperator for AddRound {
-    fn name(&self) -> String {
-        format!("ADDr({},{})", self.n, self.q)
-    }
-    fn op_class(&self) -> OpClass {
-        OpClass::Adder
-    }
-    fn input_bits(&self) -> u32 {
-        self.n
-    }
-    fn output_bits(&self) -> u32 {
-        self.q
-    }
-    fn output_shift(&self) -> u32 {
-        self.n - self.q
-    }
-    fn eval_u(&self, a: u64, b: u64) -> u64 {
-        let s = self.n - self.q;
-        let ra = (a >> s).wrapping_add(bit(a, s - 1));
-        let rb = (b >> s).wrapping_add(bit(b, s - 1));
-        ra.wrapping_add(rb) & mask_u(self.q)
-    }
-    fn netlist(&self) -> Netlist {
-        let s = (self.n - self.q) as usize;
-        let mut b = NetlistBuilder::new(self.name());
-        let av = b.input_bus("a", self.n as usize);
-        let bv = b.input_bus("b", self.n as usize);
-        // q-bit adder with cin = a's round bit, then an increment row
-        // folding in b's round bit.
-        let (sum, _cout) = b.ripple_adder(&av[s..], &bv[s..], av[s - 1]);
-        let (rounded, _c2) = b.increment_row(&sum, bv[s - 1]);
-        b.output_bus("y", &rounded);
-        let mut nl = b.finish();
-        nl.prune_dead_gates();
-        nl
-    }
-}
 
 /// Almost Correct Adder `ACA(n, p)` — Verma et al., DATE 2008.
 ///
@@ -621,27 +445,6 @@ mod tests {
     use super::*;
     use crate::util::cross_verify;
 
-    #[test]
-    fn exact_adder_netlist_matches_model() {
-        for n in [2, 4, 8] {
-            cross_verify(&AddExact::new(n));
-        }
-    }
-
-    #[test]
-    fn trunc_adder_netlist_matches_model() {
-        for (n, q) in [(8, 2), (8, 5), (8, 8), (10, 3)] {
-            cross_verify(&AddTrunc::new(n, q));
-        }
-    }
-
-    #[test]
-    fn round_adder_netlist_matches_model() {
-        for (n, q) in [(8, 2), (8, 5), (8, 7), (10, 6)] {
-            cross_verify(&AddRound::new(n, q));
-        }
-    }
-
     /// The widths the closed forms are checked at against their netlists:
     /// exhaustively at 8 bits, on random vectors at 16 and 32.
     const NETLIST_WIDTHS: [u32; 3] = [8, 16, 32];
@@ -704,35 +507,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn trunc_error_is_bounded_and_positive() {
-        let op = AddTrunc::new(12, 8);
-        let s = 4u32;
-        for (a, b) in [(0u64, 0u64), (0xFFF, 0xFFF), (0xABC, 0x123), (0x00F, 0x0F0)] {
-            let e = crate::centered_diff(op.reference_u(a, b), op.aligned_u(a, b), 12);
-            assert!(e >= 0, "truncation never overshoots");
-            assert!(e <= 2 * ((1 << s) - 1), "bounded by dropped input bits");
-        }
-    }
-
-    #[test]
-    fn round_error_is_smaller_in_magnitude_than_trunc() {
-        // Over the full 8-bit exhaustive space, rounding must have lower MSE.
-        let tr = AddTrunc::new(8, 5);
-        let ro = AddRound::new(8, 5);
-        let (mut se_t, mut se_r) = (0i64, 0i64);
-        for a in 0..256u64 {
-            for b in 0..256u64 {
-                let r = tr.reference_u(a, b);
-                let et = crate::centered_diff(r, tr.aligned_u(a, b), 8);
-                let er = crate::centered_diff(r, ro.aligned_u(a, b), 8);
-                se_t += et * et;
-                se_r += er * er;
-            }
-        }
-        assert!(se_r < se_t, "rounding MSE {se_r} !< truncation MSE {se_t}");
     }
 
     #[test]
@@ -828,20 +602,7 @@ mod tests {
     }
 
     #[test]
-    fn aligned_batch_applies_shift_and_mask() {
-        let op = AddTrunc::new(12, 8);
-        let a: Vec<u64> = (0..100u64).map(|i| (i * 41) & 0xFFF).collect();
-        let b: Vec<u64> = (0..100u64).map(|i| (i * 173) & 0xFFF).collect();
-        let mut out = vec![0u64; 100];
-        op.aligned_batch(&a, &b, &mut out);
-        for i in 0..100 {
-            assert_eq!(out[i], op.aligned_u(a[i], b[i]));
-        }
-    }
-
-    #[test]
     fn paper_notation_names() {
-        assert_eq!(AddTrunc::new(16, 10).name(), "ADDt(16,10)");
         assert_eq!(Aca::new(16, 12).name(), "ACA(16,12)");
         assert_eq!(EtaIv::new(16, 4).name(), "ETAIV(16,4)");
         assert_eq!(RcaApx::new(16, 6, FaType::Three).name(), "RCAApx(16,6,3)");

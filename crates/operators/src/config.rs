@@ -2,10 +2,10 @@
 //! framework (the paper sweeps "all possible combinations of parameters",
 //! §IV).
 
-use crate::adders::{Aca, AddExact, AddRound, AddTrunc, EtaIi, EtaIv, FaType, RcaApx};
-use crate::mul_array::{Aam, MulExact, MulRound, MulTrunc};
+use crate::adders::{Aca, EtaIi, EtaIv, FaType, RcaApx};
+use crate::mul_array::{Aam, FixedWidthMul};
 use crate::mul_booth::{Abm, AbmUncorrected, MulBoothExact};
-use crate::sized::{QuantMode, SizedAdd, SizedMul};
+use crate::sized::{Notation, QuantMode, SizedAdd, SizedMul};
 use crate::traits::{ApxOperator, OpClass};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -144,17 +144,21 @@ impl OperatorConfig {
     /// (see the constructors of the concrete types).
     #[must_use]
     pub fn build(&self) -> Box<dyn ApxOperator> {
+        use QuantMode::{Round, Trunc};
+        let add = |n, w, mode, notation| Box::new(SizedAdd::with_notation(n, w, mode, notation));
+        let mul =
+            |n, q, mode, notation| Box::new(FixedWidthMul::with_notation(n, q, mode, notation));
         match *self {
-            OperatorConfig::AddExact { n } => Box::new(AddExact::new(n)),
-            OperatorConfig::AddTrunc { n, q } => Box::new(AddTrunc::new(n, q)),
-            OperatorConfig::AddRound { n, q } => Box::new(AddRound::new(n, q)),
+            OperatorConfig::AddExact { n } => add(n, n, Trunc, Notation::Exact),
+            OperatorConfig::AddTrunc { n, q } => add(n, q, Trunc, Notation::Kept),
+            OperatorConfig::AddRound { n, q } => add(n, q, Round, Notation::Kept),
             OperatorConfig::Aca { n, p } => Box::new(Aca::new(n, p)),
             OperatorConfig::EtaIv { n, x } => Box::new(EtaIv::new(n, x)),
             OperatorConfig::EtaIi { n, x } => Box::new(EtaIi::new(n, x)),
             OperatorConfig::RcaApx { n, m, fa_type } => Box::new(RcaApx::new(n, m, fa_type)),
-            OperatorConfig::MulExact { n } => Box::new(MulExact::new(n)),
-            OperatorConfig::MulTrunc { n, q } => Box::new(MulTrunc::new(n, q)),
-            OperatorConfig::MulRound { n, q } => Box::new(MulRound::new(n, q)),
+            OperatorConfig::MulExact { n } => mul(n, 2 * n, Trunc, Notation::Exact),
+            OperatorConfig::MulTrunc { n, q } => mul(n, q, Trunc, Notation::Kept),
+            OperatorConfig::MulRound { n, q } => mul(n, q, Round, Notation::Kept),
             OperatorConfig::MulBooth { n } => Box::new(MulBoothExact::new(n)),
             OperatorConfig::Aam { n } => Box::new(Aam::new(n)),
             OperatorConfig::Abm { n } => Box::new(Abm::new(n)),
@@ -488,7 +492,9 @@ mod tests {
     #[test]
     fn build_roundtrips_names() {
         let configs = [
+            (OperatorConfig::AddExact { n: 16 }, "ADD(16,16)"),
             (OperatorConfig::AddTrunc { n: 16, q: 10 }, "ADDt(16,10)"),
+            (OperatorConfig::AddRound { n: 16, q: 1 }, "ADDr(16,1)"),
             (OperatorConfig::Aca { n: 16, p: 12 }, "ACA(16,12)"),
             (OperatorConfig::EtaIv { n: 16, x: 4 }, "ETAIV(16,4)"),
             (
@@ -499,7 +505,9 @@ mod tests {
                 },
                 "RCAApx(16,6,3)",
             ),
+            (OperatorConfig::MulExact { n: 16 }, "MUL(16,32)"),
             (OperatorConfig::MulTrunc { n: 16, q: 16 }, "MULt(16,16)"),
+            (OperatorConfig::MulRound { n: 16, q: 12 }, "MULr(16,12)"),
             (
                 OperatorConfig::AddSized {
                     n: 16,

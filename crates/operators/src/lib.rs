@@ -3,10 +3,12 @@
 //! Two families are implemented, mirroring §II of Barrois et al. (DATE 2017):
 //!
 //! * **Fixed-point (FxP) operators** — accurate adders/multipliers whose
-//!   data bit-width is *carefully sized*: [`AddExact`], [`AddTrunc`],
-//!   [`AddRound`], [`MulExact`], [`MulTrunc`], [`MulRound`],
-//!   [`MulBoothExact`]. Their only error source is quantization
-//!   (truncation/rounding of dropped LSBs).
+//!   data bit-width is *carefully sized*: one adder, [`SizedAdd`]
+//!   (`ADD`, `ADDt`, `ADDr`, `ADDst`, `ADDsr`), the fixed-width array
+//!   multiplier [`FixedWidthMul`] (`MUL`, `MULt`, `MULr`), the sized
+//!   multiplier [`SizedMul`] (`MULst`, `MULsr`) and [`MulBoothExact`].
+//!   Their only error source is quantization (truncation/rounding of
+//!   dropped LSBs, see [`QuantMode`]).
 //! * **Approximate operators** — structurally simplified hardware:
 //!   the adders [`Aca`] (Almost Correct Adder, Verma et al.), [`EtaIv`]
 //!   (Error-Tolerant Adder IV, Zhu et al.), [`RcaApx`] (approximate
@@ -34,9 +36,11 @@
 //! # Example
 //!
 //! ```
-//! use apx_operators::{AddTrunc, ApxOperator};
+//! use apx_operators::OperatorConfig;
 //!
-//! let op = AddTrunc::new(16, 12); // 16-bit operands, 12-bit output
+//! // 16-bit operands, 12-bit output
+//! let op = OperatorConfig::AddTrunc { n: 16, q: 12 }.build();
+//! assert_eq!(op.name(), "ADDt(16,12)");
 //! let (a, b) = (0x1234, 0x0FF7);
 //! let approx = op.aligned_u(a, b);
 //! let exact = op.reference_u(a, b);
@@ -56,10 +60,10 @@ mod sized;
 mod traits;
 pub(crate) mod util;
 
-pub use adders::{Aca, AddExact, AddRound, AddTrunc, EtaIi, EtaIv, FaType, RcaApx};
+pub use adders::{Aca, EtaIi, EtaIv, FaType, RcaApx};
 pub use config::{OperatorConfig, ParseConfigError};
 pub use context::{OpCounts, OperatorCtx, SiteCounts, SiteMap, SiteOps, SiteSpec};
-pub use mul_array::{Aam, MulExact, MulRound, MulTrunc};
+pub use mul_array::{Aam, FixedWidthMul};
 pub use mul_booth::{Abm, AbmUncorrected, MulBoothExact};
 pub use sized::{QuantMode, SizedAdd, SizedMul};
 pub use traits::{ApxOperator, OpClass};

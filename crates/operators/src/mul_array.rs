@@ -1,14 +1,15 @@
-//! Array (Baugh-Wooley) multipliers: exact, fixed-width truncated/rounded,
-//! and the AAM approximate array multiplier of Van et al.
+//! Array (Baugh-Wooley) multipliers: the fixed-width multiplier
+//! [`FixedWidthMul`] (exact `MUL`, truncated `MULt` and rounded `MULr`
+//! in one type) and the AAM approximate array multiplier of Van et al.
 //!
 //! All array multipliers here share one source of truth for the partial-
 //! product grid: [`bw_terms`] places every Baugh-Wooley term (AND, NAND or
 //! constant 1) at its column, and every **netlist generator** instantiates
-//! those terms. The exact, truncated and rounded **functional models** use
-//! the closed form the full grid sums to (the signed product mod `2^{2n}`,
-//! pinned by `bw_grid_sums_to_the_signed_product`; netlist
-//! cross-verification pins the compression); AAM, which prunes the grid,
-//! sums the kept terms themselves.
+//! those terms. The fixed-width **functional model** uses the closed form
+//! the full grid sums to (the signed product mod `2^{2n}`, pinned by
+//! `bw_grid_sums_to_the_signed_product`; netlist cross-verification pins
+//! the compression); AAM, which prunes the grid, sums the kept terms
+//! themselves.
 //!
 //! Baugh-Wooley (modified form), for `n`-bit two's-complement operands:
 //!
@@ -18,8 +19,9 @@
 //!      + a_{n-1}b_{n-1} 2^{2n-2} + 2^{2n-1} + 2^n        (mod 2^{2n})
 //! ```
 
+use crate::sized::{Notation, QuantMode};
 use crate::traits::{ApxOperator, OpClass};
-use crate::util::{bit, bitsliced_batch, compress_columns64, mask_u, signed_product};
+use crate::util::{bit, bitsliced_batch, compress_columns64, mask_u, sext, to_u};
 use apx_netlist::{NetId, Netlist, NetlistBuilder};
 
 /// One Baugh-Wooley partial-product term.
@@ -120,29 +122,60 @@ pub(crate) fn build_columns(
         .collect()
 }
 
-/// Exact `n×n → 2n` two's-complement array multiplier (modified
-/// Baugh-Wooley grid + Wallace-style compression) — the accuracy
-/// reference for all multiplier comparisons.
+/// Fixed-width array multiplier: the exact `n×n → 2n` two's-complement
+/// product (modified Baugh-Wooley grid + Wallace-style compression), of
+/// which only the `q` most-significant bits are kept (post-quantization
+/// — the whole carry structure is retained, which is why it is the most
+/// accurate fixed-width choice). Rounding injects the constant
+/// `2^(2n-q-1)` into the compression grid, centering the quantization
+/// error at zero for one extra compressor input.
+///
+/// It prints as `MUL(n,2n)` (the exact multiplier, `q == 2n`, the
+/// accuracy reference for all multiplier comparisons) or
+/// `MULt(n,q)`/`MULr(n,q)`, depending on the
+/// [`OperatorConfig`](crate::OperatorConfig) it was built from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MulExact {
+pub struct FixedWidthMul {
     n: u32,
+    q: u32,
+    mode: QuantMode,
+    notation: Notation,
 }
 
-impl MulExact {
-    /// Creates an exact `n×n` multiplier.
+impl FixedWidthMul {
+    /// Creates `MULt(n, q)` / `MULr(n, q)`.
     ///
     /// # Panics
-    /// Panics unless `2 <= n <= 24`.
+    /// Panics unless `2 <= n <= 24` and `1 <= q <= 2n` (`q < 2n` for
+    /// rounding — at `q == 2n` there is nothing to round).
     #[must_use]
-    pub fn new(n: u32) -> Self {
+    pub fn new(n: u32, q: u32, mode: QuantMode) -> Self {
+        Self::with_notation(n, q, mode, Notation::Kept)
+    }
+
+    /// [`FixedWidthMul::new`] printing as `notation`.
+    pub(crate) fn with_notation(n: u32, q: u32, mode: QuantMode, notation: Notation) -> Self {
         assert!((2..=24).contains(&n), "n out of range");
-        MulExact { n }
+        match mode {
+            QuantMode::Trunc => assert!((1..=2 * n).contains(&q), "q out of range"),
+            QuantMode::Round => assert!((1..2 * n).contains(&q), "q out of range"),
+        }
+        FixedWidthMul {
+            n,
+            q,
+            mode,
+            notation,
+        }
     }
 }
 
-impl ApxOperator for MulExact {
+impl ApxOperator for FixedWidthMul {
     fn name(&self) -> String {
-        format!("MUL({},{})", self.n, 2 * self.n)
+        let (n, q, mode) = (self.n, self.q, self.mode);
+        match self.notation {
+            Notation::Exact => format!("MUL({n},{q})"),
+            Notation::Kept | Notation::Sized => format!("MUL{mode}({n},{q})"),
+        }
     }
     fn op_class(&self) -> OpClass {
         OpClass::Multiplier
@@ -151,145 +184,35 @@ impl ApxOperator for MulExact {
         self.n
     }
     fn output_bits(&self) -> u32 {
-        2 * self.n
+        self.q
+    }
+    fn output_shift(&self) -> u32 {
+        2 * self.n - self.q
     }
     fn eval_u(&self, a: u64, b: u64) -> u64 {
         // The Baugh-Wooley grid the netlist instantiates sums to the
         // signed product mod 2^{2n} (pinned by
         // `bw_grid_sums_to_the_signed_product`), so the model is the
-        // closed form rather than an O(n²) term walk.
-        signed_product(a, b, self.n)
-    }
-    fn netlist(&self) -> Netlist {
-        let n = self.n as usize;
-        let mut b = NetlistBuilder::new(self.name());
-        let av = b.input_bus("a", n);
-        let bv = b.input_bus("b", n);
-        let cols = bw_terms(self.n);
-        let columns = build_columns(&mut b, &cols, &av, &bv, |_| true);
-        let out = b.compress_columns(columns, 2 * n);
-        b.output_bus("y", &out);
-        let mut nl = b.finish();
-        nl.prune_dead_gates();
-        nl
-    }
-}
-
-/// Truncated fixed-width multiplier `MULt(n, q)`: the full product is
-/// computed, and only the `q` most-significant of the `2n` product bits
-/// are kept (post-truncation — the whole carry structure is retained,
-/// which is why `MULt` is the most accurate fixed-width choice).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MulTrunc {
-    n: u32,
-    q: u32,
-}
-
-impl MulTrunc {
-    /// Creates `MULt(n, q)`.
-    ///
-    /// # Panics
-    /// Panics unless `2 <= n <= 24` and `1 <= q <= 2n`.
-    #[must_use]
-    pub fn new(n: u32, q: u32) -> Self {
-        assert!((2..=24).contains(&n), "n out of range");
-        assert!((1..=2 * n).contains(&q), "q out of range");
-        MulTrunc { n, q }
-    }
-}
-
-impl ApxOperator for MulTrunc {
-    fn name(&self) -> String {
-        format!("MULt({},{})", self.n, self.q)
-    }
-    fn op_class(&self) -> OpClass {
-        OpClass::Multiplier
-    }
-    fn input_bits(&self) -> u32 {
-        self.n
-    }
-    fn output_bits(&self) -> u32 {
-        self.q
-    }
-    fn output_shift(&self) -> u32 {
-        2 * self.n - self.q
-    }
-    fn eval_u(&self, a: u64, b: u64) -> u64 {
-        // the full product (see `MulExact::eval_u`), then the MULt output
-        // truncation: keep the q MSBs of the 2n product bits
-        signed_product(a, b, self.n) >> (2 * self.n - self.q)
-    }
-    fn netlist(&self) -> Netlist {
-        let n = self.n as usize;
-        let mut b = NetlistBuilder::new(self.name());
-        let av = b.input_bus("a", n);
-        let bv = b.input_bus("b", n);
-        let cols = bw_terms(self.n);
-        let columns = build_columns(&mut b, &cols, &av, &bv, |_| true);
-        let out = b.compress_columns(columns, 2 * n);
-        b.output_bus("y", &out[2 * n - self.q as usize..]);
-        let mut nl = b.finish();
-        nl.prune_dead_gates();
-        nl
-    }
-}
-
-/// Rounded fixed-width multiplier `MULr(n, q)`: like [`MulTrunc`] but a
-/// rounding constant `2^(2n-q-1)` is injected into the compression grid,
-/// centering the quantization error at zero for one extra compressor input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MulRound {
-    n: u32,
-    q: u32,
-}
-
-impl MulRound {
-    /// Creates `MULr(n, q)`.
-    ///
-    /// # Panics
-    /// Panics unless `2 <= n <= 24` and `1 <= q < 2n`.
-    #[must_use]
-    pub fn new(n: u32, q: u32) -> Self {
-        assert!((2..=24).contains(&n), "n out of range");
-        assert!((1..2 * n).contains(&q), "q out of range");
-        MulRound { n, q }
-    }
-}
-
-impl ApxOperator for MulRound {
-    fn name(&self) -> String {
-        format!("MULr({},{})", self.n, self.q)
-    }
-    fn op_class(&self) -> OpClass {
-        OpClass::Multiplier
-    }
-    fn input_bits(&self) -> u32 {
-        self.n
-    }
-    fn output_bits(&self) -> u32 {
-        self.q
-    }
-    fn output_shift(&self) -> u32 {
-        2 * self.n - self.q
-    }
-    fn eval_u(&self, a: u64, b: u64) -> u64 {
-        // the full product plus the rounding constant, mod 2^{2n}
-        // (2n <= 48, so the sum cannot overflow a u64), then the shift
+        // closed form rather than an O(n²) term walk: the product plus
+        // the rounding constant, mod 2^{2n}, then the q MSBs
         let shift = 2 * self.n - self.q;
-        let full = signed_product(a, b, self.n) + (1 << (shift - 1));
-        (full & mask_u(2 * self.n)) >> shift
+        let full = sext(a, self.n) * sext(b, self.n) + self.mode.half(shift) as i64;
+        to_u(full, 2 * self.n) >> shift
     }
     fn netlist(&self) -> Netlist {
         let n = self.n as usize;
+        let shift = 2 * n - self.q as usize;
         let mut b = NetlistBuilder::new(self.name());
         let av = b.input_bus("a", n);
         let bv = b.input_bus("b", n);
         let cols = bw_terms(self.n);
         let mut columns = build_columns(&mut b, &cols, &av, &bv, |_| true);
-        let one = b.tie1();
-        columns[(2 * self.n - self.q - 1) as usize].push(one);
+        if self.mode == QuantMode::Round {
+            let one = b.tie1();
+            columns[shift - 1].push(one);
+        }
         let out = b.compress_columns(columns, 2 * n);
-        b.output_bus("y", &out[2 * n - self.q as usize..]);
+        b.output_bus("y", &out[shift..]);
         let mut nl = b.finish();
         nl.prune_dead_gates();
         nl
@@ -303,9 +226,9 @@ impl ApxOperator for MulRound {
 /// products (a row of OR gates feeding the first kept column — the
 /// "simple series of AND and OR gates along the diagonal" of the paper).
 ///
-/// Compared with [`MulTrunc`]`(n, n)`, AAM removes roughly half of the
-/// array (area win) at the price of a statistical rather than exact carry
-/// into the kept half.
+/// Compared with `MULt(n, n)` ([`FixedWidthMul`]), AAM removes roughly
+/// half of the array (area win) at the price of a statistical rather than
+/// exact carry into the kept half.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Aam {
     n: u32,
@@ -449,7 +372,8 @@ impl ApxOperator for Aam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::util::cross_verify;
+    use crate::util::{cross_verify, signed_product};
+    use crate::OperatorConfig;
 
     #[test]
     fn bw_grid_sums_to_the_signed_product() {
@@ -465,24 +389,19 @@ mod tests {
     }
 
     #[test]
-    fn exact_multiplier_netlist_matches_model() {
-        for n in [3u32, 4, 6] {
-            cross_verify(&MulExact::new(n));
+    fn fixed_width_multiplier_netlist_matches_model() {
+        let mut configs: Vec<OperatorConfig> = Vec::new();
+        for n in [3u32, 4, 6, 16] {
+            configs.push(OperatorConfig::MulExact { n });
         }
-        cross_verify(&MulExact::new(16));
-    }
-
-    #[test]
-    fn trunc_multiplier_netlist_matches_model() {
         for (n, q) in [(4u32, 4u32), (4, 8), (6, 6), (6, 3)] {
-            cross_verify(&MulTrunc::new(n, q));
+            configs.push(OperatorConfig::MulTrunc { n, q });
         }
-    }
-
-    #[test]
-    fn round_multiplier_netlist_matches_model() {
         for (n, q) in [(4u32, 4u32), (6, 6), (6, 9)] {
-            cross_verify(&MulRound::new(n, q));
+            configs.push(OperatorConfig::MulRound { n, q });
+        }
+        for config in configs {
+            cross_verify(&*config.build());
         }
     }
 
@@ -520,13 +439,13 @@ mod tests {
     #[test]
     fn multiplier_batches_match_scalar_eval_exhaustively() {
         let ops: Vec<Box<dyn ApxOperator>> = vec![
-            Box::new(MulExact::new(4)),
-            Box::new(MulExact::new(8)),
-            Box::new(MulTrunc::new(8, 8)),
-            Box::new(MulTrunc::new(8, 3)),
-            Box::new(MulTrunc::new(8, 16)),
-            Box::new(MulRound::new(8, 8)),
-            Box::new(MulRound::new(8, 13)),
+            OperatorConfig::MulExact { n: 4 }.build(),
+            OperatorConfig::MulExact { n: 8 }.build(),
+            OperatorConfig::MulTrunc { n: 8, q: 8 }.build(),
+            OperatorConfig::MulTrunc { n: 8, q: 3 }.build(),
+            OperatorConfig::MulTrunc { n: 8, q: 16 }.build(),
+            OperatorConfig::MulRound { n: 8, q: 8 }.build(),
+            OperatorConfig::MulRound { n: 8, q: 13 }.build(),
             Box::new(Aam::new(8)),
         ];
         // all 65536 operand pairs in batches of 256 (4 transposed chunks)
@@ -560,7 +479,7 @@ mod tests {
 
     #[test]
     fn trunc_error_is_the_dropped_fraction() {
-        let op = MulTrunc::new(8, 8);
+        let op = FixedWidthMul::new(8, 8, QuantMode::Trunc);
         for (a, b) in [(0x7Fu64, 0x7Fu64), (0x80, 0x80), (0xAB, 0x34), (0x01, 0xFF)] {
             let e = crate::centered_diff(op.reference_u(a, b), op.aligned_u(a, b), 16);
             assert!((0..256).contains(&e), "e={e}");
@@ -585,28 +504,14 @@ mod tests {
 
     #[test]
     fn aam_is_smaller_than_the_exact_fixed_width_multiplier() {
-        let full = MulTrunc::new(16, 16).netlist().stats().num_gates;
+        let full = FixedWidthMul::new(16, 16, QuantMode::Trunc)
+            .netlist()
+            .stats()
+            .num_gates;
         let aam = Aam::new(16).netlist().stats().num_gates;
         assert!(
             aam < full,
             "AAM ({aam} gates) must be smaller than MULt ({full} gates)"
         );
-    }
-
-    #[test]
-    fn rounding_beats_truncation_on_mse() {
-        let tr = MulTrunc::new(6, 6);
-        let ro = MulRound::new(6, 6);
-        let (mut se_t, mut se_r) = (0i128, 0i128);
-        for a in 0..64u64 {
-            for b in 0..64u64 {
-                let r = tr.reference_u(a, b);
-                let et = i128::from(crate::centered_diff(r, tr.aligned_u(a, b), 12));
-                let er = i128::from(crate::centered_diff(r, ro.aligned_u(a, b), 12));
-                se_t += et * et;
-                se_r += er * er;
-            }
-        }
-        assert!(se_r < se_t, "round {se_r} !< trunc {se_t}");
     }
 }

@@ -301,7 +301,8 @@ fn booth_netlist(name: String, n: u32, pruning: BoothPruning) -> Netlist {
 
 /// Exact radix-4 modified-Booth multiplier, `n×n → 2n` — the substrate on
 /// which [`Abm`] is built, and a second exact multiplier architecture for
-/// architecture-level ablations against [`crate::MulExact`].
+/// architecture-level ablations against the exact array multiplier
+/// `MUL(n,2n)` ([`crate::FixedWidthMul`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MulBoothExact {
     n: u32,
@@ -620,7 +621,10 @@ mod tests {
         // pruned Booth tree has fewer gates on the critical path by
         // comparing gate counts as a structural proxy.
         let abm = Abm::new(16).netlist().stats().num_gates;
-        let full = crate::MulTrunc::new(16, 16).netlist().stats().num_gates;
+        let full = crate::FixedWidthMul::new(16, 16, crate::QuantMode::Trunc)
+            .netlist()
+            .stats()
+            .num_gates;
         assert!(abm < full, "ABM {abm} gates !< MULt {full} gates");
     }
 }

@@ -1,21 +1,25 @@
-//! The `Sized` operator family: **exact** adders and multipliers
-//! evaluated at a reduced effective bit-width — the paper's careful
-//! data-sizing baseline, packaged as one uniform family so the Pareto
-//! explorer can sweep it against the approximate operators.
+//! The fixed-point adder and the `Sized` operator family: **exact**
+//! adders and multipliers evaluated at a reduced effective bit-width —
+//! the paper's careful data-sizing baseline.
 //!
 //! A sized operator keeps the full `n`-bit operand interface but
 //! quantizes both inputs down to `w` effective bits (dropping the `n-w`
 //! LSBs by truncation or round-to-nearest, selectable via [`QuantMode`])
 //! and then applies a plain **exact** `w`-bit operator:
 //!
-//! * [`SizedAdd`] — `ADDst(n,w)` / `ADDsr(n,w)`: a `w`-bit ripple-carry
-//!   adder behind the quantizers.
+//! * [`SizedAdd`] — a `w`-bit ripple-carry adder behind the quantizers,
+//!   the only fixed-point adder. It prints as `ADD(n,n)` (the exact
+//!   adder, `w == n`), `ADDt(n,q)`/`ADDr(n,q)` (the paper's truncated
+//!   and rounded adders, `q == w`) or `ADDst(n,w)`/`ADDsr(n,w)` (the
+//!   sized family of the Pareto overlay), depending on the
+//!   [`OperatorConfig`](crate::OperatorConfig) it was built from; the
+//!   hardware and the model are the same for all three.
 //! * [`SizedMul`] — `MULst(n,w)` / `MULsr(n,w)`: a `w×w → 2w`
 //!   Baugh-Wooley array multiplier behind the quantizers. Unlike
-//!   [`MulTrunc`](crate::MulTrunc) (which computes the full `n×n` array
-//!   and drops *output* bits), the sized multiplier's hardware actually
-//!   shrinks quadratically with `w` — the data-path saving the paper
-//!   credits to careful sizing.
+//!   [`FixedWidthMul`](crate::FixedWidthMul) (which computes the full
+//!   `n×n` array and drops *output* bits), the sized multiplier's
+//!   hardware actually shrinks quadratically with `w` — the data-path
+//!   saving the paper credits to careful sizing.
 //!
 //! The only error source is input quantization; the arithmetic itself
 //! never fails. This is precisely the baseline the paper holds the
@@ -28,14 +32,13 @@ use apx_netlist::{NetId, Netlist, NetlistBuilder};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// How a sized operator drops the `n-w` operand LSBs.
+/// How a fixed-point operator drops the bits it does not keep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum QuantMode {
     /// Plain truncation: `x -> x >> s`. Biased but free.
     Trunc,
-    /// Round to nearest: `x -> (x >> s) + x_{s-1}`, wrapping at `w` bits
-    /// (the same convention as [`AddRound`](crate::AddRound)). Centers
-    /// the quantization error for one extra carry input per operand.
+    /// Round to nearest: `x -> (x >> s) + x_{s-1}`. Centers the
+    /// quantization error for one extra carry input per operand.
     Round,
 }
 
@@ -48,6 +51,14 @@ impl QuantMode {
             QuantMode::Round => 'r',
         }
     }
+
+    /// The rounding increment `2^(s-1)` of a value about to lose its `s`
+    /// low bits: `(x + half) >> s` rounds to nearest, and truncation
+    /// adds 0. Rounding needs `s >= 1`.
+    #[inline]
+    pub(crate) fn half(self, s: u32) -> u64 {
+        (u64::from(self == QuantMode::Round) << s) >> 1
+    }
 }
 
 impl fmt::Display for QuantMode {
@@ -56,29 +67,35 @@ impl fmt::Display for QuantMode {
     }
 }
 
-/// Quantizes the `n`-bit pattern `x` down to `w` effective bits.
+/// The paper notation a fixed-point operator prints. Only
+/// [`OperatorConfig::build`](crate::OperatorConfig::build) picks it; the
+/// hardware and the functional model never depend on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Notation {
+    /// `ADD(n,n)` / `MUL(n,2n)`: the exact operator.
+    Exact,
+    /// `ADDt`/`ADDr`/`MULt`/`MULr`: `q` kept bits.
+    Kept,
+    /// `ADDst`/`ADDsr`: the sized family.
+    Sized,
+}
+
+/// Quantizes the signed `n`-bit pattern `x` down to `w` effective bits.
 /// Truncation keeps the top `w` bits; rounding adds the first dropped
-/// bit back in. The rounding increment of the most-positive pattern
-/// either wraps modulo `2^w` (`saturate == false`, the
-/// [`AddRound`](crate::AddRound) convention — harmless behind a mod-`2^w`
-/// adder) or saturates at the positive maximum (`saturate == true`, for
-/// signed multipliers, where a wrap would flip the operand's sign).
-/// For `w == n` this is the identity.
+/// bit back in, saturating at the positive maximum (a wrap would flip
+/// the operand's sign). For `w == n` (truncation only) this is the
+/// identity.
 #[inline]
-fn quantize(x: u64, n: u32, w: u32, mode: QuantMode, saturate: bool) -> u64 {
+fn quantize(x: u64, n: u32, w: u32, mode: QuantMode) -> u64 {
     let s = n - w;
-    if s == 0 {
-        return x & mask_u(w);
-    }
     let q = (x >> s) & mask_u(w);
     match mode {
         QuantMode::Trunc => q,
         QuantMode::Round => {
-            let r = bit(x, s - 1);
-            if saturate && q == mask_u(w) >> 1 {
+            if q == mask_u(w) >> 1 {
                 q // +max rounds to itself instead of wrapping to -max
             } else {
-                q.wrapping_add(r) & mask_u(w)
+                q.wrapping_add(bit(x, s - 1)) & mask_u(w)
             }
         }
     }
@@ -87,7 +104,7 @@ fn quantize(x: u64, n: u32, w: u32, mode: QuantMode, saturate: bool) -> u64 {
 /// Builds the quantized-operand nets for a sized multiplier netlist: the
 /// top `w` input bits, incremented by the first dropped bit when
 /// rounding, with the increment saturated at the positive maximum (the
-/// signed-operand convention of [`quantize`] with `saturate == true`).
+/// convention of [`quantize`]).
 fn quantized_bus(b: &mut NetlistBuilder, bus: &[NetId], s: usize, mode: QuantMode) -> Vec<NetId> {
     match mode {
         QuantMode::Trunc => bus[s..].to_vec(),
@@ -116,42 +133,60 @@ fn quantized_bus(b: &mut NetlistBuilder, bus: &[NetId], s: usize, mode: QuantMod
     }
 }
 
-/// Sized exact adder `ADDst(n,w)` / `ADDsr(n,w)`: both `n`-bit operands
-/// are quantized to `w` bits and added by an exact `w`-bit ripple-carry
-/// adder. The careful-data-sizing adder baseline of the Pareto overlay.
+/// Fixed-point adder: both `n`-bit operands are quantized to `w` bits
+/// and added by an exact `w`-bit ripple-carry adder, whose `w`-bit
+/// (wrapping) sum is the output. Rounding folds each operand's round bit
+/// into the adder's carry-in and an increment row, so the rounded
+/// operands wrap modulo `2^w` like the sum itself.
+///
+/// This is the paper's careful-data-sizing baseline: accuracy falls with
+/// `w`, but so do area, power **and the width of everything downstream**.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SizedAdd {
     n: u32,
     w: u32,
     mode: QuantMode,
+    notation: Notation,
 }
 
 impl SizedAdd {
-    /// Creates a sized adder over `n`-bit operands at `w` effective bits.
+    /// Creates the sized adder `ADDst(n,w)` / `ADDsr(n,w)` over `n`-bit
+    /// operands at `w` effective bits.
     ///
     /// # Panics
     /// Panics unless `2 <= n <= 32` and `2 <= w <= n` (`w < n` for
     /// rounding — at `w == n` there is nothing to round).
     #[must_use]
     pub fn new(n: u32, w: u32, mode: QuantMode) -> Self {
-        assert!((2..=32).contains(&n), "n out of range");
-        match mode {
-            QuantMode::Trunc => assert!((2..=n).contains(&w), "w out of range"),
-            QuantMode::Round => assert!((2..n).contains(&w), "w out of range"),
-        }
-        SizedAdd { n, w, mode }
+        assert!(w >= 2, "w out of range");
+        Self::with_notation(n, w, mode, Notation::Sized)
     }
 
-    /// Effective operand width after quantization.
-    #[must_use]
-    pub fn effective_bits(&self) -> u32 {
-        self.w
+    /// [`SizedAdd::new`] printing as `notation`, down to `w == 1` (the
+    /// range of `ADDt`/`ADDr`).
+    pub(crate) fn with_notation(n: u32, w: u32, mode: QuantMode, notation: Notation) -> Self {
+        assert!((2..=32).contains(&n), "n out of range");
+        match mode {
+            QuantMode::Trunc => assert!((1..=n).contains(&w), "w out of range"),
+            QuantMode::Round => assert!((1..n).contains(&w), "w out of range"),
+        }
+        SizedAdd {
+            n,
+            w,
+            mode,
+            notation,
+        }
     }
 }
 
 impl ApxOperator for SizedAdd {
     fn name(&self) -> String {
-        format!("ADDs{}({},{})", self.mode, self.n, self.w)
+        let (n, w, mode) = (self.n, self.w, self.mode);
+        match self.notation {
+            Notation::Exact => format!("ADD({n},{n})"),
+            Notation::Kept => format!("ADD{mode}({n},{w})"),
+            Notation::Sized => format!("ADDs{mode}({n},{w})"),
+        }
     }
     fn op_class(&self) -> OpClass {
         OpClass::Adder
@@ -166,9 +201,9 @@ impl ApxOperator for SizedAdd {
         self.n - self.w
     }
     fn eval_u(&self, a: u64, b: u64) -> u64 {
-        let qa = quantize(a, self.n, self.w, self.mode, false);
-        let qb = quantize(b, self.n, self.w, self.mode, false);
-        qa.wrapping_add(qb) & mask_u(self.w)
+        let s = self.n - self.w;
+        let half = self.mode.half(s);
+        (a.wrapping_add(half) >> s).wrapping_add(b.wrapping_add(half) >> s) & mask_u(self.w)
     }
     fn netlist(&self) -> Netlist {
         let s = (self.n - self.w) as usize;
@@ -183,7 +218,7 @@ impl ApxOperator for SizedAdd {
             }
             QuantMode::Round => {
                 // w-bit adder with cin = a's round bit, then an increment
-                // row folding in b's round bit (the AddRound structure).
+                // row folding in b's round bit
                 let (sum, _cout) = b.ripple_adder(&av[s..], &bv[s..], av[s - 1]);
                 let (rounded, _c2) = b.increment_row(&sum, bv[s - 1]);
                 rounded
@@ -224,12 +259,6 @@ impl SizedMul {
         }
         SizedMul { n, w, mode }
     }
-
-    /// Effective operand width after quantization.
-    #[must_use]
-    pub fn effective_bits(&self) -> u32 {
-        self.w
-    }
 }
 
 impl ApxOperator for SizedMul {
@@ -252,8 +281,8 @@ impl ApxOperator for SizedMul {
         // The signed product of the quantized operands — extensionally
         // equal to summing the w-bit Baugh-Wooley grid the netlist
         // instantiates (pinned by the cross-verification tests).
-        let qa = quantize(a, self.n, self.w, self.mode, true);
-        let qb = quantize(b, self.n, self.w, self.mode, true);
+        let qa = quantize(a, self.n, self.w, self.mode);
+        let qb = quantize(b, self.n, self.w, self.mode);
         signed_product(qa, qb, self.w)
     }
     fn netlist(&self) -> Netlist {
@@ -277,16 +306,34 @@ impl ApxOperator for SizedMul {
 mod tests {
     use super::*;
     use crate::util::cross_verify;
-    use crate::{AddRound, AddTrunc, MulTrunc};
+    use crate::{FixedWidthMul, OperatorConfig};
 
     #[test]
-    fn sized_adder_netlist_matches_model() {
+    fn adder_netlist_matches_model() {
+        // every notation the adder prints, ADDt/ADDr down to one kept bit
+        let mut configs: Vec<OperatorConfig> = Vec::new();
+        for n in [2, 4, 8] {
+            configs.push(OperatorConfig::AddExact { n });
+        }
+        for (n, q) in [(8, 1), (8, 2), (8, 5), (8, 8), (10, 3)] {
+            configs.push(OperatorConfig::AddTrunc { n, q });
+        }
+        for (n, q) in [(8, 1), (8, 2), (8, 5), (8, 7), (10, 6)] {
+            configs.push(OperatorConfig::AddRound { n, q });
+        }
         for mode in [QuantMode::Trunc, QuantMode::Round] {
             for (n, w) in [(8, 2), (8, 5), (8, 7), (10, 4)] {
-                cross_verify(&SizedAdd::new(n, w, mode));
+                configs.push(OperatorConfig::AddSized { n, w, mode });
             }
         }
-        cross_verify(&SizedAdd::new(8, 8, QuantMode::Trunc));
+        configs.push(OperatorConfig::AddSized {
+            n: 8,
+            w: 8,
+            mode: QuantMode::Trunc,
+        });
+        for config in configs {
+            cross_verify(&*config.build());
+        }
     }
 
     #[test]
@@ -301,19 +348,13 @@ mod tests {
     }
 
     #[test]
-    fn sized_trunc_adder_matches_the_legacy_fixed_point_operators() {
-        // ADDst(n,w) computes the same function as ADDt(n,w) and
-        // ADDsr(n,w) the same as ADDr(n,w): the Sized family unifies the
-        // legacy sizing operators under one parameterization.
-        let st = SizedAdd::new(8, 5, QuantMode::Trunc);
-        let t = AddTrunc::new(8, 5);
-        let sr = SizedAdd::new(8, 5, QuantMode::Round);
-        let r = AddRound::new(8, 5);
-        for a in 0..256u64 {
-            for b in 0..256u64 {
-                assert_eq!(st.eval_u(a, b), t.eval_u(a, b), "trunc a={a} b={b}");
-                assert_eq!(sr.eval_u(a, b), r.eval_u(a, b), "round a={a} b={b}");
-            }
+    fn trunc_error_is_bounded_and_positive() {
+        let op = OperatorConfig::AddTrunc { n: 12, q: 8 }.build();
+        let s = 4u32;
+        for (a, b) in [(0u64, 0u64), (0xFFF, 0xFFF), (0xABC, 0x123), (0x00F, 0x0F0)] {
+            let e = crate::centered_diff(op.reference_u(a, b), op.aligned_u(a, b), 12);
+            assert!(e >= 0, "truncation never overshoots");
+            assert!(e <= 2 * ((1 << s) - 1), "bounded by dropped input bits");
         }
     }
 
@@ -334,18 +375,31 @@ mod tests {
     }
 
     #[test]
-    fn rounding_beats_truncation_on_sized_mse() {
-        for op_pair in [
+    fn rounding_beats_truncation_on_mse() {
+        // exhaustively, for every operator that rounds or truncates
+        for (tr, ro) in [
             (
-                Box::new(SizedAdd::new(8, 5, QuantMode::Trunc)) as Box<dyn ApxOperator>,
-                Box::new(SizedAdd::new(8, 5, QuantMode::Round)) as Box<dyn ApxOperator>,
+                OperatorConfig::AddTrunc { n: 8, q: 5 },
+                OperatorConfig::AddRound { n: 8, q: 5 },
             ),
             (
-                Box::new(SizedMul::new(6, 4, QuantMode::Trunc)),
-                Box::new(SizedMul::new(6, 4, QuantMode::Round)),
+                OperatorConfig::MulSized {
+                    n: 6,
+                    w: 4,
+                    mode: QuantMode::Trunc,
+                },
+                OperatorConfig::MulSized {
+                    n: 6,
+                    w: 4,
+                    mode: QuantMode::Round,
+                },
+            ),
+            (
+                OperatorConfig::MulTrunc { n: 6, q: 6 },
+                OperatorConfig::MulRound { n: 6, q: 6 },
             ),
         ] {
-            let (tr, ro) = op_pair;
+            let (tr, ro) = (tr.build(), ro.build());
             let bits = tr.ref_bits();
             let (mut se_t, mut se_r) = (0i128, 0i128);
             let m = mask_u(tr.input_bits());
@@ -367,7 +421,10 @@ mod tests {
         // the whole point of the family: the sized multiplier's array is
         // w×w, not n×n — gates must fall sharply with w, and below the
         // full-interface fixed-width multiplier of the same n
-        let full = MulTrunc::new(16, 16).netlist().stats().num_gates;
+        let full = FixedWidthMul::new(16, 16, QuantMode::Trunc)
+            .netlist()
+            .stats()
+            .num_gates;
         let w12 = SizedMul::new(16, 12, QuantMode::Trunc)
             .netlist()
             .stats()
@@ -405,6 +462,18 @@ mod tests {
                     assert_eq!(got, op.eval_u(a, b as u64), "{} a={a} b={b}", op.name());
                 }
             }
+        }
+    }
+
+    #[test]
+    fn aligned_batch_applies_shift_and_mask() {
+        let op = OperatorConfig::AddTrunc { n: 12, q: 8 }.build();
+        let a: Vec<u64> = (0..100u64).map(|i| (i * 41) & 0xFFF).collect();
+        let b: Vec<u64> = (0..100u64).map(|i| (i * 173) & 0xFFF).collect();
+        let mut out = vec![0u64; 100];
+        op.aligned_batch(&a, &b, &mut out);
+        for i in 0..100 {
+            assert_eq!(out[i], op.aligned_u(a[i], b[i]));
         }
     }
 

@@ -21,7 +21,7 @@ pub enum OpClass {
 /// and a structural hardware model.
 ///
 /// Implementors are the concrete operator types of this crate
-/// ([`crate::AddTrunc`], [`crate::Aca`], [`crate::Aam`], …). The
+/// ([`crate::SizedAdd`], [`crate::Aca`], [`crate::Aam`], …). The
 /// characterization framework treats them uniformly through this trait.
 ///
 /// # Example
@@ -171,18 +171,18 @@ pub trait ApxOperator: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AddExact;
+    use crate::OperatorConfig;
 
     #[test]
     fn reference_of_adder_wraps_mod_2n() {
-        let op = AddExact::new(8);
+        let op = OperatorConfig::AddExact { n: 8 }.build();
         assert_eq!(op.reference_u(0xFF, 0x01), 0x00);
         assert_eq!(op.reference_u(0x7F, 0x01), 0x80);
     }
 
     #[test]
     fn reference_of_multiplier_is_signed() {
-        let op = crate::MulExact::new(4);
+        let op = OperatorConfig::MulExact { n: 4 }.build();
         // -1 * -1 = 1
         assert_eq!(op.reference_u(0xF, 0xF), 1);
         // -8 * 7 = -56 -> two's complement at 8 bits
@@ -191,9 +191,9 @@ mod tests {
 
     #[test]
     fn eval_signed_matches_reference_for_exact_ops() {
-        let add = AddExact::new(16);
+        let add = OperatorConfig::AddExact { n: 16 }.build();
         assert_eq!(add.eval_signed(100, -300), -200);
-        let mul = crate::MulExact::new(16);
+        let mul = OperatorConfig::MulExact { n: 16 }.build();
         assert_eq!(mul.eval_signed(-1234, 567), -1234 * 567);
     }
 }
