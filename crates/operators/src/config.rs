@@ -687,6 +687,52 @@ mod tests {
     }
 
     #[test]
+    fn validate_error_messages_are_pinned() {
+        // The CLI and `serve` print these messages verbatim, so one FNV-1a
+        // digest over every rejection on the grid of
+        // `validate_agrees_with_the_constructors` pins the error text
+        // wherever the bounds are stated.
+        let mut grid: Vec<OperatorConfig> = Vec::new();
+        for n in 0..=40 {
+            grid.push(OperatorConfig::AddExact { n });
+            grid.push(OperatorConfig::MulExact { n });
+            grid.push(OperatorConfig::MulBooth { n });
+            grid.push(OperatorConfig::Aam { n });
+            grid.push(OperatorConfig::Abm { n });
+            grid.push(OperatorConfig::AbmUncorrected { n });
+            for k in 0..=40 {
+                grid.push(OperatorConfig::AddTrunc { n, q: k });
+                grid.push(OperatorConfig::AddRound { n, q: k });
+                grid.push(OperatorConfig::Aca { n, p: k });
+                grid.push(OperatorConfig::EtaIv { n, x: k });
+                grid.push(OperatorConfig::EtaIi { n, x: k });
+                grid.push(OperatorConfig::MulTrunc { n, q: k });
+                grid.push(OperatorConfig::MulRound { n, q: k });
+                grid.push(OperatorConfig::RcaApx {
+                    n,
+                    m: k,
+                    fa_type: FaType::Two,
+                });
+                for mode in [QuantMode::Trunc, QuantMode::Round] {
+                    grid.push(OperatorConfig::AddSized { n, w: k, mode });
+                    grid.push(OperatorConfig::MulSized { n, w: k, mode });
+                }
+            }
+        }
+        let (mut digest, mut rejected) = (0xcbf2_9ce4_8422_2325_u64, 0);
+        for config in &grid {
+            if let Err(message) = config.validate() {
+                rejected += 1;
+                for byte in message.bytes().chain([b'\n']) {
+                    digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(rejected, 15_339, "rejections");
+        assert_eq!(digest, 0x16ad_2ee2_531d_093c, "error message digest");
+    }
+
+    #[test]
     fn serde_roundtrip() {
         let config = OperatorConfig::RcaApx {
             n: 16,
