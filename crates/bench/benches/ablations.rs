@@ -13,11 +13,11 @@ fn bench_ablations(c: &mut Criterion) {
     let analyzer = HwAnalyzer::new(&lib);
 
     c.bench_function("analyze_aam_array", |b| {
-        let nl = Aam::new(16).netlist();
+        let nl = Aam::new(16).unwrap().netlist();
         b.iter(|| black_box(analyzer.analyze(&nl)))
     });
     c.bench_function("analyze_aam_tree", |b| {
-        let nl = Aam::new(16).with_tree_compression().netlist();
+        let nl = Aam::new(16).unwrap().with_tree_compression().netlist();
         b.iter(|| black_box(analyzer.analyze(&nl)))
     });
 

@@ -606,9 +606,8 @@ impl Cache {
         }
         let path = inner.dir.join(name);
         // unique per process AND per call: concurrent same-name writes
-        // (other processes sharing the directory; the serve daemon
-        // persisting stats after every cold report and drained job) must
-        // never share a temp file, or one writer's truncate could tear
+        // (other processes sharing the directory persisting their stats)
+        // must never share a temp file, or one writer's truncate could tear
         // another's in-flight rename. Read-throughs on one handle never
         // write the same blob at once: each claims its key first
         static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -664,7 +663,7 @@ impl Cache {
     }
 
     /// File (inside the cache directory) holding the counters of the
-    /// most recent run that called [`Cache::persist_run_stats`]. The
+    /// most recent run that called [`Cache::persist_stats`]. The
     /// `.v2` suffix versions the record's shape (v2 added eviction /
     /// import / size fields; the vendored serde errors on missing
     /// fields, so old `*.v1` records are simply ignored, never
@@ -672,18 +671,11 @@ impl Cache {
     /// [`classify`] keys the [`RecordKind::RunStats`] class on.
     const RUN_STATS_FILE: &'static str = "last-run-stats.v2";
 
-    /// Persists this handle's current counters as the directory's
-    /// "last run" record, so a later process (e.g. `apxperf cache stats
-    /// --format json`, or a CI assertion) can read what the previous
-    /// run's cache traffic was. Best-effort and atomic, like blob
-    /// writes; a disabled cache ignores the call.
-    pub fn persist_run_stats(&self) {
-        self.persist_stats(&self.stats());
-    }
-
-    /// [`Cache::persist_run_stats`] for a snapshot of [`Cache::stats`]
-    /// the caller already took, which spares a second scan of the
-    /// directory.
+    /// Persists a snapshot of this handle's [`Cache::stats`] as the
+    /// directory's "last run" record, so a later process (e.g. `apxperf
+    /// cache stats --format json`, or a CI assertion) can read what the
+    /// previous run's cache traffic was. Best-effort and atomic, like
+    /// blob writes; a disabled cache ignores the call.
     pub fn persist_stats(&self, stats: &CacheStats) {
         if let Ok(json) = serde_json::to_string_pretty(stats) {
             self.write_record_atomic(Cache::RUN_STATS_FILE, &(json + "\n"));
@@ -691,7 +683,7 @@ impl Cache {
     }
 
     /// The counters persisted by the most recent run that called
-    /// [`Cache::persist_run_stats`] on this directory, if any.
+    /// [`Cache::persist_stats`] on this directory, if any.
     #[must_use]
     pub fn last_run_stats(&self) -> Option<CacheStats> {
         let inner = self.inner.as_deref()?;
@@ -870,7 +862,7 @@ mod tests {
         let tmp = TempDir::new();
         let cache = cache_at(&tmp.0);
         cache.put(&key("real"), &1u64);
-        cache.persist_run_stats();
+        cache.persist_stats(&cache.stats());
         // foreign and infrastructure files of every other kind:
         std::fs::write(tmp.0.join("gc.lock"), "").unwrap();
         std::fs::write(tmp.0.join(format!("{}.tmp.1.2", key("real"))), "{").unwrap();
@@ -911,7 +903,7 @@ mod tests {
         cache.put(&key("a"), &1u64);
         let _ = cache.get::<u64>(&key("a"));
         let _ = cache.get::<u64>(&key("absent"));
-        cache.persist_run_stats();
+        cache.persist_stats(&cache.stats());
         assert_eq!(cache.len(), 1, "the stats record is not a blob");
         // a fresh handle over the same directory reads the previous run
         let later = cache_at(&tmp.0);
@@ -923,26 +915,26 @@ mod tests {
         cache.clear();
         assert_eq!(later.last_run_stats().map(|s| s.hits), Some(1));
         let off = Cache::default();
-        off.persist_run_stats();
+        off.persist_stats(&off.stats());
         assert_eq!(off.last_run_stats(), None);
     }
 
     #[test]
     fn run_stats_survive_concurrent_in_process_persists_and_reads() {
-        // the serve daemon persists after every cold report and after
-        // every drained job, from many threads over one shared handle;
-        // with atomic renames and call-unique temp files, a reader must
-        // always see a complete record — never a torn or vanished file
+        // runs sharing a directory persist while others read, here from
+        // many threads over one shared handle; with atomic renames and
+        // call-unique temp files, a reader must always see a complete
+        // record — never a torn or vanished file
         let tmp = TempDir::new();
         let cache = cache_at(&tmp.0);
         cache.put(&key("warmup"), &0u64);
         let _ = cache.get::<u64>(&key("warmup"));
-        cache.persist_run_stats();
+        cache.persist_stats(&cache.stats());
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..50 {
-                        cache.persist_run_stats();
+                        cache.persist_stats(&cache.stats());
                     }
                 });
             }

@@ -25,8 +25,8 @@ pub(super) fn ablations(args: &Args) -> Result<(), String> {
 
     println!("ABLATION 1: AAM accumulation structure");
     let analyzer = HwAnalyzer::new(&lib);
-    let array = analyzer.analyze(&Aam::new(16).netlist());
-    let tree = analyzer.analyze(&Aam::new(16).with_tree_compression().netlist());
+    let array = analyzer.analyze(&Aam::new(16)?.netlist());
+    let tree = analyzer.analyze(&Aam::new(16)?.with_tree_compression().netlist());
     print!(
         "{}",
         render(

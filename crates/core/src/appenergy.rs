@@ -15,7 +15,7 @@ use apx_apps::{OperatorCtx, Prepared, Workload, WorkloadRun};
 use apx_cache::Cache;
 use apx_cells::Library;
 use apx_engine::Engine;
-use apx_operators::{OpClass, OpCounts, OperatorConfig};
+use apx_operators::{OpClass, OpCounts, OperatorConfig, ADDER_WIDTHS, MULTIPLIER_WIDTHS};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
@@ -39,9 +39,9 @@ impl AppEnergyModel {
 /// The minimal exact multiplier that partners a given adder
 /// configuration: sized to the adder's live output width for fixed-point
 /// sizing, full width for approximate adders (their interface never
-/// shrinks). The width is clamped into the multiplier family's valid
-/// 2–24-bit range, so every adder the sweeps emit (including the 2–32-bit
-/// width-scaling family) gets a buildable, printable partner.
+/// shrinks). The width is clamped into [`MULTIPLIER_WIDTHS`], so every
+/// adder the sweeps emit (including the width-scaling family, which spans
+/// all of [`ADDER_WIDTHS`]) gets a buildable, printable partner.
 ///
 /// # Panics
 /// Panics if `adder` is not an adder configuration.
@@ -53,12 +53,13 @@ pub fn partner_multiplier(adder: &OperatorConfig) -> OperatorConfig {
         OperatorConfig::AddSized { w, .. } => w,
         _ => adder.input_bits(),
     };
-    let n = width.clamp(2, 24);
+    let n = width.clamp(*MULTIPLIER_WIDTHS.start(), *MULTIPLIER_WIDTHS.end());
     OperatorConfig::MulTrunc { n, q: n }
 }
 
 /// The minimal exact adder that partners a given multiplier
-/// configuration: sized to the multiplier's output width.
+/// configuration: sized to the multiplier's output width, clamped into
+/// [`ADDER_WIDTHS`].
 ///
 /// # Panics
 /// Panics if `mult` is not a multiplier configuration.
@@ -66,11 +67,12 @@ pub fn partner_multiplier(adder: &OperatorConfig) -> OperatorConfig {
 pub fn partner_adder(mult: &OperatorConfig) -> OperatorConfig {
     assert_eq!(mult.op_class(), OpClass::Multiplier, "multiplier expected");
     let width = match *mult {
-        OperatorConfig::MulTrunc { q, .. } | OperatorConfig::MulRound { q, .. } => q.max(2),
+        OperatorConfig::MulTrunc { q, .. } | OperatorConfig::MulRound { q, .. } => q,
         OperatorConfig::MulSized { w, .. } => 2 * w,
         _ => mult.input_bits(),
     };
-    OperatorConfig::AddExact { n: width.min(32) }
+    let n = width.clamp(*ADDER_WIDTHS.start(), *ADDER_WIDTHS.end());
+    OperatorConfig::AddExact { n }
 }
 
 /// Builds the energy model for any **operator under test**: its own PDP

@@ -22,7 +22,7 @@
 //! netlist cross-verification over every parameter of each family.
 
 use crate::traits::{ApxOperator, OpClass};
-use crate::util::{bit, mask_u};
+use crate::util::{bit, check_adder_width, mask_u, require};
 use apx_cells::CellKind;
 use apx_netlist::{Netlist, NetlistBuilder};
 use serde::{Deserialize, Serialize};
@@ -41,16 +41,14 @@ pub struct Aca {
 }
 
 impl Aca {
-    /// Creates `ACA(n, p)` with speculative carry length `p`.
-    ///
-    /// # Panics
-    /// Panics unless `2 <= n <= 32` and `1 <= p <= n` (`p == n` degenerates
-    /// to the exact adder).
-    #[must_use]
-    pub fn new(n: u32, p: u32) -> Self {
-        assert!((2..=32).contains(&n), "n out of range");
-        assert!((1..=n).contains(&p), "p out of range");
-        Aca { n, p }
+    /// Creates `ACA(n, p)` with speculative carry length `p` (`p == n`
+    /// degenerates to the exact adder).
+    pub fn new(n: u32, p: u32) -> Result<Self, String> {
+        check_adder_width(n)?;
+        require((1..=n).contains(&p), || {
+            format!("speculation window p={p} out of range 1..={n}")
+        })?;
+        Ok(Aca { n, p })
     }
 }
 
@@ -122,9 +120,14 @@ fn carries(a: u64, b: u64) -> (u64, u64) {
     (t, (a + b) ^ t)
 }
 
-/// Bit `k·x` of every `x`-bit block of an `n`-bit word.
-fn block_lows(n: u32, x: u32) -> u64 {
-    (0..n / x).fold(0, |lows, k| lows | 1 << (k * x))
+/// Checks the block size `x` of the block-speculation adders and returns
+/// bit `k·x` of every `x`-bit block of the `n`-bit word.
+fn block_lows(n: u32, x: u32) -> Result<u64, String> {
+    check_adder_width(n)?;
+    require(x >= 1 && n.is_multiple_of(x), || {
+        format!("block size x={x} must divide n={n}")
+    })?;
+    Ok((0..n / x).fold(0, |lows, k| lows | 1 << (k * x)))
 }
 
 /// Word-level sum of the block-speculation adders (`blocks = 1` for
@@ -161,20 +164,11 @@ pub struct EtaIv {
 }
 
 impl EtaIv {
-    /// Creates `ETAIV(n, x)` with block size `x`.
-    ///
-    /// # Panics
-    /// Panics unless `2 <= n <= 32`, `x >= 1` and `x` divides `n`
-    /// (`x == n` degenerates to the exact adder).
-    #[must_use]
-    pub fn new(n: u32, x: u32) -> Self {
-        assert!((2..=32).contains(&n), "n out of range");
-        assert!(x >= 1 && n.is_multiple_of(x), "x must divide n");
-        EtaIv {
-            n,
-            x,
-            lows: block_lows(n, x),
-        }
+    /// Creates `ETAIV(n, x)` with block size `x` (`x == n` degenerates to
+    /// the exact adder).
+    pub fn new(n: u32, x: u32) -> Result<Self, String> {
+        let lows = block_lows(n, x)?;
+        Ok(EtaIv { n, x, lows })
     }
 }
 
@@ -241,18 +235,9 @@ pub struct EtaIi {
 
 impl EtaIi {
     /// Creates `ETAII(n, x)` with block size `x`.
-    ///
-    /// # Panics
-    /// Panics unless `2 <= n <= 32`, `x >= 1` and `x` divides `n`.
-    #[must_use]
-    pub fn new(n: u32, x: u32) -> Self {
-        assert!((2..=32).contains(&n), "n out of range");
-        assert!(x >= 1 && n.is_multiple_of(x), "x must divide n");
-        EtaIi {
-            n,
-            x,
-            lows: block_lows(n, x),
-        }
+    pub fn new(n: u32, x: u32) -> Result<Self, String> {
+        let lows = block_lows(n, x)?;
+        Ok(EtaIi { n, x, lows })
     }
 }
 
@@ -363,14 +348,12 @@ pub struct RcaApx {
 
 impl RcaApx {
     /// Creates `RCAApx(n, m, fa_type)` with `m` accurate MSBs.
-    ///
-    /// # Panics
-    /// Panics unless `2 <= n <= 32` and `m <= n`.
-    #[must_use]
-    pub fn new(n: u32, m: u32, fa_type: FaType) -> Self {
-        assert!((2..=32).contains(&n), "n out of range");
-        assert!(m <= n, "m out of range");
-        RcaApx { n, m, fa_type }
+    pub fn new(n: u32, m: u32, fa_type: FaType) -> Result<Self, String> {
+        check_adder_width(n)?;
+        require(m <= n, || {
+            format!("accurate MSBs m={m} out of range 0..={n}")
+        })?;
+        Ok(RcaApx { n, m, fa_type })
     }
 }
 
@@ -453,30 +436,30 @@ mod tests {
     fn aca_netlist_matches_model() {
         for n in NETLIST_WIDTHS {
             for p in 1..=n {
-                cross_verify(&Aca::new(n, p));
+                cross_verify(&Aca::new(n, p).unwrap());
             }
         }
-        cross_verify(&Aca::new(10, 3));
+        cross_verify(&Aca::new(10, 3).unwrap());
     }
 
     #[test]
     fn etaiv_netlist_matches_model() {
         for n in NETLIST_WIDTHS {
             for x in (1..=n).filter(|x| n.is_multiple_of(*x)) {
-                cross_verify(&EtaIv::new(n, x));
+                cross_verify(&EtaIv::new(n, x).unwrap());
             }
         }
-        cross_verify(&EtaIv::new(9, 3));
+        cross_verify(&EtaIv::new(9, 3).unwrap());
     }
 
     #[test]
     fn etaii_netlist_matches_model() {
         for n in NETLIST_WIDTHS {
             for x in (1..=n).filter(|x| n.is_multiple_of(*x)) {
-                cross_verify(&EtaIi::new(n, x));
+                cross_verify(&EtaIi::new(n, x).unwrap());
             }
         }
-        cross_verify(&EtaIi::new(9, 3));
+        cross_verify(&EtaIi::new(9, 3).unwrap());
     }
 
     #[test]
@@ -484,8 +467,8 @@ mod tests {
         // ETAIV's two-block speculation window subsumes ETAII's one-block
         // window, so its error rate cannot be worse.
         for x in [1u32, 2, 4] {
-            let ii = EtaIi::new(8, x);
-            let iv = EtaIv::new(8, x);
+            let ii = EtaIi::new(8, x).unwrap();
+            let iv = EtaIv::new(8, x).unwrap();
             let (mut e2, mut e4) = (0u64, 0u64);
             for a in 0..256u64 {
                 for b in 0..256u64 {
@@ -503,7 +486,7 @@ mod tests {
         for t in [FaType::One, FaType::Two, FaType::Three] {
             for n in NETLIST_WIDTHS {
                 for m in 0..=n {
-                    cross_verify(&RcaApx::new(n, m, t));
+                    cross_verify(&RcaApx::new(n, m, t).unwrap());
                 }
             }
         }
@@ -511,7 +494,7 @@ mod tests {
 
     #[test]
     fn aca_with_full_window_is_exact() {
-        let op = Aca::new(8, 8);
+        let op = Aca::new(8, 8).unwrap();
         for a in 0..256u64 {
             for b in 0..256u64 {
                 assert_eq!(op.eval_u(a, b), op.reference_u(a, b));
@@ -521,7 +504,7 @@ mod tests {
 
     #[test]
     fn etaiv_single_block_is_exact() {
-        let op = EtaIv::new(8, 8);
+        let op = EtaIv::new(8, 8).unwrap();
         for a in (0..256u64).step_by(3) {
             for b in (0..256u64).step_by(7) {
                 assert_eq!(op.eval_u(a, b), op.reference_u(a, b));
@@ -531,7 +514,7 @@ mod tests {
 
     #[test]
     fn rcaapx_all_accurate_is_exact() {
-        let op = RcaApx::new(8, 8, FaType::Three);
+        let op = RcaApx::new(8, 8, FaType::Three).unwrap();
         for a in (0..256u64).step_by(5) {
             for b in (0..256u64).step_by(3) {
                 assert_eq!(op.eval_u(a, b), op.reference_u(a, b));
@@ -544,7 +527,7 @@ mod tests {
         // Exhaustive over 8-bit operands with m = 4 accurate MSBs: type 1
         // must err less often than type 3 (ordering per the paper).
         let count_errors = |t: FaType| {
-            let op = RcaApx::new(8, 4, t);
+            let op = RcaApx::new(8, 4, t).unwrap();
             let mut wrong = 0u64;
             for a in 0..256u64 {
                 for b in 0..256u64 {
@@ -575,7 +558,7 @@ mod tests {
     #[test]
     fn aca_speculation_failures_are_rare_but_large() {
         // "fail rare / fail moderate" classification of §II-B.
-        let op = Aca::new(16, 4);
+        let op = Aca::new(16, 4).unwrap();
         let mut wrong = 0u64;
         let mut max_abs = 0i64;
         let mut x = 0x1234_5678_u64;
@@ -603,8 +586,11 @@ mod tests {
 
     #[test]
     fn paper_notation_names() {
-        assert_eq!(Aca::new(16, 12).name(), "ACA(16,12)");
-        assert_eq!(EtaIv::new(16, 4).name(), "ETAIV(16,4)");
-        assert_eq!(RcaApx::new(16, 6, FaType::Three).name(), "RCAApx(16,6,3)");
+        assert_eq!(Aca::new(16, 12).unwrap().name(), "ACA(16,12)");
+        assert_eq!(EtaIv::new(16, 4).unwrap().name(), "ETAIV(16,4)");
+        assert_eq!(
+            RcaApx::new(16, 6, FaType::Three).unwrap().name(),
+            "RCAApx(16,6,3)"
+        );
     }
 }

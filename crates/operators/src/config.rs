@@ -140,32 +140,39 @@ impl OperatorConfig {
     /// Instantiates the operator.
     ///
     /// # Panics
-    /// Panics if the parameters are out of range for the operator family
-    /// (see the constructors of the concrete types).
+    /// Panics with the message of [`OperatorConfig::validate`] if the
+    /// parameters are out of range for the operator family.
     #[must_use]
     pub fn build(&self) -> Box<dyn ApxOperator> {
+        self.try_build().unwrap_or_else(|reason| panic!("{reason}"))
+    }
+
+    /// The operator, or the bound its constructor found violated.
+    fn try_build(&self) -> Result<Box<dyn ApxOperator>, String> {
         use QuantMode::{Round, Trunc};
-        let add = |n, w, mode, notation| Box::new(SizedAdd::with_notation(n, w, mode, notation));
-        let mul =
-            |n, q, mode, notation| Box::new(FixedWidthMul::with_notation(n, q, mode, notation));
-        match *self {
-            OperatorConfig::AddExact { n } => add(n, n, Trunc, Notation::Exact),
-            OperatorConfig::AddTrunc { n, q } => add(n, q, Trunc, Notation::Kept),
-            OperatorConfig::AddRound { n, q } => add(n, q, Round, Notation::Kept),
-            OperatorConfig::Aca { n, p } => Box::new(Aca::new(n, p)),
-            OperatorConfig::EtaIv { n, x } => Box::new(EtaIv::new(n, x)),
-            OperatorConfig::EtaIi { n, x } => Box::new(EtaIi::new(n, x)),
-            OperatorConfig::RcaApx { n, m, fa_type } => Box::new(RcaApx::new(n, m, fa_type)),
-            OperatorConfig::MulExact { n } => mul(n, 2 * n, Trunc, Notation::Exact),
-            OperatorConfig::MulTrunc { n, q } => mul(n, q, Trunc, Notation::Kept),
-            OperatorConfig::MulRound { n, q } => mul(n, q, Round, Notation::Kept),
-            OperatorConfig::MulBooth { n } => Box::new(MulBoothExact::new(n)),
-            OperatorConfig::Aam { n } => Box::new(Aam::new(n)),
-            OperatorConfig::Abm { n } => Box::new(Abm::new(n)),
-            OperatorConfig::AbmUncorrected { n } => Box::new(AbmUncorrected::new(n)),
-            OperatorConfig::AddSized { n, w, mode } => Box::new(SizedAdd::new(n, w, mode)),
-            OperatorConfig::MulSized { n, w, mode } => Box::new(SizedMul::new(n, w, mode)),
-        }
+        let add = SizedAdd::with_notation;
+        let mul = FixedWidthMul::with_notation;
+        Ok(match *self {
+            OperatorConfig::AddExact { n } => Box::new(add(n, n, Trunc, Notation::Exact)?),
+            OperatorConfig::AddTrunc { n, q } => Box::new(add(n, q, Trunc, Notation::Kept)?),
+            OperatorConfig::AddRound { n, q } => Box::new(add(n, q, Round, Notation::Kept)?),
+            OperatorConfig::Aca { n, p } => Box::new(Aca::new(n, p)?),
+            OperatorConfig::EtaIv { n, x } => Box::new(EtaIv::new(n, x)?),
+            OperatorConfig::EtaIi { n, x } => Box::new(EtaIi::new(n, x)?),
+            OperatorConfig::RcaApx { n, m, fa_type } => Box::new(RcaApx::new(n, m, fa_type)?),
+            // saturating: an `n` too wide to double fails the width check
+            OperatorConfig::MulExact { n } => {
+                Box::new(mul(n, n.saturating_mul(2), Trunc, Notation::Exact)?)
+            }
+            OperatorConfig::MulTrunc { n, q } => Box::new(mul(n, q, Trunc, Notation::Kept)?),
+            OperatorConfig::MulRound { n, q } => Box::new(mul(n, q, Round, Notation::Kept)?),
+            OperatorConfig::MulBooth { n } => Box::new(MulBoothExact::new(n)?),
+            OperatorConfig::Aam { n } => Box::new(Aam::new(n)?),
+            OperatorConfig::Abm { n } => Box::new(Abm::new(n)?),
+            OperatorConfig::AbmUncorrected { n } => Box::new(AbmUncorrected::new(n)?),
+            OperatorConfig::AddSized { n, w, mode } => Box::new(SizedAdd::new(n, w, mode)?),
+            OperatorConfig::MulSized { n, w, mode } => Box::new(SizedMul::new(n, w, mode)?),
+        })
     }
 
     /// Adder or multiplier (without building the operator).
@@ -203,127 +210,16 @@ impl OperatorConfig {
         )
     }
 
-    /// Checks the parameters against the constructor constraints without
-    /// building the operator: [`OperatorConfig::build`] panics on a
-    /// violation, `validate` reports it — the right form for input that
-    /// arrives from outside (CLI arguments, config files).
+    /// Checks the parameters by running the operator's constructor, the
+    /// one place each family states its bounds, so `validate` accepts
+    /// exactly what [`OperatorConfig::build`] builds. `build` panics on a
+    /// violation, `validate` reports it: the right form for input that
+    /// arrives from outside (CLI arguments, HTTP queries, config files).
     ///
     /// # Errors
-    /// A human-readable description of the violated constraint.
+    /// A human-readable description of the violated bound.
     pub fn validate(&self) -> Result<(), String> {
-        let adder_n = |n: u32| -> Result<(), String> {
-            if (2..=32).contains(&n) {
-                Ok(())
-            } else {
-                Err(format!("adder width n={n} out of range 2..=32"))
-            }
-        };
-        let mult_n = |n: u32| -> Result<(), String> {
-            if (2..=24).contains(&n) {
-                Ok(())
-            } else {
-                Err(format!("multiplier width n={n} out of range 2..=24"))
-            }
-        };
-        let sized_w = |n: u32, w: u32, mode: QuantMode| -> Result<(), String> {
-            let ok = match mode {
-                QuantMode::Trunc => (2..=n).contains(&w),
-                QuantMode::Round => (2..n).contains(&w),
-            };
-            if ok {
-                Ok(())
-            } else {
-                Err(format!(
-                    "effective width w={w} out of range 2..{}{n} for mode `{mode}`",
-                    if mode == QuantMode::Trunc { "=" } else { "" }
-                ))
-            }
-        };
-        let booth_n = |n: u32| -> Result<(), String> {
-            if (4..=24).contains(&n) && n.is_multiple_of(2) {
-                Ok(())
-            } else {
-                Err(format!("Booth width n={n} must be even, in 4..=24"))
-            }
-        };
-        match *self {
-            OperatorConfig::AddExact { n } => adder_n(n),
-            OperatorConfig::AddTrunc { n, q } => {
-                adder_n(n)?;
-                if (1..=n).contains(&q) {
-                    Ok(())
-                } else {
-                    Err(format!("kept bits q={q} out of range 1..={n}"))
-                }
-            }
-            OperatorConfig::AddRound { n, q } => {
-                adder_n(n)?;
-                if (1..n).contains(&q) {
-                    Ok(())
-                } else {
-                    Err(format!("kept bits q={q} out of range 1..{n}"))
-                }
-            }
-            OperatorConfig::Aca { n, p } => {
-                adder_n(n)?;
-                if (1..=n).contains(&p) {
-                    Ok(())
-                } else {
-                    Err(format!("speculation window p={p} out of range 1..={n}"))
-                }
-            }
-            OperatorConfig::EtaIv { n, x } | OperatorConfig::EtaIi { n, x } => {
-                adder_n(n)?;
-                if x >= 1 && n.is_multiple_of(x) {
-                    Ok(())
-                } else {
-                    Err(format!("block size x={x} must divide n={n}"))
-                }
-            }
-            OperatorConfig::RcaApx { n, m, .. } => {
-                adder_n(n)?;
-                if m <= n {
-                    Ok(())
-                } else {
-                    Err(format!("accurate MSBs m={m} out of range 0..={n}"))
-                }
-            }
-            OperatorConfig::MulExact { n } => mult_n(n),
-            OperatorConfig::MulTrunc { n, q } => {
-                mult_n(n)?;
-                if (1..=2 * n).contains(&q) {
-                    Ok(())
-                } else {
-                    Err(format!("kept bits q={q} out of range 1..={}", 2 * n))
-                }
-            }
-            OperatorConfig::MulRound { n, q } => {
-                mult_n(n)?;
-                if (1..2 * n).contains(&q) {
-                    Ok(())
-                } else {
-                    Err(format!("kept bits q={q} out of range 1..{}", 2 * n))
-                }
-            }
-            OperatorConfig::Aam { n } => {
-                if (4..=24).contains(&n) {
-                    Ok(())
-                } else {
-                    Err(format!("AAM width n={n} out of range 4..=24"))
-                }
-            }
-            OperatorConfig::MulBooth { n }
-            | OperatorConfig::Abm { n }
-            | OperatorConfig::AbmUncorrected { n } => booth_n(n),
-            OperatorConfig::AddSized { n, w, mode } => {
-                adder_n(n)?;
-                sized_w(n, w, mode)
-            }
-            OperatorConfig::MulSized { n, w, mode } => {
-                mult_n(n)?;
-                sized_w(n, w, mode)
-            }
-        }
+        self.try_build().map(drop)
     }
 
     /// Operand width `n`.
@@ -358,7 +254,8 @@ impl fmt::Display for OperatorConfig {
 
 /// Error returned by the [`OperatorConfig`] `FromStr` impl: the input
 /// does not name an operator in the paper notation, or its parameters
-/// violate a constructor constraint.
+/// violate a bound of the family's constructor (the message of
+/// [`OperatorConfig::validate`], prefixed with the input).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseConfigError(String);
 
@@ -442,14 +339,14 @@ impl std::str::FromStr for OperatorConfig {
             },
             "mul" => match params[..] {
                 [n] => Ok(OperatorConfig::MulExact { n }),
-                [n, w] if w == 2 * n => Ok(OperatorConfig::MulExact { n }),
+                [n, w] if n.checked_mul(2) == Some(w) => Ok(OperatorConfig::MulExact { n }),
                 _ => Err(err()),
             },
             "mult" => two().map(|(n, q)| OperatorConfig::MulTrunc { n, q }),
             "mulr" => two().map(|(n, q)| OperatorConfig::MulRound { n, q }),
             "mulbooth" => match params[..] {
                 [n] => Ok(OperatorConfig::MulBooth { n }),
-                [n, w] if w == 2 * n => Ok(OperatorConfig::MulBooth { n }),
+                [n, w] if n.checked_mul(2) == Some(w) => Ok(OperatorConfig::MulBooth { n }),
                 _ => Err(err()),
             },
             "addst" => two().map(|(n, w)| OperatorConfig::AddSized {
@@ -477,7 +374,7 @@ impl std::str::FromStr for OperatorConfig {
             "abmu" => one().map(|n| OperatorConfig::AbmUncorrected { n }),
             _ => Err(err()),
         }?;
-        // syntax is fine — now reject parameters build() would panic on
+        // syntax is fine — now reject parameters the constructor rejects
         config
             .validate()
             .map_err(|reason| ParseConfigError(format!("invalid operator `{s}`: {reason}")))?;
@@ -632,6 +529,9 @@ mod tests {
             "ADDsr(16,16)",
             "MULst(16,17)",
             "MULsr(30,4)",
+            // `2n` overflows u32: a parse error, never an arithmetic panic
+            "MUL(2147483648,0)",
+            "MULbooth(2147483648,0)",
         ] {
             assert!(bad.parse::<OperatorConfig>().is_err(), "{bad:?}");
         }

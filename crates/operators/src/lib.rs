@@ -24,6 +24,15 @@
 //! ([`ApxOperator::netlist`]); the two are cross-verified by the
 //! framework, exactly like the C vs. VHDL equivalence check of APXPERF.
 //!
+//! # Parameter bounds
+//!
+//! Each operator's constructor (`Aca::new`, `SizedAdd::new`, …) is the
+//! one statement of its family's parameter bounds: it returns `Err` with
+//! a message naming the violated bound. [`OperatorConfig::validate`] runs
+//! that constructor and drops the operator, so it accepts exactly what
+//! [`OperatorConfig::build`] builds. The operand widths shared by a
+//! whole class are [`ADDER_WIDTHS`] and [`MULTIPLIER_WIDTHS`].
+//!
 //! # Conventions
 //!
 //! Operands are `n`-bit two's-complement values carried in the low bits of
@@ -67,4 +76,4 @@ pub use mul_array::{Aam, FixedWidthMul};
 pub use mul_booth::{Abm, AbmUncorrected, MulBoothExact};
 pub use sized::{QuantMode, SizedAdd, SizedMul};
 pub use traits::{ApxOperator, OpClass};
-pub use util::{centered_diff, mask_u, sext, to_u};
+pub use util::{centered_diff, mask_u, sext, to_u, ADDER_WIDTHS, MULTIPLIER_WIDTHS};

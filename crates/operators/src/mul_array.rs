@@ -19,9 +19,12 @@
 //!      + a_{n-1}b_{n-1} 2^{2n-2} + 2^{2n-1} + 2^n        (mod 2^{2n})
 //! ```
 
-use crate::sized::{Notation, QuantMode};
+use crate::sized::{check_kept_bits, Notation, QuantMode};
 use crate::traits::{ApxOperator, OpClass};
-use crate::util::{bit, bitsliced_batch, compress_columns64, mask_u, sext, to_u};
+use crate::util::{
+    bit, bitsliced_batch, check_multiplier_width, compress_columns64, mask_u, require, sext, to_u,
+    MULTIPLIER_WIDTHS,
+};
 use apx_netlist::{NetId, Netlist, NetlistBuilder};
 
 /// One Baugh-Wooley partial-product term.
@@ -144,28 +147,26 @@ pub struct FixedWidthMul {
 
 impl FixedWidthMul {
     /// Creates `MULt(n, q)` / `MULr(n, q)`.
-    ///
-    /// # Panics
-    /// Panics unless `2 <= n <= 24` and `1 <= q <= 2n` (`q < 2n` for
-    /// rounding — at `q == 2n` there is nothing to round).
-    #[must_use]
-    pub fn new(n: u32, q: u32, mode: QuantMode) -> Self {
+    pub fn new(n: u32, q: u32, mode: QuantMode) -> Result<Self, String> {
         Self::with_notation(n, q, mode, Notation::Kept)
     }
 
     /// [`FixedWidthMul::new`] printing as `notation`.
-    pub(crate) fn with_notation(n: u32, q: u32, mode: QuantMode, notation: Notation) -> Self {
-        assert!((2..=24).contains(&n), "n out of range");
-        match mode {
-            QuantMode::Trunc => assert!((1..=2 * n).contains(&q), "q out of range"),
-            QuantMode::Round => assert!((1..2 * n).contains(&q), "q out of range"),
-        }
-        FixedWidthMul {
+    pub(crate) fn with_notation(
+        n: u32,
+        q: u32,
+        mode: QuantMode,
+        notation: Notation,
+    ) -> Result<Self, String> {
+        // the width check comes first: it keeps `2 * n` from overflowing
+        check_multiplier_width(n)?;
+        check_kept_bits(q, 2 * n, mode)?;
+        Ok(FixedWidthMul {
             n,
             q,
             mode,
             notation,
-        }
+        })
     }
 }
 
@@ -241,17 +242,16 @@ impl Aam {
     /// structure (Van's design is an array multiplier; its longer, glitchy
     /// carry-save rows are why the paper measures it slower and hungrier
     /// than the synthesized `MULt`).
-    ///
-    /// # Panics
-    /// Panics unless `4 <= n <= 24`.
-    #[must_use]
-    pub fn new(n: u32) -> Self {
-        assert!((4..=24).contains(&n), "n out of range");
-        Aam {
+    pub fn new(n: u32) -> Result<Self, String> {
+        let widths = 4..=*MULTIPLIER_WIDTHS.end();
+        require(widths.contains(&n), || {
+            format!("AAM width n={n} out of range {widths:?}")
+        })?;
+        Ok(Aam {
             n,
             tree_compression: false,
             cols: bw_terms(n),
-        }
+        })
     }
 
     /// Ablation variant: same pruning/compensation but with balanced
@@ -414,7 +414,7 @@ mod tests {
         // lane sub-stream semantics may shift it only by sampling noise.
         use apx_netlist::power::{estimate, PowerSettings};
         let report = estimate(
-            &Aam::new(16).netlist(),
+            &Aam::new(16).unwrap().netlist(),
             &apx_cells::Library::fdsoi28(),
             PowerSettings {
                 vectors: 4_000,
@@ -431,9 +431,9 @@ mod tests {
     #[test]
     fn aam_netlist_matches_model() {
         for n in [4u32, 6] {
-            cross_verify(&Aam::new(n));
+            cross_verify(&Aam::new(n).unwrap());
         }
-        cross_verify(&Aam::new(16));
+        cross_verify(&Aam::new(16).unwrap());
     }
 
     #[test]
@@ -446,7 +446,7 @@ mod tests {
             OperatorConfig::MulTrunc { n: 8, q: 16 }.build(),
             OperatorConfig::MulRound { n: 8, q: 8 }.build(),
             OperatorConfig::MulRound { n: 8, q: 13 }.build(),
-            Box::new(Aam::new(8)),
+            Box::new(Aam::new(8).unwrap()),
         ];
         // all 65536 operand pairs in batches of 256 (4 transposed chunks)
         for op in ops {
@@ -479,7 +479,7 @@ mod tests {
 
     #[test]
     fn trunc_error_is_the_dropped_fraction() {
-        let op = FixedWidthMul::new(8, 8, QuantMode::Trunc);
+        let op = FixedWidthMul::new(8, 8, QuantMode::Trunc).unwrap();
         for (a, b) in [(0x7Fu64, 0x7Fu64), (0x80, 0x80), (0xAB, 0x34), (0x01, 0xFF)] {
             let e = crate::centered_diff(op.reference_u(a, b), op.aligned_u(a, b), 16);
             assert!((0..256).contains(&e), "e={e}");
@@ -490,7 +490,7 @@ mod tests {
     fn aam_tracks_the_exact_fixed_width_product() {
         // Exhaustive 8-bit: AAM output must stay within a few output LSBs
         // of the truncated exact product (Table I: AAM ~1 dB worse).
-        let aam = Aam::new(8);
+        let aam = Aam::new(8).unwrap();
         let mut worst = 0i64;
         for a in 0..256u64 {
             for b in 0..256u64 {
@@ -505,10 +505,11 @@ mod tests {
     #[test]
     fn aam_is_smaller_than_the_exact_fixed_width_multiplier() {
         let full = FixedWidthMul::new(16, 16, QuantMode::Trunc)
+            .unwrap()
             .netlist()
             .stats()
             .num_gates;
-        let aam = Aam::new(16).netlist().stats().num_gates;
+        let aam = Aam::new(16).unwrap().netlist().stats().num_gates;
         assert!(
             aam < full,
             "AAM ({aam} gates) must be smaller than MULt ({full} gates)"

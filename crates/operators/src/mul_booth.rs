@@ -28,9 +28,20 @@
 //! `table6_shape_abm_collapse`).
 
 use crate::traits::{ApxOperator, OpClass};
-use crate::util::{bit, bitsliced_batch, compress_columns64, mask_u, signed_product};
+use crate::util::{
+    bit, bitsliced_batch, compress_columns64, mask_u, require, signed_product, MULTIPLIER_WIDTHS,
+};
 use apx_netlist::{NetId, Netlist, NetlistBuilder};
 use std::collections::HashMap;
+
+/// Checks the operand width of every Booth multiplier: radix-4 recoding
+/// takes `b` two bits per digit, so `n` is even.
+fn check_booth_width(n: u32) -> Result<(), String> {
+    let widths = 4..=*MULTIPLIER_WIDTHS.end();
+    require(widths.contains(&n) && n.is_multiple_of(2), || {
+        format!("Booth width n={n} must be even, in {widths:?}")
+    })
+}
 
 /// Booth encoder signals for digit `k` of operand `b`: `(x1, x2, neg)`.
 #[inline]
@@ -310,16 +321,9 @@ pub struct MulBoothExact {
 
 impl MulBoothExact {
     /// Creates an exact Booth multiplier.
-    ///
-    /// # Panics
-    /// Panics unless `4 <= n <= 24` and `n` is even.
-    #[must_use]
-    pub fn new(n: u32) -> Self {
-        assert!(
-            (4..=24).contains(&n) && n.is_multiple_of(2),
-            "n must be even, 4..=24"
-        );
-        MulBoothExact { n }
+    pub fn new(n: u32) -> Result<Self, String> {
+        check_booth_width(n)?;
+        Ok(MulBoothExact { n })
     }
 }
 
@@ -367,16 +371,9 @@ pub struct Abm {
 
 impl Abm {
     /// Creates `ABM(n)`.
-    ///
-    /// # Panics
-    /// Panics unless `4 <= n <= 24` and `n` is even.
-    #[must_use]
-    pub fn new(n: u32) -> Self {
-        assert!(
-            (4..=24).contains(&n) && n.is_multiple_of(2),
-            "n must be even, 4..=24"
-        );
-        Abm { n }
+    pub fn new(n: u32) -> Result<Self, String> {
+        check_booth_width(n)?;
+        Ok(Abm { n })
     }
 
     fn pruning(&self) -> BoothPruning {
@@ -432,16 +429,9 @@ pub struct AbmUncorrected {
 
 impl AbmUncorrected {
     /// Creates `ABMu(n)`.
-    ///
-    /// # Panics
-    /// Panics unless `4 <= n <= 24` and `n` is even.
-    #[must_use]
-    pub fn new(n: u32) -> Self {
-        assert!(
-            (4..=24).contains(&n) && n.is_multiple_of(2),
-            "n must be even, 4..=24"
-        );
-        AbmUncorrected { n }
+    pub fn new(n: u32) -> Result<Self, String> {
+        check_booth_width(n)?;
+        Ok(AbmUncorrected { n })
     }
 
     fn pruning(&self) -> BoothPruning {
@@ -522,36 +512,36 @@ mod tests {
     #[test]
     fn exact_booth_netlist_matches_model() {
         for n in [4u32, 6] {
-            cross_verify(&MulBoothExact::new(n));
+            cross_verify(&MulBoothExact::new(n).unwrap());
         }
-        cross_verify(&MulBoothExact::new(16));
+        cross_verify(&MulBoothExact::new(16).unwrap());
     }
 
     #[test]
     fn abm_netlist_matches_model() {
         for n in [4u32, 6, 8] {
-            cross_verify(&Abm::new(n));
+            cross_verify(&Abm::new(n).unwrap());
         }
-        cross_verify(&Abm::new(16));
+        cross_verify(&Abm::new(16).unwrap());
     }
 
     #[test]
     fn abm_uncorrected_netlist_matches_model() {
         for n in [4u32, 8] {
-            cross_verify(&AbmUncorrected::new(n));
+            cross_verify(&AbmUncorrected::new(n).unwrap());
         }
-        cross_verify(&AbmUncorrected::new(16));
+        cross_verify(&AbmUncorrected::new(16).unwrap());
     }
 
     #[test]
     fn booth_batches_match_scalar_eval_exhaustively() {
         let ops: Vec<Box<dyn ApxOperator>> = vec![
-            Box::new(MulBoothExact::new(4)),
-            Box::new(MulBoothExact::new(8)),
-            Box::new(Abm::new(4)),
-            Box::new(Abm::new(8)),
-            Box::new(AbmUncorrected::new(4)),
-            Box::new(AbmUncorrected::new(8)),
+            Box::new(MulBoothExact::new(4).unwrap()),
+            Box::new(MulBoothExact::new(8).unwrap()),
+            Box::new(Abm::new(4).unwrap()),
+            Box::new(Abm::new(8).unwrap()),
+            Box::new(AbmUncorrected::new(4).unwrap()),
+            Box::new(AbmUncorrected::new(8).unwrap()),
         ];
         for op in ops {
             let m = mask_u(op.input_bits());
@@ -583,7 +573,7 @@ mod tests {
 
     #[test]
     fn corrected_abm_tracks_the_product() {
-        let op = Abm::new(8);
+        let op = Abm::new(8).unwrap();
         let mut worst = 0i64;
         for a in 0..256u64 {
             for b in 0..256u64 {
@@ -597,8 +587,8 @@ mod tests {
     #[test]
     fn uncorrected_abm_is_catastrophically_worse() {
         // The whole point of the variant: orders of magnitude more MSE.
-        let good = Abm::new(8);
-        let bad = AbmUncorrected::new(8);
+        let good = Abm::new(8).unwrap();
+        let bad = AbmUncorrected::new(8).unwrap();
         let (mut se_good, mut se_bad) = (0i128, 0i128);
         for a in 0..256u64 {
             for b in 0..256u64 {
@@ -620,8 +610,9 @@ mod tests {
         // Table I: ABM is 37% faster than MULt(16,16); at least verify the
         // pruned Booth tree has fewer gates on the critical path by
         // comparing gate counts as a structural proxy.
-        let abm = Abm::new(16).netlist().stats().num_gates;
+        let abm = Abm::new(16).unwrap().netlist().stats().num_gates;
         let full = crate::FixedWidthMul::new(16, 16, crate::QuantMode::Trunc)
+            .unwrap()
             .netlist()
             .stats()
             .num_gates;

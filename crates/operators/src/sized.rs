@@ -27,7 +27,9 @@
 
 use crate::mul_array::{build_columns, bw_terms};
 use crate::traits::{ApxOperator, OpClass};
-use crate::util::{bit, mask_u, signed_product};
+use crate::util::{
+    bit, check_adder_width, check_multiplier_width, mask_u, require, signed_product,
+};
 use apx_netlist::{NetId, Netlist, NetlistBuilder};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -59,6 +61,30 @@ impl QuantMode {
     pub(crate) fn half(self, s: u32) -> u64 {
         (u64::from(self == QuantMode::Round) << s) >> 1
     }
+}
+
+/// Checks `lo <= kept <= top`, or `kept < top` when rounding: with no
+/// dropped bit there is nothing to round. The error is the range as the
+/// messages print it (`1..=16`, `1..16`).
+fn check_kept(kept: u32, lo: u32, top: u32, mode: QuantMode) -> Result<(), String> {
+    let (fits, closed) = match mode {
+        QuantMode::Trunc => (kept <= top, "="),
+        QuantMode::Round => (kept < top, ""),
+    };
+    require(lo <= kept && fits, || format!("{lo}..{closed}{top}"))
+}
+
+/// Checks the `q` output bits kept out of `top` by `ADDt`, `ADDr`, `MULt`
+/// and `MULr`.
+pub(crate) fn check_kept_bits(q: u32, top: u32, mode: QuantMode) -> Result<(), String> {
+    check_kept(q, 1, top, mode).map_err(|range| format!("kept bits q={q} out of range {range}"))
+}
+
+/// Checks the effective width `w` of a sized operator over `n`-bit
+/// operands.
+fn check_effective_width(n: u32, w: u32, mode: QuantMode) -> Result<(), String> {
+    check_kept(w, 2, n, mode)
+        .map_err(|range| format!("effective width w={w} out of range {range} for mode `{mode}`"))
 }
 
 impl fmt::Display for QuantMode {
@@ -152,30 +178,29 @@ pub struct SizedAdd {
 impl SizedAdd {
     /// Creates the sized adder `ADDst(n,w)` / `ADDsr(n,w)` over `n`-bit
     /// operands at `w` effective bits.
-    ///
-    /// # Panics
-    /// Panics unless `2 <= n <= 32` and `2 <= w <= n` (`w < n` for
-    /// rounding — at `w == n` there is nothing to round).
-    #[must_use]
-    pub fn new(n: u32, w: u32, mode: QuantMode) -> Self {
-        assert!(w >= 2, "w out of range");
+    pub fn new(n: u32, w: u32, mode: QuantMode) -> Result<Self, String> {
         Self::with_notation(n, w, mode, Notation::Sized)
     }
 
-    /// [`SizedAdd::new`] printing as `notation`, down to `w == 1` (the
-    /// range of `ADDt`/`ADDr`).
-    pub(crate) fn with_notation(n: u32, w: u32, mode: QuantMode, notation: Notation) -> Self {
-        assert!((2..=32).contains(&n), "n out of range");
-        match mode {
-            QuantMode::Trunc => assert!((1..=n).contains(&w), "w out of range"),
-            QuantMode::Round => assert!((1..n).contains(&w), "w out of range"),
+    /// [`SizedAdd::new`] printing as `notation`. `ADDt`/`ADDr` keep down
+    /// to `w == 1` bit, the sized family down to 2.
+    pub(crate) fn with_notation(
+        n: u32,
+        w: u32,
+        mode: QuantMode,
+        notation: Notation,
+    ) -> Result<Self, String> {
+        check_adder_width(n)?;
+        match notation {
+            Notation::Sized => check_effective_width(n, w, mode)?,
+            Notation::Exact | Notation::Kept => check_kept_bits(w, n, mode)?,
         }
-        SizedAdd {
+        Ok(SizedAdd {
             n,
             w,
             mode,
             notation,
-        }
+        })
     }
 }
 
@@ -246,18 +271,10 @@ pub struct SizedMul {
 impl SizedMul {
     /// Creates a sized multiplier over `n`-bit operands at `w` effective
     /// bits.
-    ///
-    /// # Panics
-    /// Panics unless `2 <= n <= 24` and `2 <= w <= n` (`w < n` for
-    /// rounding).
-    #[must_use]
-    pub fn new(n: u32, w: u32, mode: QuantMode) -> Self {
-        assert!((2..=24).contains(&n), "n out of range");
-        match mode {
-            QuantMode::Trunc => assert!((2..=n).contains(&w), "w out of range"),
-            QuantMode::Round => assert!((2..n).contains(&w), "w out of range"),
-        }
-        SizedMul { n, w, mode }
+    pub fn new(n: u32, w: u32, mode: QuantMode) -> Result<Self, String> {
+        check_multiplier_width(n)?;
+        check_effective_width(n, w, mode)?;
+        Ok(SizedMul { n, w, mode })
     }
 }
 
@@ -340,11 +357,11 @@ mod tests {
     fn sized_multiplier_netlist_matches_model() {
         for mode in [QuantMode::Trunc, QuantMode::Round] {
             for (n, w) in [(4, 2), (5, 3), (6, 4), (6, 5)] {
-                cross_verify(&SizedMul::new(n, w, mode));
+                cross_verify(&SizedMul::new(n, w, mode).unwrap());
             }
         }
-        cross_verify(&SizedMul::new(5, 5, QuantMode::Trunc));
-        cross_verify(&SizedMul::new(16, 10, QuantMode::Round));
+        cross_verify(&SizedMul::new(5, 5, QuantMode::Trunc).unwrap());
+        cross_verify(&SizedMul::new(16, 10, QuantMode::Round).unwrap());
     }
 
     #[test]
@@ -360,8 +377,8 @@ mod tests {
 
     #[test]
     fn full_width_sized_operators_are_exact() {
-        let add = SizedAdd::new(8, 8, QuantMode::Trunc);
-        let mul = SizedMul::new(4, 4, QuantMode::Trunc);
+        let add = SizedAdd::new(8, 8, QuantMode::Trunc).unwrap();
+        let mul = SizedMul::new(4, 4, QuantMode::Trunc).unwrap();
         for a in 0..256u64 {
             for b in 0..256u64 {
                 assert_eq!(add.eval_u(a, b), add.reference_u(a, b));
@@ -422,14 +439,17 @@ mod tests {
         // w×w, not n×n — gates must fall sharply with w, and below the
         // full-interface fixed-width multiplier of the same n
         let full = FixedWidthMul::new(16, 16, QuantMode::Trunc)
+            .unwrap()
             .netlist()
             .stats()
             .num_gates;
         let w12 = SizedMul::new(16, 12, QuantMode::Trunc)
+            .unwrap()
             .netlist()
             .stats()
             .num_gates;
         let w8 = SizedMul::new(16, 8, QuantMode::Trunc)
+            .unwrap()
             .netlist()
             .stats()
             .num_gates;
@@ -440,11 +460,11 @@ mod tests {
     #[test]
     fn sized_batch_matches_scalar_exhaustively() {
         let ops: Vec<Box<dyn ApxOperator>> = vec![
-            Box::new(SizedAdd::new(8, 3, QuantMode::Trunc)),
-            Box::new(SizedAdd::new(8, 5, QuantMode::Round)),
-            Box::new(SizedAdd::new(8, 8, QuantMode::Trunc)),
-            Box::new(SizedMul::new(8, 5, QuantMode::Trunc)),
-            Box::new(SizedMul::new(8, 6, QuantMode::Round)),
+            Box::new(SizedAdd::new(8, 3, QuantMode::Trunc).unwrap()),
+            Box::new(SizedAdd::new(8, 5, QuantMode::Round).unwrap()),
+            Box::new(SizedAdd::new(8, 8, QuantMode::Trunc).unwrap()),
+            Box::new(SizedMul::new(8, 5, QuantMode::Trunc).unwrap()),
+            Box::new(SizedMul::new(8, 6, QuantMode::Round).unwrap()),
         ];
         for op in ops {
             let mut batch_a = Vec::new();
@@ -480,19 +500,19 @@ mod tests {
     #[test]
     fn paper_notation_names() {
         assert_eq!(
-            SizedAdd::new(16, 10, QuantMode::Trunc).name(),
+            SizedAdd::new(16, 10, QuantMode::Trunc).unwrap().name(),
             "ADDst(16,10)"
         );
         assert_eq!(
-            SizedAdd::new(16, 10, QuantMode::Round).name(),
+            SizedAdd::new(16, 10, QuantMode::Round).unwrap().name(),
             "ADDsr(16,10)"
         );
         assert_eq!(
-            SizedMul::new(16, 10, QuantMode::Trunc).name(),
+            SizedMul::new(16, 10, QuantMode::Trunc).unwrap().name(),
             "MULst(16,10)"
         );
         assert_eq!(
-            SizedMul::new(16, 10, QuantMode::Round).name(),
+            SizedMul::new(16, 10, QuantMode::Round).unwrap().name(),
             "MULsr(16,10)"
         );
     }

@@ -27,7 +27,7 @@ pub enum OpClass {
 /// # Example
 /// ```
 /// use apx_operators::{Aca, ApxOperator};
-/// let aca = Aca::new(8, 3);
+/// let aca = Aca::new(8, 3).unwrap();
 /// // speculative carry may fail: compare against the exact sum
 /// let wrong = (0..=255u64)
 ///     .flat_map(|a| (0..=255u64).map(move |b| (a, b)))

@@ -1,6 +1,38 @@
 //! Bit-manipulation helpers shared by the operator models.
 
 use apx_netlist::{pack_lanes, unpack_lanes};
+use std::ops::RangeInclusive;
+
+/// Operand widths `n` every adder family accepts.
+pub const ADDER_WIDTHS: RangeInclusive<u32> = 2..=32;
+
+/// Operand widths `n` every array multiplier accepts. AAM and the Booth
+/// multipliers start at 4 bits but end at the same width.
+pub const MULTIPLIER_WIDTHS: RangeInclusive<u32> = 2..=24;
+
+/// `Ok` when `ok` holds, else `Err(message())`: the shape of every
+/// constructor's parameter check.
+pub(crate) fn require(ok: bool, message: impl FnOnce() -> String) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(message())
+    }
+}
+
+/// Checks an adder's operand width against [`ADDER_WIDTHS`].
+pub(crate) fn check_adder_width(n: u32) -> Result<(), String> {
+    require(ADDER_WIDTHS.contains(&n), || {
+        format!("adder width n={n} out of range {ADDER_WIDTHS:?}")
+    })
+}
+
+/// Checks a multiplier's operand width against [`MULTIPLIER_WIDTHS`].
+pub(crate) fn check_multiplier_width(n: u32) -> Result<(), String> {
+    require(MULTIPLIER_WIDTHS.contains(&n), || {
+        format!("multiplier width n={n} out of range {MULTIPLIER_WIDTHS:?}")
+    })
+}
 
 /// Mask with the low `bits` bits set. `bits` may be 0..=64.
 ///

@@ -190,7 +190,7 @@ impl Server {
             // the scope exit is the drain barrier: it joins the worker
             // and every connection handler before run() can return
         });
-        state.cache.persist_run_stats();
+        state.cache.persist_stats(&state.cache.stats());
     }
 }
 
@@ -293,10 +293,7 @@ fn report(state: &Arc<ServeState>, spec: &str, query_pairs: &[(String, String)])
     match lookup {
         Lookup::Hit => state.stats.record_hit(),
         Lookup::Coalesced => state.stats.record_coalesced(),
-        Lookup::Computed => {
-            state.stats.record_miss();
-            state.cache.persist_run_stats();
-        }
+        Lookup::Computed => state.stats.record_miss(),
     }
     match report.to_json() {
         Ok(json) => (200, format!("{json}\n")),
@@ -330,7 +327,7 @@ fn submit_sweep(state: &Arc<ServeState>, body: &str) -> (u16, String) {
         state,
         label,
         Box::new(move || {
-            let text = query::sweep_text(
+            query::sweep_text(
                 &job_state.lib,
                 &sweep.params,
                 &sweep.family,
@@ -338,9 +335,7 @@ fn submit_sweep(state: &Arc<ServeState>, body: &str) -> (u16, String) {
                 sweep.format,
                 &job_state.engine,
                 &job_state.cache,
-            );
-            job_state.cache.persist_run_stats();
-            text
+            )
         }),
     )
 }
@@ -373,7 +368,7 @@ fn submit_pareto(state: &Arc<ServeState>, body: &str) -> (u16, String) {
         state,
         label,
         Box::new(move || {
-            let text = query::pareto_text(
+            query::pareto_text(
                 &job_state.lib,
                 &pareto.params,
                 &pareto.workload,
@@ -382,9 +377,7 @@ fn submit_pareto(state: &Arc<ServeState>, body: &str) -> (u16, String) {
                 pareto.format,
                 &job_state.engine,
                 &job_state.cache,
-            );
-            job_state.cache.persist_run_stats();
-            text
+            )
         }),
     )
 }

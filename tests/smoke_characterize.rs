@@ -48,3 +48,62 @@ fn approximate_operator_cross_verifies_and_reports() {
     assert!(report.error.error_rate > 0.0);
     assert!(report.hw.area_um2 > 0.0 && report.hw.power_mw > 0.0);
 }
+
+/// Every config of every family at widths `n <= 6`, each parameter over
+/// `0..=2n+1`: past every bound the constructors state.
+fn small_parameter_grid() -> Vec<OperatorConfig> {
+    use apxperf::operators::{FaType, QuantMode};
+    let mut grid = Vec::new();
+    for n in 0..=6 {
+        grid.extend([
+            OperatorConfig::AddExact { n },
+            OperatorConfig::MulExact { n },
+            OperatorConfig::MulBooth { n },
+            OperatorConfig::Aam { n },
+            OperatorConfig::Abm { n },
+            OperatorConfig::AbmUncorrected { n },
+        ]);
+        for k in 0..=2 * n + 1 {
+            grid.extend([
+                OperatorConfig::AddTrunc { n, q: k },
+                OperatorConfig::AddRound { n, q: k },
+                OperatorConfig::Aca { n, p: k },
+                OperatorConfig::EtaIv { n, x: k },
+                OperatorConfig::EtaIi { n, x: k },
+                OperatorConfig::MulTrunc { n, q: k },
+                OperatorConfig::MulRound { n, q: k },
+            ]);
+            for fa_type in [FaType::One, FaType::Two, FaType::Three] {
+                grid.push(OperatorConfig::RcaApx { n, m: k, fa_type });
+            }
+            for mode in [QuantMode::Trunc, QuantMode::Round] {
+                grid.push(OperatorConfig::AddSized { n, w: k, mode });
+                grid.push(OperatorConfig::MulSized { n, w: k, mode });
+            }
+        }
+    }
+    grid
+}
+
+#[test]
+fn validate_admits_only_configs_whose_netlist_matches_the_model() {
+    // The hand-picked netlist tests check chosen parameters; this one
+    // follows whatever the constructors admit, so a widened bound that
+    // lets a broken config through fails here.
+    use apxperf::engine::Engine;
+    use apxperf::netlist::verify::verify_exhaustive2_batch_with;
+    let engine = Engine::new(2);
+    let mut admitted = 0;
+    for config in small_parameter_grid() {
+        if config.validate().is_err() {
+            continue;
+        }
+        admitted += 1;
+        let op = config.build();
+        verify_exhaustive2_batch_with(&op.netlist(), &engine, |a, b, out| {
+            op.eval_batch(a, b, out);
+        })
+        .unwrap_or_else(|e| panic!("{config}: {e}"));
+    }
+    assert_eq!(admitted, 300, "configs admitted on the grid");
+}
