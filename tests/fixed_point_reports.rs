@@ -1,12 +1,14 @@
-//! Bit-identity pin for every fixed-point notation: one digest over the
-//! full `OperatorReport::to_json` (name, verdict, every error metric,
-//! netlist statistics, timing, power and transitions) of each config.
+//! Bit-identity pins: one digest over the full `OperatorReport::to_json`
+//! (name, verdict, every error metric, netlist statistics, timing, power
+//! and transitions) of each config in a grid.
 //!
-//! The grid reaches what no sweep covers: `ADD(n,n)` at every width,
-//! `ADDt`/`ADDr` down to one kept bit, and every `MULr` output width.
-//! Operator types may be merged, renamed or re-parameterized freely as
-//! long as this digest holds; a change meant to move results must bump
-//! the report fingerprint instead of editing the constant.
+//! The fixed-point grid reaches what no sweep covers: `ADD(n,n)` at every
+//! width, `ADDt`/`ADDr` down to one kept bit, and every `MULr` output
+//! width. The second grid holds every legal block size of `ETAII`/`ETAIV`
+//! and every even width of the three Booth multipliers. Operator types
+//! may be merged, renamed or re-parameterized freely as long as these
+//! digests hold; a change meant to move results must bump the report
+//! fingerprint instead of editing the constants.
 
 use apxperf::engine::Engine;
 use apxperf::operators::QuantMode;
@@ -70,8 +72,26 @@ fn fixed_point_grid() -> Vec<OperatorConfig> {
     grid
 }
 
-#[test]
-fn fixed_point_report_bytes_are_pinned() {
+/// `ETAII`/`ETAIV` at every block size dividing `n`, and `MULbooth`,
+/// `ABM` and `ABMu` at every even width up to 16.
+fn eta_and_booth_grid() -> Vec<OperatorConfig> {
+    let mut grid = Vec::new();
+    for n in [8, 9, 12, 16] {
+        for x in (1..=n).filter(|x| n % x == 0) {
+            grid.push(OperatorConfig::EtaIi { n, x });
+            grid.push(OperatorConfig::EtaIv { n, x });
+        }
+    }
+    for n in (4..=16).step_by(2) {
+        grid.push(OperatorConfig::MulBooth { n });
+        grid.push(OperatorConfig::Abm { n });
+        grid.push(OperatorConfig::AbmUncorrected { n });
+    }
+    grid
+}
+
+/// The digest of every report in `grid`, one JSON line per config.
+fn report_digest(grid: Vec<OperatorConfig>) -> u64 {
     let lib = Library::fdsoi28();
     let mut chz = Characterizer::new(&lib)
         .with_engine(Engine::single_threaded())
@@ -83,11 +103,21 @@ fn fixed_point_report_bytes_are_pinned() {
             seed: 0xF1CE,
         });
     let mut text = String::new();
-    for config in fixed_point_grid() {
+    for config in grid {
         let report = chz.characterize(&config);
         assert!(report.verified, "{} failed verification", report.name);
         text.push_str(&report.to_json().expect("serializable"));
         text.push('\n');
     }
-    assert_eq!(fnv1a(text.as_bytes()), 0x117093f59fea37fc);
+    fnv1a(text.as_bytes())
+}
+
+#[test]
+fn fixed_point_report_bytes_are_pinned() {
+    assert_eq!(report_digest(fixed_point_grid()), 0x117093f59fea37fc);
+}
+
+#[test]
+fn eta_and_booth_report_bytes_are_pinned() {
+    assert_eq!(report_digest(eta_and_booth_grid()), 0xa6e5c6cdb5428394);
 }
