@@ -39,16 +39,6 @@ impl CellSpec {
         self.arcs_ps[input][output]
     }
 
-    /// Worst intrinsic delay over all arcs, in picoseconds.
-    #[must_use]
-    pub fn worst_arc_ps(&self) -> f64 {
-        self.arcs_ps
-            .iter()
-            .flatten()
-            .copied()
-            .fold(0.0f64, f64::max)
-    }
-
     /// Convenience constructor for a cell whose arcs are all identical.
     #[must_use]
     #[allow(clippy::too_many_arguments)] // one scalar per physical quantity
@@ -91,6 +81,5 @@ mod tests {
         assert_eq!(spec.delay_ps(1, 0), 10.0);
         assert_eq!(spec.delay_ps(2, 0), 0.0);
         assert_eq!(spec.delay_ps(0, 1), 0.0);
-        assert_eq!(spec.worst_arc_ps(), 10.0);
     }
 }

@@ -5,7 +5,8 @@ use apx_cache::Cache;
 use apx_cells::Library;
 use apx_engine::{plan_shards, shard_seed, Engine};
 use apx_metrics::ErrorStats;
-use apx_netlist::{verify, AnalysisSettings, HwAnalyzer};
+use apx_netlist::power::PowerSettings;
+use apx_netlist::{verify, HwAnalyzer, HwReport, Netlist};
 use apx_operators::{mask_u, ApxOperator, OperatorConfig};
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -145,9 +146,10 @@ impl<'a> Characterizer<'a> {
         config: &OperatorConfig,
         op: &dyn ApxOperator,
     ) -> OperatorReport {
-        let verified = self.verify(op);
+        let nl = op.netlist();
+        let verified = self.verify(op, &nl);
         let error = self.error_stats(op);
-        let hw = self.hardware(op);
+        let hw = self.hardware(&nl);
         OperatorReport {
             config: *config,
             name: op.name(),
@@ -157,17 +159,16 @@ impl<'a> Characterizer<'a> {
         }
     }
 
-    /// The verification box: netlist vs functional model.
-    fn verify(&self, op: &dyn ApxOperator) -> bool {
-        let nl = op.netlist();
+    /// The verification box: netlist `nl` of `op` vs its functional model.
+    fn verify(&self, op: &dyn ApxOperator, nl: &Netlist) -> bool {
         let total_bits = 2 * op.input_bits();
         let result = if total_bits <= self.settings.exhaustive_up_to_bits {
-            verify::verify_exhaustive2_batch_with(&nl, &self.engine, |a, b, out| {
+            verify::verify_exhaustive2_batch_with(nl, &self.engine, |a, b, out| {
                 op.eval_batch(a, b, out);
             })
         } else {
             verify::verify_random2_batch_with(
-                &nl,
+                nl,
                 self.settings.verify_samples,
                 self.settings.seed,
                 &self.engine,
@@ -226,22 +227,21 @@ impl<'a> Characterizer<'a> {
         stats
     }
 
-    /// Hardware characterization of the operator netlist.
-    pub fn hardware(&self, op: &dyn ApxOperator) -> apx_netlist::HwReport {
+    /// Hardware characterization of an operator netlist.
+    fn hardware(&self, nl: &Netlist) -> HwReport {
         HwAnalyzer::new(self.lib)
-            .with_settings(AnalysisSettings {
-                power_vectors: self.settings.power_vectors,
+            .with_settings(PowerSettings {
+                vectors: self.settings.power_vectors,
                 seed: self.settings.seed ^ 0xCAFE,
             })
             .with_engine(self.engine.clone())
-            .analyze(&op.netlist())
+            .analyze(nl)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apx_netlist::Netlist;
     use apx_operators::{FaType, OpClass};
 
     fn quick(lib: &Library) -> Characterizer<'_> {

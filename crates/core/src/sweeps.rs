@@ -217,15 +217,6 @@ pub fn exact_adder_width_sweep() -> Vec<OperatorConfig> {
     (2..=32).map(|n| OperatorConfig::AddExact { n }).collect()
 }
 
-/// Truncated multiplier width sweep (partner-operator sizing grid for the
-/// application energy model).
-#[must_use]
-pub fn mult_partner_sweep() -> Vec<OperatorConfig> {
-    (2..=16)
-        .map(|n| OperatorConfig::MulTrunc { n, q: n })
-        .collect()
-}
-
 /// The named adder operating points of Tables III and V.
 #[must_use]
 pub fn table_adder_points() -> Vec<OperatorConfig> {
@@ -270,7 +261,6 @@ mod tests {
             .into_iter()
             .chain(multipliers_16bit())
             .chain(exact_adder_width_sweep())
-            .chain(mult_partner_sweep())
             .chain(table_adder_points())
             .chain(sized_baseline_16bit())
         {

@@ -112,17 +112,11 @@ impl FromStr for QualityBudget {
             return Err(err());
         };
         let rest = rest.trim();
-        let (number, is_db) = if let Some(number) = rest
-            .strip_suffix("dB")
-            .or_else(|| rest.strip_suffix("db"))
-            .or_else(|| rest.strip_suffix("DB"))
-            .or_else(|| rest.strip_suffix("db"))
-        {
-            (number, true)
-        } else if let Some(number) = rest.strip_suffix('%') {
-            (number, false)
-        } else {
-            return Err(err());
+        // `split_at_checked` is `None` when the last two bytes split a
+        // character
+        let (number, is_db) = match rest.split_at_checked(rest.len().saturating_sub(2)) {
+            Some((number, unit)) if unit.eq_ignore_ascii_case("db") => (number, true),
+            _ => (rest.strip_suffix('%').ok_or_else(err)?, false),
         };
         let value: f64 = number.trim().parse().map_err(|_| err())?;
         if !value.is_finite() || value < 0.0 {
@@ -165,10 +159,13 @@ mod tests {
             assert_eq!(reparsed, parsed, "{text}: FromStr/Display round-trip");
         }
         // unit spelling is case-insensitive and whitespace is tolerated
-        assert_eq!(
-            " >= 30 db ".parse::<QualityBudget>().unwrap(),
-            QualityBudget::MinDb(30.0)
-        );
+        for text in [" >= 30 db ", ">=30DB", ">=30Db"] {
+            assert_eq!(
+                text.parse::<QualityBudget>(),
+                Ok(QualityBudget::MinDb(30.0)),
+                "{text:?}"
+            );
+        }
     }
 
     #[test]

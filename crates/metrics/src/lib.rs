@@ -19,8 +19,7 @@
 //!   JPEG and HEVC experiments (Fig. 6, Tables III/IV).
 //! * [`success_rate`] — classification success for the K-means
 //!   experiment (Tables V/VI).
-//! * [`spectrum`] — a small f64 radix-2 FFT used for the PSD metric (and
-//!   as the golden reference for the fixed-point FFT application).
+//! * [`spectrum`] — a small f64 radix-2 FFT used for the PSD metric.
 //!
 //! # Example
 //!

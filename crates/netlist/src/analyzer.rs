@@ -7,26 +7,6 @@ use apx_cells::Library;
 use apx_engine::Engine;
 use serde::{Deserialize, Serialize};
 
-/// Settings shared by the analysis steps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AnalysisSettings {
-    /// Random vectors for power estimation (paper: 10⁵; default here is
-    /// smaller because the event-driven simulation converges quickly and
-    /// repro binaries can raise it).
-    pub power_vectors: usize,
-    /// RNG seed for the power vectors.
-    pub seed: u64,
-}
-
-impl Default for AnalysisSettings {
-    fn default() -> Self {
-        AnalysisSettings {
-            power_vectors: 2_000,
-            seed: 0xA9CE55,
-        }
-    }
-}
-
 /// Hardware characterization of one operator netlist — the per-operator
 /// output of the "RTL Synthesis / Gate-Level Sim. / Power Estimation"
 /// column of the APXPERF flow (Fig. 2 of the paper).
@@ -55,7 +35,7 @@ pub struct HwReport {
     pub transitions_per_op: f64,
 }
 
-/// Couples a [`Library`] with [`AnalysisSettings`] and characterizes
+/// Couples a [`Library`] with [`PowerSettings`] and characterizes
 /// netlists.
 ///
 /// # Example
@@ -76,7 +56,7 @@ pub struct HwReport {
 #[derive(Debug, Clone)]
 pub struct HwAnalyzer<'a> {
     lib: &'a Library,
-    settings: AnalysisSettings,
+    settings: PowerSettings,
     engine: Engine,
 }
 
@@ -86,14 +66,14 @@ impl<'a> HwAnalyzer<'a> {
     pub fn new(lib: &'a Library) -> Self {
         HwAnalyzer {
             lib,
-            settings: AnalysisSettings::default(),
+            settings: PowerSettings::default(),
             engine: Engine::single_threaded(),
         }
     }
 
-    /// Replaces the analysis settings.
+    /// Replaces the power-estimation settings.
     #[must_use]
-    pub fn with_settings(mut self, settings: AnalysisSettings) -> Self {
+    pub fn with_settings(mut self, settings: PowerSettings) -> Self {
         self.settings = settings;
         self
     }
@@ -116,15 +96,7 @@ impl<'a> HwAnalyzer<'a> {
             .map(|g| self.lib.spec(g.kind).area_um2)
             .sum();
         let timing = sta::analyze(nl, self.lib);
-        let pwr = power::estimate_with(
-            nl,
-            self.lib,
-            PowerSettings {
-                vectors: self.settings.power_vectors,
-                seed: self.settings.seed,
-            },
-            &self.engine,
-        );
+        let pwr = power::estimate_with(nl, self.lib, self.settings, &self.engine);
         let stats = nl.stats();
         HwReport {
             name: nl.name().to_owned(),
@@ -161,8 +133,8 @@ mod tests {
     fn pdp_is_power_times_delay() {
         let lib = Library::fdsoi28();
         let report = HwAnalyzer::new(&lib)
-            .with_settings(AnalysisSettings {
-                power_vectors: 200,
+            .with_settings(PowerSettings {
+                vectors: 200,
                 seed: 1,
             })
             .analyze(&rca(8));

@@ -69,7 +69,7 @@ mod sim;
 pub mod sta;
 pub mod verify;
 
-pub use analyzer::{AnalysisSettings, HwAnalyzer, HwReport};
+pub use analyzer::{HwAnalyzer, HwReport};
 pub use builder::NetlistBuilder;
 pub use ir::{Gate, NetId, Netlist, NetlistStats};
 pub use lanes::{pack_lanes, transpose64, unpack_lanes};

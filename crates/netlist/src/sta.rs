@@ -6,7 +6,7 @@
 //! This plays the role of the timing report from RTL synthesis in the
 //! original APXPERF flow.
 
-use crate::ir::{NetId, Netlist};
+use crate::ir::Netlist;
 use apx_cells::Library;
 
 /// Result of a static timing analysis.
@@ -200,12 +200,6 @@ pub fn quantize_delays(nl: &Netlist, lib: &Library) -> DelayTicks {
     }
 }
 
-/// Helper used by tests and benches: the arrival time of a specific net.
-#[must_use]
-pub fn arrival_of(report: &TimingReport, net: NetId) -> f64 {
-    report.arrival_ns[net.index()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,7 +244,7 @@ mod tests {
         let report = analyze(&nl, &lib);
         let sums = nl.output_bus("sum").unwrap();
         for w in sums.windows(2) {
-            assert!(arrival_of(&report, w[1]) >= arrival_of(&report, w[0]));
+            assert!(report.arrival_ns[w[1].index()] >= report.arrival_ns[w[0].index()]);
         }
     }
 

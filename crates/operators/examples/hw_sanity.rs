@@ -2,13 +2,14 @@
 //! the 16-bit adder anchors — used to calibrate the cell library.
 
 use apx_cells::Library;
-use apx_netlist::{AnalysisSettings, HwAnalyzer};
+use apx_netlist::power::PowerSettings;
+use apx_netlist::HwAnalyzer;
 use apx_operators::OperatorConfig;
 
 fn main() {
     let lib = Library::fdsoi28();
-    let analyzer = HwAnalyzer::new(&lib).with_settings(AnalysisSettings {
-        power_vectors: 1000,
+    let analyzer = HwAnalyzer::new(&lib).with_settings(PowerSettings {
+        vectors: 1000,
         seed: 7,
     });
     let configs = [

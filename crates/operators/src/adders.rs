@@ -5,12 +5,10 @@
 //! * [`Aca`] — Almost Correct Adder (Verma, Brisk, Ienne — DATE'08):
 //!   every sum bit `i` is computed from an accurate addition of the bits
 //!   `i-P..=i` only (speculative carry of length `P`).
-//! * [`EtaIi`] — Error-Tolerant Adder type II (Zhu et al., ISIC'09): the
-//!   adder is split in `N/X` blocks of `X` bits; each block takes a
-//!   carry-in speculated from the previous block.
-//! * [`EtaIv`] — Error-Tolerant Adder type IV (Zhu, Goh, Wang, Yeo —
-//!   ISOCC'10): the same blocks, each carry-in speculated from the
-//!   previous **two** blocks.
+//! * [`Eta`] — Error-Tolerant Adders type II (Zhu et al., ISIC'09) and
+//!   type IV (Zhu, Goh, Wang, Yeo — ISOCC'10): the adder is split in
+//!   `N/X` blocks of `X` bits; each block takes a carry-in speculated
+//!   from the previous block (ETAII) or the previous **two** (ETAIV).
 //! * [`RcaApx`] — approximate ripple-carry adder (Gupta et al., IMPACT,
 //!   ISLPED'11): the `n-m` LSB positions use approximate full-adder cells
 //!   of a chosen [`FaType`]; the `m` MSBs use accurate full adders.
@@ -24,7 +22,7 @@
 use crate::traits::{ApxOperator, OpClass};
 use crate::util::{bit, check_adder_width, mask_u, require};
 use apx_cells::CellKind;
-use apx_netlist::{Netlist, NetlistBuilder};
+use apx_netlist::{NetId, Netlist, NetlistBuilder};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -96,13 +94,7 @@ impl ApxOperator for Aca {
                 out.push(ps[i]); // no carry window: sum = a ^ b
                 continue;
             }
-            // speculative carry chain over [lo, i-1], carry-in 0;
-            // each link is one AOI21 + INV: c' = (p & c) | g
-            let mut carry = gs[lo];
-            for j in lo + 1..i {
-                let ninv = b.gate1(CellKind::Aoi21, &[ps[j], carry, gs[j]]);
-                carry = b.not(ninv);
-            }
+            let carry = speculative_carry(&mut b, &ps, &gs, lo, i);
             out.push(b.xor(ps[i], carry));
         }
         b.output_bus("y", &out);
@@ -120,130 +112,67 @@ fn carries(a: u64, b: u64) -> (u64, u64) {
     (t, (a + b) ^ t)
 }
 
-/// Checks the block size `x` of the block-speculation adders and returns
-/// bit `k·x` of every `x`-bit block of the `n`-bit word.
-fn block_lows(n: u32, x: u32) -> Result<u64, String> {
-    check_adder_width(n)?;
-    require(x >= 1 && n.is_multiple_of(x), || {
-        format!("block size x={x} must divide n={n}")
-    })?;
-    Ok((0..n / x).fold(0, |lows, k| lows | 1 << (k * x)))
+/// The carry out of bits `lo..hi` of a speculative chain with carry-in 0,
+/// built on the per-bit propagate `ps` and generate `gs` nets: `gs[lo]`,
+/// then one AOI21 + INV link `c' = (p & c) | g` per further bit.
+fn speculative_carry(
+    b: &mut NetlistBuilder,
+    ps: &[NetId],
+    gs: &[NetId],
+    lo: usize,
+    hi: usize,
+) -> NetId {
+    let mut carry = gs[lo];
+    for j in lo + 1..hi {
+        let ninv = b.gate1(CellKind::Aoi21, &[ps[j], carry, gs[j]]);
+        carry = b.not(ninv);
+    }
+    carry
 }
 
-/// Word-level sum of the block-speculation adders (`blocks = 1` for
-/// ETAII, `2` for ETAIV): each block's carry-in is the exact carry unless
-/// the `blocks` blocks below it all propagate, and the blocks then add as
-/// one SWAR word whose carries never cross a block's top bit.
-#[inline]
-fn eta_sum(a: u64, b: u64, n: u32, x: u32, lows: u64, blocks: u32) -> u64 {
-    let mask = mask_u(n);
-    let tops = lows << (x - 1);
-    let below_top = mask & !tops;
-    let (t, c) = carries(a, b);
-    let full = ((t & below_top) + lows) & t & tops;
-    let cut = if blocks == 2 {
-        (full << 1) & (full << (x + 1))
-    } else {
-        full << 1
-    };
-    let cin = c & !cut & lows & !1;
-    (((a & below_top) + (b & below_top) + cin) ^ (t & tops)) & mask
-}
-
-/// Error-Tolerant Adder type IV `ETAIV(n, x)` — Zhu et al., ISOCC 2010.
+/// Error-Tolerant Adders `ETAII(n, x)` — Zhu et al., ISIC 2009 — and
+/// `ETAIV(n, x)` — Zhu, Goh, Wang, Yeo, ISOCC 2010.
 ///
 /// The operands are split into `n/x` blocks of `x` bits. Block `k`
 /// computes an exact `x`-bit sum whose carry-in is speculated from an
-/// exact addition of the previous **two** blocks (carry-in 0), trading the
-/// full carry chain for a chain of at most `2x` positions.
+/// exact addition of the `blocks` blocks below it (carry-in 0): one for
+/// ETAII, two for ETAIV. ETAIV thus trades the full carry chain for a
+/// chain of at most `2x` positions, and ETAII halves that window
+/// (cheaper, less accurate). `x == n` degenerates to the exact adder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EtaIv {
+pub struct Eta {
     n: u32,
     x: u32,
+    blocks: u32,
+    /// Bit `k·x` of every `x`-bit block of the `n`-bit word.
     lows: u64,
 }
 
-impl EtaIv {
-    /// Creates `ETAIV(n, x)` with block size `x` (`x == n` degenerates to
-    /// the exact adder).
-    pub fn new(n: u32, x: u32) -> Result<Self, String> {
-        let lows = block_lows(n, x)?;
-        Ok(EtaIv { n, x, lows })
-    }
-}
-
-impl ApxOperator for EtaIv {
-    fn name(&self) -> String {
-        format!("ETAIV({},{})", self.n, self.x)
-    }
-    fn op_class(&self) -> OpClass {
-        OpClass::Adder
-    }
-    fn input_bits(&self) -> u32 {
-        self.n
-    }
-    fn output_bits(&self) -> u32 {
-        self.n
-    }
-    fn eval_u(&self, a: u64, b: u64) -> u64 {
-        eta_sum(a, b, self.n, self.x, self.lows, 2)
-    }
-    fn netlist(&self) -> Netlist {
-        let n = self.n as usize;
-        let x = self.x as usize;
-        let mut b = NetlistBuilder::new(self.name());
-        let av = b.input_bus("a", n);
-        let bv = b.input_bus("b", n);
-        let ps: Vec<_> = (0..n).map(|i| b.xor(av[i], bv[i])).collect();
-        let gs: Vec<_> = (0..n).map(|i| b.and(av[i], bv[i])).collect();
-        let zero = b.tie0();
-        let mut out = Vec::with_capacity(n);
-        for k in 0..n / x {
-            let blo = k * x;
-            let cin = if k == 0 {
-                zero
-            } else {
-                let lo = blo.saturating_sub(2 * x);
-                let mut carry = gs[lo];
-                for j in lo + 1..blo {
-                    let ninv = b.gate1(CellKind::Aoi21, &[ps[j], carry, gs[j]]);
-                    carry = b.not(ninv);
-                }
-                carry
-            };
-            let (sum, _cout) = b.ripple_adder(&av[blo..blo + x], &bv[blo..blo + x], cin);
-            out.extend(sum);
-        }
-        b.output_bus("y", &out);
-        let mut nl = b.finish();
-        nl.prune_dead_gates();
-        nl
-    }
-}
-
-/// Error-Tolerant Adder type II `ETAII(n, x)` — Zhu et al., ISIC 2009:
-/// the predecessor of [`EtaIv`] cited by the paper. Identical block
-/// structure, but each block's carry-in is speculated from the previous
-/// **one** block only, halving the speculation window (cheaper, less
-/// accurate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EtaIi {
-    n: u32,
-    x: u32,
-    lows: u64,
-}
-
-impl EtaIi {
+impl Eta {
     /// Creates `ETAII(n, x)` with block size `x`.
-    pub fn new(n: u32, x: u32) -> Result<Self, String> {
-        let lows = block_lows(n, x)?;
-        Ok(EtaIi { n, x, lows })
+    pub fn ii(n: u32, x: u32) -> Result<Self, String> {
+        Self::new(n, x, 1)
+    }
+
+    /// Creates `ETAIV(n, x)` with block size `x`.
+    pub fn iv(n: u32, x: u32) -> Result<Self, String> {
+        Self::new(n, x, 2)
+    }
+
+    fn new(n: u32, x: u32, blocks: u32) -> Result<Self, String> {
+        check_adder_width(n)?;
+        require(x >= 1 && n.is_multiple_of(x), || {
+            format!("block size x={x} must divide n={n}")
+        })?;
+        let lows = (0..n / x).fold(0, |lows, k| lows | 1 << (k * x));
+        Ok(Eta { n, x, blocks, lows })
     }
 }
 
-impl ApxOperator for EtaIi {
+impl ApxOperator for Eta {
     fn name(&self) -> String {
-        format!("ETAII({},{})", self.n, self.x)
+        let kind = if self.blocks == 2 { "IV" } else { "II" };
+        format!("ETA{kind}({},{})", self.n, self.x)
     }
     fn op_class(&self) -> OpClass {
         OpClass::Adder
@@ -255,11 +184,26 @@ impl ApxOperator for EtaIi {
         self.n
     }
     fn eval_u(&self, a: u64, b: u64) -> u64 {
-        eta_sum(a, b, self.n, self.x, self.lows, 1)
+        // Each block's carry-in is the exact carry unless the `blocks`
+        // blocks below it all propagate; the blocks then add as one SWAR
+        // word whose carries never cross a block's top bit.
+        let mask = mask_u(self.n);
+        let tops = self.lows << (self.x - 1);
+        let below_top = mask & !tops;
+        let (t, c) = carries(a, b);
+        let full = ((t & below_top) + self.lows) & t & tops;
+        let cut = if self.blocks == 2 {
+            (full << 1) & (full << (self.x + 1))
+        } else {
+            full << 1
+        };
+        let cin = c & !cut & self.lows & !1;
+        (((a & below_top) + (b & below_top) + cin) ^ (t & tops)) & mask
     }
     fn netlist(&self) -> Netlist {
         let n = self.n as usize;
         let x = self.x as usize;
+        let window = (self.blocks * self.x) as usize;
         let mut b = NetlistBuilder::new(self.name());
         let av = b.input_bus("a", n);
         let bv = b.input_bus("b", n);
@@ -267,18 +211,11 @@ impl ApxOperator for EtaIi {
         let gs: Vec<_> = (0..n).map(|i| b.and(av[i], bv[i])).collect();
         let zero = b.tie0();
         let mut out = Vec::with_capacity(n);
-        for k in 0..n / x {
-            let blo = k * x;
-            let cin = if k == 0 {
+        for blo in (0..n).step_by(x) {
+            let cin = if blo == 0 {
                 zero
             } else {
-                let lo = blo - x;
-                let mut carry = gs[lo];
-                for j in lo + 1..blo {
-                    let ninv = b.gate1(CellKind::Aoi21, &[ps[j], carry, gs[j]]);
-                    carry = b.not(ninv);
-                }
-                carry
+                speculative_carry(&mut b, &ps, &gs, blo.saturating_sub(window), blo)
             };
             let (sum, _cout) = b.ripple_adder(&av[blo..blo + x], &bv[blo..blo + x], cin);
             out.extend(sum);
@@ -443,23 +380,15 @@ mod tests {
     }
 
     #[test]
-    fn etaiv_netlist_matches_model() {
-        for n in NETLIST_WIDTHS {
-            for x in (1..=n).filter(|x| n.is_multiple_of(*x)) {
-                cross_verify(&EtaIv::new(n, x).unwrap());
+    fn eta_netlist_matches_model() {
+        for eta in [Eta::ii, Eta::iv] {
+            for n in NETLIST_WIDTHS {
+                for x in (1..=n).filter(|x| n.is_multiple_of(*x)) {
+                    cross_verify(&eta(n, x).unwrap());
+                }
             }
+            cross_verify(&eta(9, 3).unwrap());
         }
-        cross_verify(&EtaIv::new(9, 3).unwrap());
-    }
-
-    #[test]
-    fn etaii_netlist_matches_model() {
-        for n in NETLIST_WIDTHS {
-            for x in (1..=n).filter(|x| n.is_multiple_of(*x)) {
-                cross_verify(&EtaIi::new(n, x).unwrap());
-            }
-        }
-        cross_verify(&EtaIi::new(9, 3).unwrap());
     }
 
     #[test]
@@ -467,8 +396,8 @@ mod tests {
         // ETAIV's two-block speculation window subsumes ETAII's one-block
         // window, so its error rate cannot be worse.
         for x in [1u32, 2, 4] {
-            let ii = EtaIi::new(8, x).unwrap();
-            let iv = EtaIv::new(8, x).unwrap();
+            let ii = Eta::ii(8, x).unwrap();
+            let iv = Eta::iv(8, x).unwrap();
             let (mut e2, mut e4) = (0u64, 0u64);
             for a in 0..256u64 {
                 for b in 0..256u64 {
@@ -504,7 +433,7 @@ mod tests {
 
     #[test]
     fn etaiv_single_block_is_exact() {
-        let op = EtaIv::new(8, 8).unwrap();
+        let op = Eta::iv(8, 8).unwrap();
         for a in (0..256u64).step_by(3) {
             for b in (0..256u64).step_by(7) {
                 assert_eq!(op.eval_u(a, b), op.reference_u(a, b));
@@ -587,7 +516,8 @@ mod tests {
     #[test]
     fn paper_notation_names() {
         assert_eq!(Aca::new(16, 12).unwrap().name(), "ACA(16,12)");
-        assert_eq!(EtaIv::new(16, 4).unwrap().name(), "ETAIV(16,4)");
+        assert_eq!(Eta::ii(16, 4).unwrap().name(), "ETAII(16,4)");
+        assert_eq!(Eta::iv(16, 4).unwrap().name(), "ETAIV(16,4)");
         assert_eq!(
             RcaApx::new(16, 6, FaType::Three).unwrap().name(),
             "RCAApx(16,6,3)"

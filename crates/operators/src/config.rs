@@ -2,9 +2,9 @@
 //! framework (the paper sweeps "all possible combinations of parameters",
 //! §IV).
 
-use crate::adders::{Aca, EtaIi, EtaIv, FaType, RcaApx};
+use crate::adders::{Aca, Eta, FaType, RcaApx};
 use crate::mul_array::{Aam, FixedWidthMul};
-use crate::mul_booth::{Abm, AbmUncorrected, MulBoothExact};
+use crate::mul_booth::BoothMul;
 use crate::sized::{Notation, QuantMode, SizedAdd, SizedMul};
 use crate::traits::{ApxOperator, OpClass};
 use serde::{Deserialize, Serialize};
@@ -157,8 +157,8 @@ impl OperatorConfig {
             OperatorConfig::AddTrunc { n, q } => Box::new(add(n, q, Trunc, Notation::Kept)?),
             OperatorConfig::AddRound { n, q } => Box::new(add(n, q, Round, Notation::Kept)?),
             OperatorConfig::Aca { n, p } => Box::new(Aca::new(n, p)?),
-            OperatorConfig::EtaIv { n, x } => Box::new(EtaIv::new(n, x)?),
-            OperatorConfig::EtaIi { n, x } => Box::new(EtaIi::new(n, x)?),
+            OperatorConfig::EtaIv { n, x } => Box::new(Eta::iv(n, x)?),
+            OperatorConfig::EtaIi { n, x } => Box::new(Eta::ii(n, x)?),
             OperatorConfig::RcaApx { n, m, fa_type } => Box::new(RcaApx::new(n, m, fa_type)?),
             // saturating: an `n` too wide to double fails the width check
             OperatorConfig::MulExact { n } => {
@@ -166,10 +166,10 @@ impl OperatorConfig {
             }
             OperatorConfig::MulTrunc { n, q } => Box::new(mul(n, q, Trunc, Notation::Kept)?),
             OperatorConfig::MulRound { n, q } => Box::new(mul(n, q, Round, Notation::Kept)?),
-            OperatorConfig::MulBooth { n } => Box::new(MulBoothExact::new(n)?),
+            OperatorConfig::MulBooth { n } => Box::new(BoothMul::exact(n)?),
             OperatorConfig::Aam { n } => Box::new(Aam::new(n)?),
-            OperatorConfig::Abm { n } => Box::new(Abm::new(n)?),
-            OperatorConfig::AbmUncorrected { n } => Box::new(AbmUncorrected::new(n)?),
+            OperatorConfig::Abm { n } => Box::new(BoothMul::abm(n)?),
+            OperatorConfig::AbmUncorrected { n } => Box::new(BoothMul::abm_uncorrected(n)?),
             OperatorConfig::AddSized { n, w, mode } => Box::new(SizedAdd::new(n, w, mode)?),
             OperatorConfig::MulSized { n, w, mode } => Box::new(SizedMul::new(n, w, mode)?),
         })

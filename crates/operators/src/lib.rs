@@ -6,18 +6,20 @@
 //!   data bit-width is *carefully sized*: one adder, [`SizedAdd`]
 //!   (`ADD`, `ADDt`, `ADDr`, `ADDst`, `ADDsr`), the fixed-width array
 //!   multiplier [`FixedWidthMul`] (`MUL`, `MULt`, `MULr`), the sized
-//!   multiplier [`SizedMul`] (`MULst`, `MULsr`) and [`MulBoothExact`].
+//!   multiplier [`SizedMul`] (`MULst`, `MULsr`) and the exact Booth
+//!   multiplier [`BoothMul::exact`] (`MULbooth`).
 //!   Their only error source is quantization (truncation/rounding of
 //!   dropped LSBs, see [`QuantMode`]).
 //! * **Approximate operators** — structurally simplified hardware:
-//!   the adders [`Aca`] (Almost Correct Adder, Verma et al.), [`EtaIv`]
-//!   (Error-Tolerant Adder IV, Zhu et al.), [`RcaApx`] (approximate
-//!   ripple-carry adder with IMPACT-style approximate full-adder cells,
-//!   Gupta et al.), and the multipliers [`Aam`] (fixed-width array
-//!   multiplier with diagonal compensation, Van et al.) and [`Abm`]
-//!   (pruned modified-Booth multiplier, Juang & Hsiao; plus the
-//!   [`AbmUncorrected`] variant reproducing the catastrophic instance
-//!   measured in the paper).
+//!   the adders [`Aca`] (Almost Correct Adder, Verma et al.), [`Eta`]
+//!   (Error-Tolerant Adders II and IV, Zhu et al.: `ETAII`, `ETAIV`),
+//!   [`RcaApx`] (approximate ripple-carry adder with IMPACT-style
+//!   approximate full-adder cells, Gupta et al.), and the multipliers
+//!   [`Aam`] (fixed-width array multiplier with diagonal compensation,
+//!   Van et al.) and [`BoothMul::abm`] (`ABM`, pruned modified-Booth
+//!   multiplier, Juang & Hsiao; plus [`BoothMul::abm_uncorrected`],
+//!   `ABMu`, the variant reproducing the catastrophic instance measured
+//!   in the paper).
 //!
 //! Every operator exposes **both** a bit-accurate functional model
 //! ([`ApxOperator::eval_u`]) and a structural gate-level netlist
@@ -69,11 +71,11 @@ mod sized;
 mod traits;
 pub(crate) mod util;
 
-pub use adders::{Aca, EtaIi, EtaIv, FaType, RcaApx};
+pub use adders::{Aca, Eta, FaType, RcaApx};
 pub use config::{OperatorConfig, ParseConfigError};
 pub use context::{OpCounts, OperatorCtx, SiteCounts, SiteMap, SiteOps, SiteSpec};
 pub use mul_array::{Aam, FixedWidthMul};
-pub use mul_booth::{Abm, AbmUncorrected, MulBoothExact};
+pub use mul_booth::BoothMul;
 pub use sized::{QuantMode, SizedAdd, SizedMul};
 pub use traits::{ApxOperator, OpClass};
 pub use util::{centered_diff, mask_u, sext, to_u, ADDER_WIDTHS, MULTIPLIER_WIDTHS};

@@ -15,16 +15,17 @@
 //!   column `2k+n+1` plus a precomputed constant vector (the standard
 //!   "E-bit" simplification, exact mod `2^{2n}`).
 //!
-//! [`Abm`] prunes every grid entry below column `n` and compensates with
-//! the column-`n-1` pattern bits (OR-paired into column `n` — the
-//! "compensation circuit using the most significant bits of the dropped
-//! part" of the paper). [`AbmUncorrected`] additionally drops the
-//! sign-extension bits *and* the constant vector together with the pruned
-//! half — the sign handling of negative rows then breaks, producing
-//! full-scale, operand-dependent errors. This is our attribution of the
-//! paper's measured ABM behaviour (7 orders of magnitude MSE degradation,
-//! K-means success collapsing to ~10 %); `tests/paper_claims.rs` pins
-//! both (`table1_shape_multiplier_accuracy_ordering`,
+//! [`BoothMul::abm`] prunes every grid entry below column `n` and
+//! compensates with the column-`n-1` pattern bits (OR-paired into column
+//! `n` — the "compensation circuit using the most significant bits of the
+//! dropped part" of the paper). [`BoothMul::abm_uncorrected`]
+//! additionally drops the sign-extension bits *and* the constant vector
+//! together with the pruned half — the sign handling of negative rows
+//! then breaks, producing full-scale, operand-dependent errors. This is
+//! our attribution of the paper's measured ABM behaviour (7 orders of
+//! magnitude MSE degradation, K-means success collapsing to ~10 %);
+//! `tests/paper_claims.rs` pins both
+//! (`table1_shape_multiplier_accuracy_ordering`,
 //! `table6_shape_abm_collapse`).
 
 use crate::traits::{ApxOperator, OpClass};
@@ -94,8 +95,6 @@ fn booth_eval(n: u32, a: u64, b: u64, pruning: BoothPruning) -> u128 {
             let pp = booth_pp(a, n, x1, x2, neg, t);
             if col >= pruning.min_col {
                 total += u128::from(pp) << col;
-            } else if pruning.diagonal_compensation && col + 1 == pruning.min_col {
-                // handled below (needs pairing); collect later
             }
         }
         let neg_col = 2 * k;
@@ -310,142 +309,72 @@ fn booth_netlist(name: String, n: u32, pruning: BoothPruning) -> Netlist {
     nl
 }
 
-/// Exact radix-4 modified-Booth multiplier, `n×n → 2n` — the substrate on
-/// which [`Abm`] is built, and a second exact multiplier architecture for
-/// architecture-level ablations against the exact array multiplier
-/// `MUL(n,2n)` ([`crate::FixedWidthMul`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MulBoothExact {
-    n: u32,
-}
-
-impl MulBoothExact {
-    /// Creates an exact Booth multiplier.
-    pub fn new(n: u32) -> Result<Self, String> {
-        check_booth_width(n)?;
-        Ok(MulBoothExact { n })
-    }
-}
-
-impl ApxOperator for MulBoothExact {
-    fn name(&self) -> String {
-        format!("MULbooth({},{})", self.n, 2 * self.n)
-    }
-    fn op_class(&self) -> OpClass {
-        OpClass::Multiplier
-    }
-    fn input_bits(&self) -> u32 {
-        self.n
-    }
-    fn output_bits(&self) -> u32 {
-        2 * self.n
-    }
-    fn eval_u(&self, a: u64, b: u64) -> u64 {
-        // The unpruned Booth grid the netlist instantiates sums to the
-        // signed product mod 2^{2n} (pinned by
-        // `exact_booth_equals_the_signed_product`), so the model is the
-        // closed form rather than a walk over the Booth rows.
-        signed_product(a, b, self.n)
-    }
-    fn netlist(&self) -> Netlist {
-        booth_netlist(
-            self.name(),
-            self.n,
-            BoothPruning {
-                min_col: 0,
-                sign_correction: true,
-                diagonal_compensation: false,
-            },
-        )
-    }
-}
-
-/// Approximate Booth Multiplier `ABM(n)` — Juang & Hsiao 2005: fixed-width
-/// pruned modified-Booth multiplier **with** correct sign handling in the
-/// kept half and diagonal compensation. This is the faithful
-/// implementation; its accuracy is close to [`crate::Aam`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Abm {
-    n: u32,
-}
-
-impl Abm {
-    /// Creates `ABM(n)`.
-    pub fn new(n: u32) -> Result<Self, String> {
-        check_booth_width(n)?;
-        Ok(Abm { n })
-    }
-
-    fn pruning(&self) -> BoothPruning {
-        BoothPruning {
-            min_col: self.n,
-            sign_correction: true,
-            diagonal_compensation: true,
-        }
-    }
-}
-
-impl ApxOperator for Abm {
-    fn name(&self) -> String {
-        format!("ABM({})", self.n)
-    }
-    fn op_class(&self) -> OpClass {
-        OpClass::Multiplier
-    }
-    fn input_bits(&self) -> u32 {
-        self.n
-    }
-    fn output_bits(&self) -> u32 {
-        self.n
-    }
-    fn output_shift(&self) -> u32 {
-        self.n
-    }
-    fn eval_u(&self, a: u64, b: u64) -> u64 {
-        let total = booth_eval(self.n, a, b, self.pruning());
-        ((total >> self.n) as u64) & mask_u(self.n)
-    }
-    fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        booth_eval_batch(self.n, self.pruning(), a, b, out);
-    }
-    fn netlist(&self) -> Netlist {
-        booth_netlist(self.name(), self.n, self.pruning())
-    }
-}
-
-/// The uncorrected pruned-Booth variant `ABMu(n)`: pruning removes the
-/// sign-extension bits and constant vector along with the low half of the
-/// summand grid. Negative Booth rows are then summed as if they were
-/// positive magnitude patterns, which corrupts the most significant output
-/// bits in an operand-dependent way.
+/// The radix-4 modified-Booth multipliers: the exact `MULbooth(n,2n)`,
+/// and the fixed-width pruned `ABM(n)` and `ABMu(n)` built on it.
 ///
-/// Used as the paper-shape instance of ABM (Table I reports MSE ≈ −10 dB
-/// and K-means success ≈ 10 % for its ABM — 7 orders of magnitude worse
-/// than fixed point, which no sign-correct pruning can produce).
+/// * [`BoothMul::exact`] — the full `n×n → 2n` grid: the substrate of
+///   ABM, and a second exact multiplier architecture for
+///   architecture-level ablations against the exact array multiplier
+///   `MUL(n,2n)` ([`crate::FixedWidthMul`]).
+/// * [`BoothMul::abm`] — Approximate Booth Multiplier, Juang & Hsiao
+///   2005: the grid pruned below column `n`, **with** correct sign
+///   handling in the kept half and diagonal compensation. This is the
+///   faithful implementation; its accuracy is close to [`crate::Aam`].
+/// * [`BoothMul::abm_uncorrected`] — pruning also removes the
+///   sign-extension bits and constant vector. Negative Booth rows are
+///   then summed as if they were positive magnitude patterns, which
+///   corrupts the most significant output bits in an operand-dependent
+///   way. Used as the paper-shape instance of ABM (Table I reports
+///   MSE ≈ −10 dB and K-means success ≈ 10 % for its ABM — 7 orders of
+///   magnitude worse than fixed point, which no sign-correct pruning can
+///   produce).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AbmUncorrected {
+pub struct BoothMul {
     n: u32,
+    pruning: BoothPruning,
 }
 
-impl AbmUncorrected {
+impl BoothMul {
+    /// Creates the exact `MULbooth(n,2n)`.
+    pub fn exact(n: u32) -> Result<Self, String> {
+        Self::new(n, 0, true, false)
+    }
+
+    /// Creates `ABM(n)`.
+    pub fn abm(n: u32) -> Result<Self, String> {
+        Self::new(n, n, true, true)
+    }
+
     /// Creates `ABMu(n)`.
-    pub fn new(n: u32) -> Result<Self, String> {
-        check_booth_width(n)?;
-        Ok(AbmUncorrected { n })
+    pub fn abm_uncorrected(n: u32) -> Result<Self, String> {
+        Self::new(n, n, false, true)
     }
 
-    fn pruning(&self) -> BoothPruning {
-        BoothPruning {
-            min_col: self.n,
-            sign_correction: false,
-            diagonal_compensation: true,
-        }
+    /// The arguments after `n` are the fields of [`BoothPruning`].
+    fn new(
+        n: u32,
+        min_col: u32,
+        sign_correction: bool,
+        diagonal_compensation: bool,
+    ) -> Result<Self, String> {
+        check_booth_width(n)?;
+        let pruning = BoothPruning {
+            min_col,
+            sign_correction,
+            diagonal_compensation,
+        };
+        Ok(BoothMul { n, pruning })
     }
 }
 
-impl ApxOperator for AbmUncorrected {
+impl ApxOperator for BoothMul {
     fn name(&self) -> String {
-        format!("ABMu({})", self.n)
+        let n = self.n;
+        match (self.pruning.min_col, self.pruning.sign_correction) {
+            (0, _) => format!("MULbooth({n},{})", 2 * n),
+            (_, true) => format!("ABM({n})"),
+            (_, false) => format!("ABMu({n})"),
+        }
     }
     fn op_class(&self) -> OpClass {
         OpClass::Multiplier
@@ -454,20 +383,36 @@ impl ApxOperator for AbmUncorrected {
         self.n
     }
     fn output_bits(&self) -> u32 {
-        self.n
+        2 * self.n - self.pruning.min_col
     }
     fn output_shift(&self) -> u32 {
-        self.n
+        self.pruning.min_col
     }
     fn eval_u(&self, a: u64, b: u64) -> u64 {
-        let total = booth_eval(self.n, a, b, self.pruning());
+        if self.pruning.min_col == 0 {
+            // The unpruned Booth grid the netlist instantiates sums to the
+            // signed product mod 2^{2n} (pinned by
+            // `exact_booth_equals_the_signed_product`), so the model is the
+            // closed form rather than a walk over the Booth rows.
+            return signed_product(a, b, self.n);
+        }
+        let total = booth_eval(self.n, a, b, self.pruning);
         ((total >> self.n) as u64) & mask_u(self.n)
     }
     fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        booth_eval_batch(self.n, self.pruning(), a, b, out);
+        if self.pruning.min_col > 0 {
+            return booth_eval_batch(self.n, self.pruning, a, b, out);
+        }
+        assert!(
+            a.len() == b.len() && a.len() == out.len(),
+            "batch length mismatch"
+        );
+        for ((&ai, &bi), o) in a.iter().zip(b).zip(out.iter_mut()) {
+            *o = signed_product(ai, bi, self.n);
+        }
     }
     fn netlist(&self) -> Netlist {
-        booth_netlist(self.name(), self.n, self.pruning())
+        booth_netlist(self.name(), self.n, self.pruning)
     }
 }
 
@@ -510,38 +455,27 @@ mod tests {
     }
 
     #[test]
-    fn exact_booth_netlist_matches_model() {
-        for n in [4u32, 6] {
-            cross_verify(&MulBoothExact::new(n).unwrap());
+    fn booth_netlist_matches_model() {
+        for n in [4u32, 6, 16] {
+            cross_verify(&BoothMul::exact(n).unwrap());
         }
-        cross_verify(&MulBoothExact::new(16).unwrap());
-    }
-
-    #[test]
-    fn abm_netlist_matches_model() {
-        for n in [4u32, 6, 8] {
-            cross_verify(&Abm::new(n).unwrap());
+        for n in [4u32, 6, 8, 16] {
+            cross_verify(&BoothMul::abm(n).unwrap());
         }
-        cross_verify(&Abm::new(16).unwrap());
-    }
-
-    #[test]
-    fn abm_uncorrected_netlist_matches_model() {
-        for n in [4u32, 8] {
-            cross_verify(&AbmUncorrected::new(n).unwrap());
+        for n in [4u32, 8, 16] {
+            cross_verify(&BoothMul::abm_uncorrected(n).unwrap());
         }
-        cross_verify(&AbmUncorrected::new(16).unwrap());
     }
 
     #[test]
     fn booth_batches_match_scalar_eval_exhaustively() {
-        let ops: Vec<Box<dyn ApxOperator>> = vec![
-            Box::new(MulBoothExact::new(4).unwrap()),
-            Box::new(MulBoothExact::new(8).unwrap()),
-            Box::new(Abm::new(4).unwrap()),
-            Box::new(Abm::new(8).unwrap()),
-            Box::new(AbmUncorrected::new(4).unwrap()),
-            Box::new(AbmUncorrected::new(8).unwrap()),
+        let ops = [
+            BoothMul::exact(4).unwrap(),
+            BoothMul::exact(8).unwrap(),
+            BoothMul::abm(4).unwrap(),
+            BoothMul::abm(8).unwrap(),
+            BoothMul::abm_uncorrected(4).unwrap(),
+            BoothMul::abm_uncorrected(8).unwrap(),
         ];
         for op in ops {
             let m = mask_u(op.input_bits());
@@ -573,7 +507,7 @@ mod tests {
 
     #[test]
     fn corrected_abm_tracks_the_product() {
-        let op = Abm::new(8).unwrap();
+        let op = BoothMul::abm(8).unwrap();
         let mut worst = 0i64;
         for a in 0..256u64 {
             for b in 0..256u64 {
@@ -587,8 +521,8 @@ mod tests {
     #[test]
     fn uncorrected_abm_is_catastrophically_worse() {
         // The whole point of the variant: orders of magnitude more MSE.
-        let good = Abm::new(8).unwrap();
-        let bad = AbmUncorrected::new(8).unwrap();
+        let good = BoothMul::abm(8).unwrap();
+        let bad = BoothMul::abm_uncorrected(8).unwrap();
         let (mut se_good, mut se_bad) = (0i128, 0i128);
         for a in 0..256u64 {
             for b in 0..256u64 {
@@ -610,7 +544,7 @@ mod tests {
         // Table I: ABM is 37% faster than MULt(16,16); at least verify the
         // pruned Booth tree has fewer gates on the critical path by
         // comparing gate counts as a structural proxy.
-        let abm = Abm::new(16).unwrap().netlist().stats().num_gates;
+        let abm = BoothMul::abm(16).unwrap().netlist().stats().num_gates;
         let full = crate::FixedWidthMul::new(16, 16, crate::QuantMode::Trunc)
             .unwrap()
             .netlist()

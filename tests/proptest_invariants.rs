@@ -1,7 +1,7 @@
 //! Property-based tests over the cross-crate invariants.
 
 use apxperf::core::sweeps::find_family;
-use apxperf::metrics::ErrorStats;
+use apxperf::metrics::{ErrorStats, QualityBudget};
 use apxperf::operators::{
     centered_diff, mask_u, sext, to_u, FaType, OperatorConfig, OperatorCtx, QuantMode, SiteMap,
 };
@@ -434,4 +434,48 @@ fn empty_slices_record_no_site() {
     let sites = ctx.site_counts();
     let order: Vec<&str> = sites.iter().map(|(site, _)| site).collect();
     assert_eq!(order, ["w.beta"]);
+}
+
+/// Budget-shaped text: the characters of a budget's number, a few
+/// multi-byte ones, and any scalar value.
+fn budget_text(seed: u64, len: usize) -> String {
+    const ALPHABET: [char; 20] = [
+        '0', '1', '2', '3', '4', '5', '6', '7', '8', '9', '.', 'e', '-', ' ', 'd', 'B', '%', 'é',
+        '€', '😀',
+    ];
+    let mut state = seed;
+    (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            let draw = (state >> 33) as u32;
+            match draw % 8 {
+                0 => char::from_u32(draw >> 3).unwrap_or('\u{fffd}'),
+                _ => ALPHABET[(draw >> 3) as usize % ALPHABET.len()],
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4_096))]
+
+    /// A quality budget arrives from the command line: any text either
+    /// parses or is rejected with a message, never a panic, and a parsed
+    /// budget prints back to itself.
+    #[test]
+    fn quality_budget_parse_never_panics(
+        seed in any::<u64>(),
+        len in 0usize..8,
+        op in 0usize..3,
+        unit in 0usize..7,
+    ) {
+        const OPS: [&str; 3] = [">=", "<=", "="];
+        const UNITS: [&str; 7] = ["dB", "Db", "DB", "db", "%", "", "€"];
+        let text = format!("{}{}{}", OPS[op], budget_text(seed, len), UNITS[unit]);
+        if let Ok(budget) = text.parse::<QualityBudget>() {
+            prop_assert_eq!(budget.to_string().parse::<QualityBudget>(), Ok(budget), "{:?}", text);
+        }
+    }
 }
