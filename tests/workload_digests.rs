@@ -4,8 +4,15 @@
 //! every configuration of the `all` and `sized` families plus one
 //! heterogeneous `SiteMap` per workload (the `tune` path).
 //!
-//! The digests were captured from the scalar (one operation per call)
-//! workload loops. Any rewrite of a workload's arithmetic, such as
+//! A second set of digests runs the benchmark's sizes (64-pixel images,
+//! one K-means set of 200 points per cluster) over a handful of configs:
+//! K-means configs that reach a fixed point before the last iteration and
+//! ones that never do, and HEVC frames of 16 motion blocks with mixed
+//! phases.
+//!
+//! The tiny digests were captured from the scalar (one operation per
+//! call) workload loops, the benchmark-size ones from the per-pixel HEVC
+//! filter, the per-term JPEG inverse DCT and the full K-means loop. Any rewrite of a workload's arithmetic, such as
 //! slicing it into batched context calls, must reproduce them exactly;
 //! a change that is meant to move results must bump the workload
 //! fingerprint instead of editing these constants.
@@ -25,6 +32,16 @@ fn tiny_params() -> WorkloadParams {
     }
 }
 
+/// The benchmark's parameters: 64-pixel images (16 HEVC motion blocks),
+/// one K-means set of 200 points per cluster.
+fn bench_params() -> WorkloadParams {
+    WorkloadParams {
+        size: 64,
+        sets: 1,
+        points: 200,
+    }
+}
+
 /// FNV-1a, 64 bit: a stable digest that needs no dependency.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -35,8 +52,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// One line per run: the context's routing, the score (value and bit
 /// pattern), the op counts, the aux outputs and the site ledger in
 /// first-recorded order.
-fn describe(label: &str, workload: &str, ctx: &mut OperatorCtx, text: &mut String) {
-    let workload = (find(workload).expect("registered").build)(&tiny_params()).expect("valid");
+fn describe(
+    label: &str,
+    workload: &str,
+    params: &WorkloadParams,
+    ctx: &mut OperatorCtx,
+    text: &mut String,
+) {
+    let workload = (find(workload).expect("registered").build)(params).expect("valid");
     let run = workload.run(workload.default_seed(), ctx);
     let _ = write!(
         text,
@@ -62,10 +85,39 @@ fn workload_digest(workload: &str, hetero: &SiteMap) -> u64 {
     for family in ["all", "sized"] {
         for config in (find_family(family).expect("registered").configs)() {
             let mut ctx = OperatorCtx::for_config(&config);
-            describe(&format!("{config:?}"), workload, &mut ctx, &mut text);
+            let label = format!("{config:?}");
+            describe(&label, workload, &tiny_params(), &mut ctx, &mut text);
         }
     }
-    describe("hetero", workload, &mut OperatorCtx::new(hetero), &mut text);
+    let mut ctx = OperatorCtx::new(hetero);
+    describe("hetero", workload, &tiny_params(), &mut ctx, &mut text);
+    fnv1a(text.as_bytes())
+}
+
+/// Configs of the benchmark-size digest. At 200 points, K-means under
+/// the first four settles before its tenth iteration; under the last
+/// three it never does.
+const BENCH_CONFIGS: &[&str] = &[
+    "ADDt(16,11)",
+    "MULt(16,16)",
+    "ADDst(16,5)",
+    "RCAApx(16,6,3)",
+    "ACA(16,8)",
+    "ETAIV(16,2)",
+    "ABMu(16)",
+];
+
+/// Digest of `workload` at the benchmark's sizes under every
+/// [`BENCH_CONFIGS`] entry and the heterogeneous `hetero` map.
+fn bench_digest(workload: &str, hetero: &SiteMap) -> u64 {
+    let mut text = String::new();
+    for notation in BENCH_CONFIGS {
+        let config: OperatorConfig = notation.parse().expect("paper notation");
+        let mut ctx = OperatorCtx::for_config(&config);
+        describe(notation, workload, &bench_params(), &mut ctx, &mut text);
+    }
+    let mut ctx = OperatorCtx::new(hetero);
+    describe("hetero", workload, &bench_params(), &mut ctx, &mut text);
     fnv1a(text.as_bytes())
 }
 
@@ -109,4 +161,30 @@ fn jpeg_runs_and_ledgers_are_pinned() {
         ),
     ]);
     assert_eq!(workload_digest("jpeg", &hetero), 0x23191fa82b43015e);
+}
+
+#[test]
+fn benchmark_size_runs_and_ledgers_are_pinned() {
+    let kmeans = site_map(&[
+        ("kmeans.dist_diff", OperatorConfig::AddRound { n: 16, q: 6 }),
+        ("kmeans.dist_acc", OperatorConfig::MulTrunc { n: 16, q: 16 }),
+    ]);
+    let hevc = site_map(&[
+        ("hevc.mc_h", OperatorConfig::Aca { n: 16, p: 8 }),
+        ("hevc.mc_v", OperatorConfig::MulTrunc { n: 16, q: 12 }),
+    ]);
+    let jpeg = site_map(&[
+        ("jpeg.dct_row", OperatorConfig::AddTrunc { n: 16, q: 11 }),
+        ("jpeg.dct_col", OperatorConfig::AbmUncorrected { n: 16 }),
+    ]);
+    let digests = [
+        bench_digest("kmeans", &kmeans),
+        bench_digest("hevc", &hevc),
+        bench_digest("jpeg", &jpeg),
+    ];
+    assert_eq!(
+        digests,
+        [0x29e119be6e64a26e, 0xc2c9d1411a6d3772, 0x1316ee40277382d9],
+        "{digests:#018x?}"
+    );
 }
