@@ -130,6 +130,21 @@ impl Interpolator {
     }
 }
 
+/// Operations of `windows` interpolation windows at fractional `phase`:
+/// the phase's nonzero taps in multiplies and one fewer in additions per
+/// window, none at phase 0 (what [`Interpolator::apply`] records).
+fn window_ops(phase: usize, windows: usize) -> OpCounts {
+    if phase == 0 {
+        return OpCounts::default();
+    }
+    let taps = LUMA_FILTERS[phase].iter().filter(|&&t| t != 0).count() as u64;
+    let windows = windows as u64;
+    OpCounts {
+        adds: (taps - 1) * windows,
+        muls: taps * windows,
+    }
+}
+
 /// Result of one motion-compensation run.
 #[derive(Debug, Clone)]
 pub struct McResult {
@@ -260,10 +275,15 @@ fn block_span(i: usize, count: usize, block_size: usize, len: usize) -> std::ops
 /// 8-tap interpolation (horizontal, then vertical).
 ///
 /// Pixels run one motion block at a time, in block raster order. A block
-/// shares one vector, so each filter tap is one slice over the block's
-/// pixels (8 intermediate rows each, recomputed per pixel as the
-/// per-pixel hardware does). The first block to use a site holds the
-/// first pixel, in pixel raster order, to use it, and each block filters
+/// shares one vector, so each filter tap is one slice over the block. The
+/// per-pixel hardware filters each pixel's 8 source rows horizontally,
+/// so pixels of a column repeat each other's work; as every operator model
+/// is a pure function of its operands, a `w × h` block instead filters
+/// each of the `h + 7` source rows it reads once, and the vertical pass
+/// gathers each pixel's 8 rows from those shared results. The ledger is
+/// charged the `8·w·h − (h + 7)·w` windows this skips, so it still counts
+/// what the hardware runs. The first block to use a site holds the first
+/// pixel, in pixel raster order, to use it, and each block filters
 /// horizontally before vertically, so the site ledger records the sites
 /// in the order of a pixel-by-pixel raster scan.
 pub fn motion_compensate(frame: &Image, motion: &MotionField, ctx: &mut OperatorCtx) -> McResult {
@@ -278,30 +298,31 @@ pub fn motion_compensate(frame: &Image, motion: &MotionField, ctx: &mut Operator
             if xs.is_empty() || ys.is_empty() {
                 continue;
             }
+            let (w, h) = (xs.len(), ys.len());
             let (dx, dy) = motion.vector_at(xs.start, ys.start);
             let (ix, fx) = (dx.div_euclid(4) as isize, dx.rem_euclid(4) as usize);
             let (iy, fy) = (dy.div_euclid(4) as isize, dy.rem_euclid(4) as usize);
-            // horizontal pass: 8 rows of intermediate samples per pixel
+            // horizontal pass: one window per column of each source row
             windows.clear();
-            for y in ys.clone() {
+            for r in 0..h + 7 {
+                let by = (ys.start + r) as isize + iy - 3;
                 for x in xs.clone() {
-                    let (bx, by) = (x as isize + ix, y as isize + iy);
-                    windows.extend((0..8).map(|r| {
-                        std::array::from_fn(|c| {
-                            i64::from(frame.pixel_clamped(bx + c as isize - 3, by + r - 3))
-                        })
+                    let bx = x as isize + ix;
+                    windows.push(std::array::from_fn(|c| {
+                        i64::from(frame.pixel_clamped(bx + c as isize - 3, by))
                     }));
                 }
             }
             inter.resize(windows.len(), 0);
             interpolator.apply(&windows, fx, SITE_MC_H, ctx, &mut inter);
-            // vertical pass over each pixel's 8 intermediate rows
+            ctx.charge(SITE_MC_H, window_ops(fx, 8 * w * h - (h + 7) * w));
+            // vertical pass over each pixel's 8 shared intermediate rows
             windows.clear();
-            windows.extend(
-                inter
-                    .chunks_exact(8)
-                    .map(|rows| <[i64; 8]>::try_from(rows).expect("8 intermediate rows")),
-            );
+            for ly in 0..h {
+                for lx in 0..w {
+                    windows.push(std::array::from_fn(|r| inter[(ly + r) * w + lx]));
+                }
+            }
             values.resize(windows.len(), 0);
             interpolator.apply(&windows, fy, SITE_MC_V, ctx, &mut values);
             let mut value = values.iter();
@@ -401,6 +422,72 @@ mod tests {
         let h = 16 * 16 * (7 * 8 + 7 * 8 + 8 * 8);
         assert_eq!(sites.get(SITE_MC_V).muls, v);
         assert_eq!(sites.get(SITE_MC_H).muls, h);
+    }
+
+    /// Nonzero taps of the filter at `phase` (none at the integer phase).
+    fn taps(phase: i32) -> u64 {
+        match phase {
+            0 => 0,
+            p => LUMA_FILTERS[p as usize].iter().filter(|&&t| t != 0).count() as u64,
+        }
+    }
+
+    /// One pixel of the prediction the per-pixel way, in plain integers:
+    /// 8 horizontally filtered source rows, then the vertical filter.
+    fn predicted_pixel(frame: &Image, motion: &MotionField, x: usize, y: usize) -> u8 {
+        let (dx, dy) = motion.vector_at(x, y);
+        let filter = |phase: i32, samples: [i64; 8]| match phase {
+            0 => samples[3],
+            p => {
+                let sum: i64 = (LUMA_FILTERS[p as usize].iter().zip(samples))
+                    .map(|(t, s)| t * s)
+                    .sum();
+                (sum + 32) >> FILTER_SHIFT
+            }
+        };
+        let bx = x as isize + dx.div_euclid(4) as isize;
+        let by = y as isize + dy.div_euclid(4) as isize;
+        let rows = std::array::from_fn(|r| {
+            let row = std::array::from_fn(|c| {
+                i64::from(frame.pixel_clamped(bx + c as isize - 3, by + r as isize - 3))
+            });
+            filter(dx.rem_euclid(4), row)
+        });
+        filter(dy.rem_euclid(4), rows).clamp(0, 255) as u8
+    }
+
+    #[test]
+    fn ragged_blocks_are_predicted_and_charged_per_pixel() {
+        // the last block row runs to the frame edge: 24 pixel rows, not 16
+        let frame = apx_fixture::image::synthetic_photo(48, 40, 8);
+        let motion = MotionField {
+            blocks_x: 3,
+            blocks_y: 2,
+            block_size: 16,
+            vectors: vec![(5, -3), (0, 2), (-7, 0), (2, 1), (4, 4), (-1, -6)],
+        };
+        let mut ctx = OperatorCtx::exact();
+        let result = motion_compensate(&frame, &motion, &mut ctx);
+        let (mut h, mut v) = (OpCounts::default(), OpCounts::default());
+        for (i, &(dx, dy)) in motion.vectors.iter().enumerate() {
+            let (w, rows) = (16, if i < 3 { 16 } else { 24 });
+            let (tx, ty) = (taps(dx.rem_euclid(4)), taps(dy.rem_euclid(4)));
+            h.muls += 8 * w * rows * tx;
+            h.adds += 8 * w * rows * tx.saturating_sub(1);
+            v.muls += w * rows * ty;
+            v.adds += w * rows * ty.saturating_sub(1);
+        }
+        let sites = ctx.site_counts();
+        let order: Vec<&str> = sites.iter().map(|(site, _)| site).collect();
+        assert_eq!(order, [SITE_MC_H, SITE_MC_V]);
+        assert_eq!(sites.get(SITE_MC_H), h);
+        assert_eq!(sites.get(SITE_MC_V), v);
+        for y in 0..40 {
+            for x in 0..48 {
+                let expected = predicted_pixel(&frame, &motion, x, y);
+                assert_eq!(result.predicted.pixel(x, y), expected, "({x},{y})");
+            }
+        }
     }
 
     #[test]

@@ -92,18 +92,20 @@ pub fn dct8x8_fixed(block: &[[i64; 8]; 8], ctx: &mut OperatorCtx) -> [[i64; 8]; 
 /// DCT operators).
 #[must_use]
 pub fn idct8x8_f64(block: &[[f64; 8]; 8]) -> [[f64; 8]; 8] {
+    // cos((2i + 1)·k·π/16), the same 64 cosines for rows and columns
+    let cos: [[f64; 8]; 8] = std::array::from_fn(|i| {
+        std::array::from_fn(|k| {
+            ((2.0 * i as f64 + 1.0) * k as f64 * std::f64::consts::PI / 16.0).cos()
+        })
+    });
+    let alpha = |k: usize| if k == 0 { (0.5f64).sqrt() } else { 1.0 };
     let mut out = [[0.0f64; 8]; 8];
-    for (y, out_row) in out.iter_mut().enumerate() {
-        for (x, px) in out_row.iter_mut().enumerate() {
+    for (out_row, cos_y) in out.iter_mut().zip(&cos) {
+        for (px, cos_x) in out_row.iter_mut().zip(&cos) {
             let mut acc = 0.0;
             for (u, row) in block.iter().enumerate() {
                 for (v, &coef) in row.iter().enumerate() {
-                    let au = if u == 0 { (0.5f64).sqrt() } else { 1.0 };
-                    let av = if v == 0 { (0.5f64).sqrt() } else { 1.0 };
-                    acc += au * av / 4.0
-                        * coef
-                        * ((2.0 * y as f64 + 1.0) * u as f64 * std::f64::consts::PI / 16.0).cos()
-                        * ((2.0 * x as f64 + 1.0) * v as f64 * std::f64::consts::PI / 16.0).cos();
+                    acc += alpha(u) * alpha(v) / 4.0 * coef * cos_y[u] * cos_x[v];
                 }
             }
             *px = acc;

@@ -7,6 +7,11 @@
 //! and one addition per point/centroid pair, exactly the data-path the
 //! paper characterizes, each sliced over all points of one centroid.
 //! Centroid updates and comparisons are exact.
+//!
+//! An iteration is a pure function of the centroids it starts from, so
+//! once an update leaves them unchanged every later iteration would
+//! repeat it exactly. The run stops there and charges the context the
+//! distance operations of the iterations it skipped.
 
 use crate::workload::{Prepared, Workload, WorkloadRun};
 use crate::{OpCounts, OperatorCtx};
@@ -81,6 +86,24 @@ impl Distances {
         ctx.add_n_at(SITE_DIST_ACC, &self.cx, &self.cy, &mut self.d2);
         &self.d2
     }
+
+    /// Charges `ctx` the operations of `iterations` assignment steps
+    /// against `k` centroids without running them: per point/centroid
+    /// pair, 2 subtractions at the difference site, and 2 squarings and 1
+    /// addition at the accumulate site.
+    fn charge(&self, iterations: usize, k: usize, ctx: &mut OperatorCtx) {
+        let pairs = (iterations * k * self.xs.len()) as u64;
+        let diff = OpCounts {
+            adds: 2 * pairs,
+            muls: 0,
+        };
+        let acc = OpCounts {
+            adds: pairs,
+            muls: 2 * pairs,
+        };
+        ctx.charge(SITE_DIST_DIFF, diff);
+        ctx.charge(SITE_DIST_ACC, acc);
+    }
 }
 
 /// Result of one clustering run.
@@ -149,6 +172,12 @@ impl KmeansFixture {
     /// are directly comparable (no permutation matching needed) — the
     /// paper's success rate is the fraction of points landing in their
     /// true cluster.
+    ///
+    /// Once an update leaves the centroids where they were, the run stops
+    /// and charges both distance sites the remaining iterations' counts
+    /// (3 additions and 2 multiplications per point/centroid pair, data
+    /// independent). Labels, centroids, score and the site ledger are
+    /// those of running every iteration.
     pub fn run(&self, ctx: &mut OperatorCtx) -> KmeansResult {
         // count by delta rather than resetting, so a multi-set driver
         // (KmeansWorkload) keeps its cumulative per-site ledger intact
@@ -163,7 +192,7 @@ impl KmeansFixture {
         let mut labels = vec![0usize; self.cloud.points.len()];
         let mut best_d = vec![i64::MAX; labels.len()];
         let mut distances = Distances::new(&self.cloud.points);
-        for _ in 0..self.iterations {
+        for done in 1..=self.iterations {
             // assignment step (through ctx): every point against one
             // centroid at a time, then a strict-`<` argmin in centroid
             // order, so ties keep the lowest centroid index
@@ -186,10 +215,18 @@ impl KmeansFixture {
                 sums[label][1] += point[1];
                 counts[label] += 1;
             }
+            let mut moved = false;
             for ((centroid, sum), &count) in centroids.iter_mut().zip(&sums).zip(&counts) {
                 if count > 0 {
-                    *centroid = [sum[0] / count, sum[1] / count];
+                    let updated = [sum[0] / count, sum[1] / count];
+                    moved |= updated != *centroid;
+                    *centroid = updated;
                 }
+            }
+            if !moved {
+                // a fixed point: every later iteration would repeat this one
+                distances.charge(self.iterations - done, k, ctx);
+                break;
             }
         }
         let end = ctx.counts();
@@ -277,7 +314,7 @@ impl Workload for KmeansWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apx_operators::{OperatorConfig, OperatorCtx};
+    use apx_operators::{OperatorConfig, OperatorCtx, SiteCounts};
 
     #[test]
     fn exact_clustering_recovers_the_ground_truth() {
@@ -298,6 +335,75 @@ mod tests {
         let pairs = (4 * 50 * 4 * 2) as u64;
         assert_eq!(result.counts.muls, 2 * pairs);
         assert_eq!(result.counts.adds, 3 * pairs);
+    }
+
+    /// Per-iteration distance counts of `fixture`: 3 additions and 2
+    /// multiplications per point/centroid pair.
+    fn per_iteration(fixture: &KmeansFixture) -> OpCounts {
+        let pairs = (fixture.cloud().points.len() * fixture.cloud().centers.len()) as u64;
+        OpCounts {
+            adds: 3 * pairs,
+            muls: 2 * pairs,
+        }
+    }
+
+    /// Runs `fixture` for 1..=10 iterations under `config`, returning each
+    /// result with its per-site ledger.
+    fn runs_by_iterations(
+        fixture: &KmeansFixture,
+        config: OperatorConfig,
+    ) -> Vec<(KmeansResult, SiteCounts)> {
+        (1..=10)
+            .map(|m| {
+                let mut ctx = OperatorCtx::for_config(&config);
+                let result = fixture.clone().with_iterations(m).run(&mut ctx);
+                (result, ctx.site_counts())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_fixed_point_stops_the_run_and_charges_the_rest() {
+        let fixture = KmeansFixture::synthetic(10, 200, 100);
+        let per = per_iteration(&fixture);
+        let runs = runs_by_iterations(&fixture, OperatorConfig::AddTrunc { n: 16, q: 11 });
+        // the first iteration whose update leaves the centroids in place
+        let settled = (2..=10)
+            .find(|&m| runs[m - 1].0.centroids == runs[m - 2].0.centroids)
+            .expect("ADDt(16,11) settles within 10 iterations");
+        assert!(settled < 10, "the stop skips at least one iteration");
+        let (last, _) = &runs[9];
+        for (m, (result, sites)) in (1..=10u64).zip(&runs) {
+            let counts = OpCounts {
+                adds: m * per.adds,
+                muls: m * per.muls,
+            };
+            assert_eq!(result.counts, counts, "{m} iterations");
+            assert_eq!(sites.get(SITE_DIST_DIFF).adds, 2 * m * per.adds / 3);
+            assert_eq!(sites.get(SITE_DIST_ACC).muls, m * per.muls);
+            if m as usize >= settled {
+                assert_eq!(result.labels, last.labels, "{m} iterations");
+                assert_eq!(result.centroids, last.centroids, "{m} iterations");
+                assert_eq!(result.score, last.score, "{m} iterations");
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_that_never_settles_records_the_same_counts() {
+        let fixture = KmeansFixture::synthetic(10, 200, 100);
+        let per = per_iteration(&fixture);
+        let runs = runs_by_iterations(&fixture, OperatorConfig::AbmUncorrected { n: 16 });
+        for (m, (result, sites)) in (1..=10u64).zip(&runs) {
+            assert_eq!(result.counts.adds, m * per.adds, "{m} iterations");
+            assert_eq!(result.counts.muls, m * per.muls, "{m} iterations");
+            assert_eq!(sites.get(SITE_DIST_ACC).muls, m * per.muls);
+        }
+        assert!(
+            runs.windows(2)
+                .all(|w| w[0].0.centroids != w[1].0.centroids),
+            "ABMu(16) moves its centroids every iteration"
+        );
     }
 
     #[test]

@@ -35,6 +35,16 @@
 //! Workload results must not depend on the form: slice a loop only along
 //! boundaries that keep each site's first use, and hence the ledger's
 //! first-recorded order, where the scalar loop puts it.
+//!
+//! # Charging without evaluating
+//!
+//! Every operator model is a pure function of its operands, so a workload
+//! may compute a result it would otherwise recompute once and reuse it:
+//! the HEVC filter shares each source row's horizontal pass between the
+//! pixels that read it, and K-means stops at a fixed point. The ledger
+//! still prices what the hardware runs, so such a workload adds the
+//! operations it skipped with [`OperatorCtx::charge`], which records the
+//! site on first use like any other call and evaluates nothing.
 
 use crate::traits::{ApxOperator, OpClass};
 use crate::util::{sext, to_u};
@@ -443,6 +453,29 @@ impl OperatorCtx {
         }
     }
 
+    /// Adds `counts` to the ledger of `site` without evaluating anything:
+    /// the ledger effect of running that many operations there. A zero
+    /// count records nothing, exactly like an empty slice; otherwise a new
+    /// site is recorded after those already in the ledger.
+    ///
+    /// # Example
+    /// ```
+    /// use apx_operators::{OpCounts, OperatorCtx};
+    /// let mut ctx = OperatorCtx::exact();
+    /// ctx.charge("w.skipped", OpCounts::default());
+    /// assert!(ctx.site_counts().is_empty());
+    /// ctx.charge("w.skipped", OpCounts { adds: 6, muls: 7 });
+    /// assert_eq!(ctx.site_counts().get("w.skipped"), OpCounts { adds: 6, muls: 7 });
+    /// ```
+    pub fn charge(&mut self, site: &'static str, counts: OpCounts) {
+        if counts.total() == 0 {
+            return;
+        }
+        let site = self.site(site);
+        site.counts.adds += counts.adds;
+        site.counts.muls += counts.muls;
+    }
+
     /// Operations executed since the last reset.
     #[must_use]
     pub fn counts(&self) -> OpCounts {
@@ -549,6 +582,49 @@ mod tests {
         assert_eq!(sites.total(), ctx.counts());
         ctx.reset_counts();
         assert!(ctx.site_counts().is_empty());
+    }
+
+    #[test]
+    fn a_zero_charge_records_no_site() {
+        let mut ctx = OperatorCtx::exact();
+        ctx.charge("w.a", OpCounts::default());
+        assert!(ctx.site_counts().is_empty());
+        assert_eq!(ctx.counts(), OpCounts::default());
+    }
+
+    #[test]
+    fn charging_a_new_site_appends_it_after_the_recorded_ones() {
+        let mut ctx = OperatorCtx::exact();
+        ctx.add_at("w.a", 1, 2);
+        ctx.mul_at("w.b", 3, 4);
+        ctx.charge("w.c", OpCounts { adds: 0, muls: 5 });
+        ctx.charge("w.a", OpCounts { adds: 2, muls: 0 });
+        let sites = ctx.site_counts();
+        let order: Vec<&str> = sites.iter().map(|(site, _)| site).collect();
+        assert_eq!(order, ["w.a", "w.b", "w.c"]);
+        assert_eq!(sites.get("w.a"), OpCounts { adds: 3, muls: 0 });
+        assert_eq!(sites.get("w.c"), OpCounts { adds: 0, muls: 5 });
+    }
+
+    #[test]
+    fn charging_matches_running_the_ops() {
+        let config = OperatorConfig::Aca { n: 16, p: 6 };
+        let (mut run, mut charged) = (
+            OperatorCtx::for_config(&config),
+            OperatorCtx::for_config(&config),
+        );
+        for n in [0, 1, 5, 64, 65] {
+            let (a, b) = (vec![3i64; n], vec![-7i64; n]);
+            let mut out = vec![0i64; n];
+            run.add_n_at("w.sum", &a, &b, &mut out);
+            run.mul_n_at("w.prod", &a, &b, &mut out);
+            run.mul_n_at("w.sum", &a, &b, &mut out);
+            let n = n as u64;
+            charged.charge("w.sum", OpCounts { adds: n, muls: 0 });
+            charged.charge("w.prod", OpCounts { adds: 0, muls: n });
+            charged.charge("w.sum", OpCounts { adds: 0, muls: n });
+            assert_eq!(run.site_counts(), charged.site_counts(), "n = {n}");
+        }
     }
 
     #[test]
