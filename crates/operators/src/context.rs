@@ -39,9 +39,9 @@
 //! # Charging without evaluating
 //!
 //! Every operator model is a pure function of its operands, so a workload
-//! may compute a result it would otherwise recompute once and reuse it:
-//! the HEVC filter shares each source row's horizontal pass between the
-//! pixels that read it, and K-means stops at a fixed point. The ledger
+//! may compute a repeated result once and reuse it: the HEVC filter
+//! shares each source row's horizontal pass between the pixels that read
+//! it, and K-means stops at a fixed point. The ledger
 //! still prices what the hardware runs, so such a workload adds the
 //! operations it skipped with [`OperatorCtx::charge`], which records the
 //! site on first use like any other call and evaluates nothing.
