@@ -198,8 +198,9 @@ pub(super) fn bench_baseline(args: &Args) -> Result<(), String> {
     let run_start = Instant::now();
 
     // 1a/1b. error sampling, split by operator class so the perf gate
-    // sees adder-path and multiplier-path throughput separately (the
-    // multiplier kernels are the ones with order-of-magnitude headroom)
+    // sees adder-path and multiplier-path throughput separately (ABM's
+    // closed form costs several times MULt's native product, so a
+    // multiplier regression would hide in a pooled stage)
     let adder_configs = [
         OperatorConfig::AddTrunc { n: 16, q: 10 },
         OperatorConfig::Aca { n: 16, p: 8 },

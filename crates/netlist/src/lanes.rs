@@ -1,7 +1,7 @@
 //! Lane transposition: moving up to 64 operand values into per-bit lane
-//! words and back — the packing under every bitsliced path (the
-//! [`crate::Sim64`] gate simulator and the operator models' batch
-//! kernels).
+//! words and back — the packing under the [`crate::Sim64`] gate
+//! simulator's bus I/O, its only user. [`transpose64`] is also public on
+//! its own: the error accumulator counts bit flips through it.
 //!
 //! Both directions run through one in-place log-step 64×64 bit-matrix
 //! transpose ([`transpose64`]; Warren, *Hacker's Delight*, §7-3): six
@@ -41,7 +41,7 @@ pub fn transpose64(m: &mut [u64; 64]) {
 ///
 /// # Panics
 /// Panics if more than 64 values are supplied or `width > 64`.
-pub fn pack_lanes(values: &[u64], width: u32, words: &mut [u64; 64]) {
+pub(crate) fn pack_lanes(values: &[u64], width: u32, words: &mut [u64; 64]) {
     assert!(
         values.len() <= 64 && width <= 64,
         "at most 64 lanes and bits"
@@ -56,12 +56,11 @@ pub fn pack_lanes(values: &[u64], width: u32, words: &mut [u64; 64]) {
 
 /// Inverse of [`pack_lanes`]: unpacks the per-bit lane words
 /// `words[..width]` into `out.len()` values, reusing `words` as scratch.
-/// Words at or above `width` are ignored (batch kernels may leave
-/// garbage there).
+/// Words at or above `width` are ignored, whatever they hold.
 ///
 /// # Panics
 /// Panics if more than 64 values are requested or `width > 64`.
-pub fn unpack_lanes(words: &mut [u64; 64], width: u32, out: &mut [u64]) {
+pub(crate) fn unpack_lanes(words: &mut [u64; 64], width: u32, out: &mut [u64]) {
     assert!(out.len() <= 64 && width <= 64, "at most 64 lanes and bits");
     words[width as usize..].fill(0);
     transpose64(words);
@@ -136,7 +135,7 @@ mod tests {
                     "pack w={width}"
                 );
 
-                // kernel output: garbage above `width` must be ignored
+                // garbage above `width` must be ignored
                 let mut kernel_out: [u64; 64] = std::array::from_fn(|_| next());
                 let want = unpack_reference(&kernel_out, width, lanes);
                 let mut out = vec![u64::MAX; lanes];

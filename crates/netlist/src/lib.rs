@@ -72,5 +72,5 @@ pub mod verify;
 pub use analyzer::{HwAnalyzer, HwReport};
 pub use builder::NetlistBuilder;
 pub use ir::{Gate, NetId, Netlist, NetlistStats};
-pub use lanes::{pack_lanes, transpose64, unpack_lanes};
+pub use lanes::transpose64;
 pub use sim::Sim64;

@@ -215,9 +215,9 @@ where
 
 /// Exhaustively verifies a two-operand netlist (buses in declaration
 /// order are `a`, then `b`) against a batched reference: `f` fills a
-/// whole batch of expected outputs (`out[i] = expected(a[i], b[i])`), so
-/// a bitsliced `eval_batch` override accelerates the expected side of
-/// the equivalence check exactly as it does the error-sampling loop.
+/// whole batch of expected outputs (`out[i] = expected(a[i], b[i])`)
+/// per 64-lane simulation window, so the model runs one monomorphized
+/// loop per window rather than one call per vector.
 ///
 /// Vectors are swept in concatenated-word order (`a` in the low bits),
 /// split into fixed chunks verified on `engine`.

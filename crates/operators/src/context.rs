@@ -23,14 +23,15 @@
 //! effects: the scalar `add_at`/`sub_at`/`mul_at`, and the slice forms
 //! `add_n_at`/`sub_n_at`/`mul_n_at`, which run a whole slice of
 //! independent operations through the serving operator's
-//! [`ApxOperator::eval_batch`] kernel (bitsliced 64 lanes at a time, or a
-//! word-level closed form). Use the slice forms for data-parallel loops:
-//! a K-means distance over every point, a DCT tap step over a block, an
-//! interpolation tap over every pixel of a motion block. Keep the scalar
-//! calls where each operation depends on the previous one (a feedback
-//! recurrence, an argmin that must decide before the next operation
-//! runs) or where only a handful of operations are in flight: a one-lane
-//! bitsliced batch costs several times the scalar model.
+//! [`ApxOperator::aligned_batch`] loop, with one site lookup and one
+//! virtual call per slice instead of per operation. Use the slice forms
+//! for data-parallel loops: a K-means distance over every point, a DCT
+//! tap step over a block, an interpolation tap over every pixel of a
+//! motion block. Keep the scalar calls where each operation depends on
+//! the previous one (a feedback recurrence, an argmin that must decide
+//! before the next operation runs), since such a loop has no slice to
+//! hand over, or where only a handful of operations are in flight and
+//! staging them in a slice saves nothing.
 //!
 //! Workload results must not depend on the form: slice a loop only along
 //! boundaries that keep each site's first use, and hence the ledger's

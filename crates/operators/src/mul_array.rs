@@ -5,11 +5,12 @@
 //! All array multipliers here share one source of truth for the partial-
 //! product grid: [`bw_terms`] places every Baugh-Wooley term (AND, NAND or
 //! constant 1) at its column, and every **netlist generator** instantiates
-//! those terms. The fixed-width **functional model** uses the closed form
-//! the full grid sums to (the signed product mod `2^{2n}`, pinned by
-//! `bw_grid_sums_to_the_signed_product`; netlist cross-verification pins
-//! the compression); AAM, which prunes the grid, sums the kept terms
-//! themselves.
+//! those terms. The **functional models** are word-level closed forms:
+//! the fixed-width multiplier is the signed product the full grid sums
+//! to (mod `2^{2n}`, pinned by `bw_grid_sums_to_the_signed_product`), and
+//! AAM is that product minus the pruned triangle plus its compensation.
+//! Tests pin AAM's closed form against a walk over the kept grid terms;
+//! netlist cross-verification pins the compression.
 //!
 //! Baugh-Wooley (modified form), for `n`-bit two's-complement operands:
 //!
@@ -22,8 +23,7 @@
 use crate::sized::{check_kept_bits, Notation, QuantMode};
 use crate::traits::{ApxOperator, OpClass};
 use crate::util::{
-    bit, bitsliced_batch, check_multiplier_width, compress_columns64, mask_u, require, sext, to_u,
-    MULTIPLIER_WIDTHS,
+    bit, check_multiplier_width, mask_u, require, sext, signed_product, to_u, MULTIPLIER_WIDTHS,
 };
 use apx_netlist::{NetId, Netlist, NetlistBuilder};
 
@@ -39,28 +39,6 @@ pub(crate) enum BwTerm {
 }
 
 impl BwTerm {
-    #[inline]
-    pub(crate) fn value(self, a: u64, b: u64) -> u64 {
-        match self {
-            BwTerm::And(i, j) => bit(a, i) & bit(b, j),
-            BwTerm::Nand(i, j) => 1 ^ (bit(a, i) & bit(b, j)),
-            BwTerm::One => 1,
-        }
-    }
-
-    /// 64-lane form of [`BwTerm::value`]: `aw`/`bw` are transposed
-    /// per-bit lane words, the result holds the term for all 64 lanes.
-    /// (Constant/NAND terms are 1 in unused lanes — harmless, since the
-    /// batch driver only unpacks the live lanes.)
-    #[inline]
-    pub(crate) fn value64(self, aw: &[u64; 64], bw: &[u64; 64]) -> u64 {
-        match self {
-            BwTerm::And(i, j) => aw[i as usize] & bw[j as usize],
-            BwTerm::Nand(i, j) => !(aw[i as usize] & bw[j as usize]),
-            BwTerm::One => !0,
-        }
-    }
-
     pub(crate) fn net(self, b: &mut NetlistBuilder, av: &[NetId], bv: &[NetId]) -> NetId {
         match self {
             BwTerm::And(i, j) => b.and(av[i as usize], bv[j as usize]),
@@ -89,20 +67,6 @@ pub(crate) fn bw_terms(n: u32) -> Vec<Vec<BwTerm>> {
     cols[n as usize].push(BwTerm::One);
     cols[(2 * n - 1) as usize].push(BwTerm::One);
     cols
-}
-
-/// Sums the term grid functionally (columns filtered by `keep`).
-pub(crate) fn sum_terms(cols: &[Vec<BwTerm>], a: u64, b: u64, keep: impl Fn(u32) -> bool) -> u128 {
-    let mut total = 0u128;
-    for (c, col) in cols.iter().enumerate() {
-        if !keep(c as u32) {
-            continue;
-        }
-        for term in col {
-            total += u128::from(term.value(a, b)) << c;
-        }
-    }
-    total
 }
 
 /// Builds the nets of the kept columns for a netlist.
@@ -230,11 +194,10 @@ impl ApxOperator for FixedWidthMul {
 /// Compared with `MULt(n, n)` ([`FixedWidthMul`]), AAM removes roughly
 /// half of the array (area win) at the price of a statistical rather than
 /// exact carry into the kept half.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Aam {
     n: u32,
     tree_compression: bool,
-    cols: Vec<Vec<BwTerm>>,
 }
 
 impl Aam {
@@ -250,7 +213,6 @@ impl Aam {
         Ok(Aam {
             n,
             tree_compression: false,
-            cols: bw_terms(n),
         })
     }
 
@@ -261,11 +223,6 @@ impl Aam {
     pub fn with_tree_compression(mut self) -> Self {
         self.tree_compression = true;
         self
-    }
-
-    /// Diagonal (column `n-1`) terms in ascending `i` order.
-    fn diagonal_terms(&self) -> &[BwTerm] {
-        &self.cols[(self.n - 1) as usize]
     }
 }
 
@@ -291,50 +248,33 @@ impl ApxOperator for Aam {
     }
     fn eval_u(&self, a: u64, b: u64) -> u64 {
         let n = self.n;
-        // kept half: columns >= n
-        let mut total = sum_terms(&self.cols, a, b, |c| c >= n);
-        // compensation: OR of adjacent diagonal pairs, injected at weight n
-        let diag: Vec<u64> = self
-            .diagonal_terms()
-            .iter()
-            .map(|t| t.value(a, b))
-            .collect();
-        for pair in diag.chunks(2) {
-            let or = pair.iter().copied().fold(0, |acc, v| acc | v);
-            total += u128::from(or) << n;
+        let m = mask_u(n);
+        let (a, b) = (a & m, b & m);
+        // The full grid sums to the signed product, so the kept columns
+        // (>= n) sum to it minus the pruned triangle below column n: the
+        // AND terms a_i·b_j with i, j < n-1 and i+j < n, one masked row
+        // per a_i, and the two NAND terms of column n-1. The difference is
+        // a multiple of 2^n, so only the triangle's carry into column n
+        // reaches the output
+        let b_low = b & mask_u(n - 1);
+        let mut low = 0;
+        for i in 0..n - 1 {
+            low += bit(a, i) * ((b_low << i) & m);
         }
-        ((total >> n) as u64) & mask_u(n)
-    }
-    fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        // True 64-lane bitslice of the pruned array: every kept grid term
-        // becomes one lane word, the compensation ORs collapse to word
-        // ORs, and the column sum runs through word-parallel carry-save
-        // compression. All terms sit at weight >= n and the scalar model
-        // masks to n output bits, so compressing the rebased columns mod
-        // 2^n reproduces `(total >> n) & mask(n)` exactly.
-        let n = self.n as usize;
-        let grid = &self.cols;
-        let diag = self.diagonal_terms();
-        let mut cols: Vec<Vec<u64>> = vec![Vec::new(); n];
-        bitsliced_batch(self.n, a, b, out, move |aw, bw, ow| {
-            for c in n..2 * n {
-                for term in &grid[c] {
-                    cols[c - n].push(term.value64(aw, bw));
-                }
-            }
-            for pair in diag.chunks(2) {
-                let or = pair.iter().map(|t| t.value64(aw, bw)).fold(0, |x, y| x | y);
-                cols[0].push(or);
-            }
-            compress_columns64(&mut cols, ow);
-        });
+        low += (2 - bit(a, n - 1) * bit(b, 0) - bit(a, 0) * bit(b, n - 1)) << (n - 1);
+        let kept = signed_product(a, b, n).wrapping_sub(low) & mask_u(2 * n);
+        // compensation: the column n-1 terms a_i·b_{n-1-i} (NAND at both
+        // ends) as one word, OR-ed in adjacent pairs (2k, 2k+1)
+        let diag = (a & (b.reverse_bits() >> (64 - n))) ^ (1 | 1 << (n - 1));
+        let comp = ((diag | diag >> 1) & 0x5555_5555_5555_5555).count_ones();
+        ((kept >> n) + u64::from(comp)) & m
     }
     fn netlist(&self) -> Netlist {
         let n = self.n as usize;
         let mut b = NetlistBuilder::new(self.name());
         let av = b.input_bus("a", n);
         let bv = b.input_bus("b", n);
-        let cols = self.cols.clone();
+        let cols = bw_terms(self.n);
         // kept columns re-based at weight n (the output scale)
         let mut columns: Vec<Vec<NetId>> = (0..n).map(|_| Vec::new()).collect();
         for c in n..2 * n {
@@ -343,9 +283,9 @@ impl ApxOperator for Aam {
                 columns[c - n].push(net);
             }
         }
-        // compensation: diagonal terms, OR-ed in adjacent pairs, into col 0
-        let diag_nets: Vec<NetId> = self
-            .diagonal_terms()
+        // compensation: the diagonal (column n-1) terms in ascending i
+        // order, OR-ed in adjacent pairs, into col 0
+        let diag_nets: Vec<NetId> = cols[n - 1]
             .iter()
             .map(|t| t.net(&mut b, &av, &bv))
             .collect();
@@ -372,8 +312,47 @@ impl ApxOperator for Aam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::util::{cross_verify, signed_product};
+    use crate::util::{cross_verify, test_operands};
     use crate::OperatorConfig;
+
+    impl BwTerm {
+        fn value(self, a: u64, b: u64) -> u64 {
+            match self {
+                BwTerm::And(i, j) => bit(a, i) & bit(b, j),
+                BwTerm::Nand(i, j) => 1 ^ (bit(a, i) & bit(b, j)),
+                BwTerm::One => 1,
+            }
+        }
+    }
+
+    /// Sums the term grid functionally (columns filtered by `keep`).
+    fn sum_terms(cols: &[Vec<BwTerm>], a: u64, b: u64, keep: impl Fn(u32) -> bool) -> u128 {
+        let mut total = 0u128;
+        for (c, col) in cols.iter().enumerate() {
+            if keep(c as u32) {
+                for term in col {
+                    total += u128::from(term.value(a, b)) << c;
+                }
+            }
+        }
+        total
+    }
+
+    /// AAM as its netlist builds it, one grid term at a time: the kept
+    /// columns >= n, plus the column n-1 terms OR-ed in adjacent pairs
+    /// at weight n.
+    fn aam_grid_walk(n: u32, a: u64, b: u64) -> u64 {
+        let cols = bw_terms(n);
+        let mut total = sum_terms(&cols, a, b, |c| c >= n);
+        let diag: Vec<u64> = cols[(n - 1) as usize]
+            .iter()
+            .map(|t| t.value(a, b))
+            .collect();
+        for pair in diag.chunks(2) {
+            total += u128::from(pair.iter().fold(0, |acc, v| acc | v)) << n;
+        }
+        ((total >> n) as u64) & mask_u(n)
+    }
 
     #[test]
     fn bw_grid_sums_to_the_signed_product() {
@@ -430,49 +409,39 @@ mod tests {
 
     #[test]
     fn aam_netlist_matches_model() {
-        for n in [4u32, 6] {
+        for n in [4u32, 5, 6, 7, 9] {
             cross_verify(&Aam::new(n).unwrap());
         }
         cross_verify(&Aam::new(16).unwrap());
+        cross_verify(&Aam::new(24).unwrap());
     }
 
     #[test]
-    fn multiplier_batches_match_scalar_eval_exhaustively() {
-        let ops: Vec<Box<dyn ApxOperator>> = vec![
-            OperatorConfig::MulExact { n: 4 }.build(),
-            OperatorConfig::MulExact { n: 8 }.build(),
-            OperatorConfig::MulTrunc { n: 8, q: 8 }.build(),
-            OperatorConfig::MulTrunc { n: 8, q: 3 }.build(),
-            OperatorConfig::MulTrunc { n: 8, q: 16 }.build(),
-            OperatorConfig::MulRound { n: 8, q: 8 }.build(),
-            OperatorConfig::MulRound { n: 8, q: 13 }.build(),
-            Box::new(Aam::new(8).unwrap()),
-        ];
-        // all 65536 operand pairs in batches of 256 (4 transposed chunks)
-        for op in ops {
-            let m = mask_u(op.input_bits());
-            let mut batch_a = Vec::new();
-            let mut batch_b = Vec::new();
-            let mut out = vec![0u64; (m + 1) as usize];
-            for a in 0..=m {
-                batch_a.clear();
-                batch_b.clear();
-                for b in 0..=m {
-                    batch_a.push(a);
-                    batch_b.push(b);
-                }
-                op.eval_batch(&batch_a, &batch_b, &mut out);
-                for (b, &got) in out.iter().enumerate() {
-                    let want = op.eval_u(a, b as u64);
-                    assert_eq!(got, want, "{} a={a} b={b}", op.name());
+    fn aam_closed_form_matches_the_grid_walk_exhaustively() {
+        for n in 4u32..=8 {
+            let op = Aam::new(n).unwrap();
+            for a in 0..1u64 << n {
+                for b in 0..1u64 << n {
+                    assert_eq!(
+                        op.eval_u(a, b),
+                        aam_grid_walk(n, a, b),
+                        "n={n} a={a:#x} b={b:#x}"
+                    );
                 }
             }
-            // ragged tail (len % 64 != 0) through the same kernel
-            let take = batch_a.len().min(97);
-            let mut ragged = vec![0u64; take];
-            op.eval_batch(&batch_a[..take], &batch_b[..take], &mut ragged);
-            for (i, &got) in ragged.iter().enumerate() {
-                assert_eq!(got, op.eval_u(batch_a[i], batch_b[i]), "{}", op.name());
+        }
+    }
+
+    #[test]
+    fn aam_closed_form_matches_the_grid_walk_at_every_width() {
+        for n in 4u32..=*MULTIPLIER_WIDTHS.end() {
+            let op = Aam::new(n).unwrap();
+            for (a, b) in test_operands(n, 2_000, 0xAA + u64::from(n)) {
+                assert_eq!(
+                    op.eval_u(a, b),
+                    aam_grid_walk(n, a, b),
+                    "n={n} a={a:#x} b={b:#x}"
+                );
             }
         }
     }

@@ -27,11 +27,14 @@
 //! `tests/paper_claims.rs` pins both
 //! (`table1_shape_multiplier_accuracy_ordering`,
 //! `table6_shape_abm_collapse`).
+//!
+//! The functional models are word-level closed forms: the exact variant
+//! is the signed product, and the pruned variants decode every digit at
+//! once and add one kept row per digit. Tests pin them against a walk
+//! over the grid above, one pattern bit at a time.
 
 use crate::traits::{ApxOperator, OpClass};
-use crate::util::{
-    bit, bitsliced_batch, compress_columns64, mask_u, require, signed_product, MULTIPLIER_WIDTHS,
-};
+use crate::util::{bit, mask_u, require, signed_product, MULTIPLIER_WIDTHS};
 use apx_netlist::{NetId, Netlist, NetlistBuilder};
 use std::collections::HashMap;
 
@@ -44,28 +47,8 @@ fn check_booth_width(n: u32) -> Result<(), String> {
     })
 }
 
-/// Booth encoder signals for digit `k` of operand `b`: `(x1, x2, neg)`.
-#[inline]
-pub(crate) fn booth_enc(b: u64, k: u32, n: u32) -> (u64, u64, u64) {
-    debug_assert!(2 * k + 1 < n);
-    let b_hi = bit(b, 2 * k + 1);
-    let b_mid = bit(b, 2 * k);
-    let b_lo = if k == 0 { 0 } else { bit(b, 2 * k - 1) };
-    let x1 = b_mid ^ b_lo;
-    let x2 = (1 ^ x1) & (b_hi ^ b_mid);
-    (x1, x2, b_hi)
-}
-
-/// Pattern bit `t ∈ 0..=n` of Booth row `k` (before weighting).
-#[inline]
-pub(crate) fn booth_pp(a: u64, n: u32, x1: u64, x2: u64, neg: u64, t: u32) -> u64 {
-    let a_t = if t < n { bit(a, t) } else { bit(a, n - 1) };
-    let a_shift = if t > 0 { bit(a, t - 1) } else { 0 };
-    ((x1 & a_t) | (x2 & a_shift)) ^ neg
-}
-
 /// The constant vector absorbing all rows' sign extensions, mod `2^{2n}`.
-pub(crate) fn booth_const(n: u32) -> u64 {
+fn booth_const(n: u32) -> u64 {
     let m = mask_u(2 * n);
     let mut c = 0u64;
     for k in 0..n / 2 {
@@ -84,117 +67,6 @@ struct BoothPruning {
     sign_correction: bool,
     /// OR-pair the column `min_col - 1` pattern bits into `min_col`.
     diagonal_compensation: bool,
-}
-
-fn booth_eval(n: u32, a: u64, b: u64, pruning: BoothPruning) -> u128 {
-    let mut total = 0u128;
-    for k in 0..n / 2 {
-        let (x1, x2, neg) = booth_enc(b, k, n);
-        for t in 0..=n {
-            let col = 2 * k + t;
-            let pp = booth_pp(a, n, x1, x2, neg, t);
-            if col >= pruning.min_col {
-                total += u128::from(pp) << col;
-            }
-        }
-        let neg_col = 2 * k;
-        if neg_col >= pruning.min_col {
-            total += u128::from(neg) << neg_col;
-        }
-        if pruning.sign_correction {
-            let sign_col = 2 * k + n + 1;
-            if sign_col >= pruning.min_col && sign_col < 2 * n {
-                let s = booth_pp(a, n, x1, x2, neg, n);
-                total += u128::from(1 ^ s) << sign_col;
-            }
-        }
-    }
-    if pruning.sign_correction {
-        let c = booth_const(n);
-        let kept_const = if pruning.min_col == 0 {
-            c
-        } else {
-            c & !mask_u(pruning.min_col)
-        };
-        total += u128::from(kept_const);
-    }
-    if pruning.diagonal_compensation && pruning.min_col > 0 {
-        let comp_col = pruning.min_col - 1;
-        let mut diag = Vec::new();
-        for k in 0..n / 2 {
-            if comp_col >= 2 * k && comp_col - 2 * k <= n {
-                let (x1, x2, neg) = booth_enc(b, k, n);
-                diag.push(booth_pp(a, n, x1, x2, neg, comp_col - 2 * k));
-            }
-        }
-        for pair in diag.chunks(2) {
-            let or = pair.iter().copied().fold(0, |acc, v| acc | v);
-            total += u128::from(or) << pruning.min_col;
-        }
-    }
-    total
-}
-
-/// 64-lane bitsliced twin of [`booth_eval`] for the pruned fixed-width
-/// variants (`min_col == n`, output `(total >> n) & mask(n)`): the Booth
-/// encoders, pattern bits, sign bits and compensation ORs all evaluate as
-/// single word ops over transposed lane words, and the rebased columns
-/// run through word-parallel carry-save compression. Every kept term sits
-/// at column `>= n`, so compressing the rebased grid mod `2^n` is exactly
-/// the scalar model's shift-and-mask.
-fn booth_eval_batch(n: u32, pruning: BoothPruning, a: &[u64], b: &[u64], out: &mut [u64]) {
-    debug_assert_eq!(pruning.min_col, n, "kernel is for fixed-width pruning");
-    let nu = n as usize;
-    let mut cols: Vec<Vec<u64>> = vec![Vec::new(); nu];
-    let mut diag: Vec<u64> = Vec::new();
-    bitsliced_batch(n, a, b, out, move |aw, bw, ow| {
-        for k in 0..nu / 2 {
-            let b_hi = bw[2 * k + 1];
-            let b_mid = bw[2 * k];
-            let b_lo = if k == 0 { 0 } else { bw[2 * k - 1] };
-            let x1 = b_mid ^ b_lo;
-            let x2 = !x1 & (b_hi ^ b_mid);
-            let neg = b_hi;
-            let pp = |t: usize| -> u64 {
-                let a_t = aw[t.min(nu - 1)];
-                let a_shift = if t > 0 { aw[t - 1] } else { 0 };
-                ((x1 & a_t) | (x2 & a_shift)) ^ neg
-            };
-            for t in 0..=nu {
-                let col = 2 * k + t;
-                if col >= nu {
-                    cols[col - nu].push(pp(t));
-                }
-            }
-            // the +neg corrections all sit at columns 2k < n: pruned
-            if pruning.sign_correction {
-                let sign_col = 2 * k + nu + 1;
-                if sign_col < 2 * nu {
-                    cols[sign_col - nu].push(!pp(nu));
-                }
-            }
-            if pruning.diagonal_compensation {
-                let comp_col = nu - 1;
-                if comp_col >= 2 * k && comp_col - 2 * k <= nu {
-                    diag.push(pp(comp_col - 2 * k));
-                }
-            }
-        }
-        if pruning.sign_correction {
-            let c = booth_const(n) & !mask_u(n);
-            for col in nu..2 * nu {
-                if bit(c, col as u32) == 1 {
-                    cols[col - nu].push(!0);
-                }
-            }
-        }
-        for pair in diag.chunks(2) {
-            let or = pair.iter().copied().fold(0, |x, y| x | y);
-            cols[0].push(or);
-        }
-        diag.clear();
-        compress_columns64(&mut cols, ow);
-    });
 }
 
 /// Shared netlist generator for all Booth variants.
@@ -389,27 +261,50 @@ impl ApxOperator for BoothMul {
         self.pruning.min_col
     }
     fn eval_u(&self, a: u64, b: u64) -> u64 {
+        let n = self.n;
         if self.pruning.min_col == 0 {
             // The unpruned Booth grid the netlist instantiates sums to the
             // signed product mod 2^{2n} (pinned by
             // `exact_booth_equals_the_signed_product`), so the model is the
             // closed form rather than a walk over the Booth rows.
-            return signed_product(a, b, self.n);
+            return signed_product(a, b, n);
         }
-        let total = booth_eval(self.n, a, b, self.pruning);
-        ((total >> self.n) as u64) & mask_u(self.n)
-    }
-    fn eval_batch(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        if self.pruning.min_col > 0 {
-            return booth_eval_batch(self.n, self.pruning, a, b, out);
+        // The pruned grid keeps only columns >= n, read at output scale.
+        // Every digit's encoder at once: digit k's signals sit at bit 2k.
+        let m = mask_u(n);
+        let (a, b) = (a & m, b & m);
+        let even = 0x5555_5555_5555_5555 & m;
+        let (lo, mid, hi) = ((b << 1) & even, b & even, (b >> 1) & even);
+        let x1 = mid ^ lo;
+        let x2 = !x1 & (hi ^ mid) & even;
+        // row k: the n+1 pattern bits over the sign-extended `a`, of which
+        // columns >= n are the row shifted down by n-2k (every +neg
+        // correction sits at column 2k < n, so it is pruned)
+        let row_mask = mask_u(n + 1);
+        let a_ext = a | bit(a, n - 1) << n;
+        let mut total = 0u64;
+        for k in 0..n / 2 {
+            let select = |w: u64| 0u64.wrapping_sub(bit(w, 2 * k));
+            let row = ((select(x1) & a_ext) | (select(x2) & a_ext << 1)) ^ select(hi);
+            total += (row & row_mask) >> (n - 2 * k);
         }
-        assert!(
-            a.len() == b.len() && a.len() == out.len(),
-            "batch length mismatch"
-        );
-        for ((&ai, &bi), o) in a.iter().zip(b).zip(out.iter_mut()) {
-            *o = signed_product(ai, bi, self.n);
+        if self.pruning.sign_correction {
+            // the inverted row sign bits !s_k at column 2k+n+1 plus the
+            // constant vector -Σ 2^{2k+n+1} sum to -Σ s_k 2^{2k+1} at
+            // output scale
+            let sign_a = 0u64.wrapping_sub(bit(a, n - 1));
+            let signs = (((x1 | x2) & sign_a) ^ hi) & even;
+            total = total.wrapping_sub(signs << 1);
         }
+        if self.pruning.diagonal_compensation {
+            // the column n-1 pattern bit of every row as one word (row k at
+            // bit 2k), OR-ed in adjacent row pairs (2j, 2j+1)
+            let rev = a.reverse_bits() >> (64 - n);
+            let diag = (((x1 & rev) | (x2 & rev >> 1)) ^ hi) & even;
+            let comp = (diag | diag >> 2) & 0x1111_1111_1111_1111;
+            total = total.wrapping_add(u64::from(comp.count_ones()));
+        }
+        total & m
     }
     fn netlist(&self) -> Netlist {
         booth_netlist(self.name(), self.n, self.pruning)
@@ -419,7 +314,76 @@ impl ApxOperator for BoothMul {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::util::{cross_verify, sext};
+    use crate::util::{cross_verify, sext, test_operands};
+
+    /// Booth encoder signals for digit `k` of operand `b`: `(x1, x2, neg)`.
+    fn booth_enc(b: u64, k: u32, n: u32) -> (u64, u64, u64) {
+        debug_assert!(2 * k + 1 < n);
+        let b_hi = bit(b, 2 * k + 1);
+        let b_mid = bit(b, 2 * k);
+        let b_lo = if k == 0 { 0 } else { bit(b, 2 * k - 1) };
+        let x1 = b_mid ^ b_lo;
+        let x2 = (1 ^ x1) & (b_hi ^ b_mid);
+        (x1, x2, b_hi)
+    }
+
+    /// Pattern bit `t ∈ 0..=n` of Booth row `k` (before weighting).
+    fn booth_pp(a: u64, n: u32, x1: u64, x2: u64, neg: u64, t: u32) -> u64 {
+        let a_t = if t < n { bit(a, t) } else { bit(a, n - 1) };
+        let a_shift = if t > 0 { bit(a, t - 1) } else { 0 };
+        ((x1 & a_t) | (x2 & a_shift)) ^ neg
+    }
+
+    /// Sums the Booth grid as the netlist builds it, one pattern bit at a
+    /// time, keeping what `pruning` keeps.
+    fn booth_eval(n: u32, a: u64, b: u64, pruning: BoothPruning) -> u128 {
+        let mut total = 0u128;
+        for k in 0..n / 2 {
+            let (x1, x2, neg) = booth_enc(b, k, n);
+            for t in 0..=n {
+                let col = 2 * k + t;
+                let pp = booth_pp(a, n, x1, x2, neg, t);
+                if col >= pruning.min_col {
+                    total += u128::from(pp) << col;
+                }
+            }
+            let neg_col = 2 * k;
+            if neg_col >= pruning.min_col {
+                total += u128::from(neg) << neg_col;
+            }
+            if pruning.sign_correction {
+                let sign_col = 2 * k + n + 1;
+                if sign_col >= pruning.min_col && sign_col < 2 * n {
+                    let s = booth_pp(a, n, x1, x2, neg, n);
+                    total += u128::from(1 ^ s) << sign_col;
+                }
+            }
+        }
+        if pruning.sign_correction {
+            let c = booth_const(n);
+            let kept_const = if pruning.min_col == 0 {
+                c
+            } else {
+                c & !mask_u(pruning.min_col)
+            };
+            total += u128::from(kept_const);
+        }
+        if pruning.diagonal_compensation && pruning.min_col > 0 {
+            let comp_col = pruning.min_col - 1;
+            let mut diag = Vec::new();
+            for k in 0..n / 2 {
+                if comp_col >= 2 * k && comp_col - 2 * k <= n {
+                    let (x1, x2, neg) = booth_enc(b, k, n);
+                    diag.push(booth_pp(a, n, x1, x2, neg, comp_col - 2 * k));
+                }
+            }
+            for pair in diag.chunks(2) {
+                let or = pair.iter().copied().fold(0, |acc, v| acc | v);
+                total += u128::from(or) << pruning.min_col;
+            }
+        }
+        total
+    }
 
     #[test]
     fn booth_digits_recompose_the_operand() {
@@ -459,48 +423,48 @@ mod tests {
         for n in [4u32, 6, 16] {
             cross_verify(&BoothMul::exact(n).unwrap());
         }
-        for n in [4u32, 6, 8, 16] {
+        for n in [4u32, 6, 8, 10, 16, 24] {
             cross_verify(&BoothMul::abm(n).unwrap());
         }
-        for n in [4u32, 8, 16] {
+        for n in [4u32, 8, 10, 16, 24] {
             cross_verify(&BoothMul::abm_uncorrected(n).unwrap());
         }
     }
 
+    /// The pruned variants' output from the grid walk.
+    fn pruned_grid_walk(op: &BoothMul, a: u64, b: u64) -> u64 {
+        let n = op.n;
+        ((booth_eval(n, a, b, op.pruning) >> n) as u64) & mask_u(n)
+    }
+
     #[test]
-    fn booth_batches_match_scalar_eval_exhaustively() {
-        let ops = [
-            BoothMul::exact(4).unwrap(),
-            BoothMul::exact(8).unwrap(),
-            BoothMul::abm(4).unwrap(),
-            BoothMul::abm(8).unwrap(),
-            BoothMul::abm_uncorrected(4).unwrap(),
-            BoothMul::abm_uncorrected(8).unwrap(),
-        ];
-        for op in ops {
-            let m = mask_u(op.input_bits());
-            let mut batch_a = Vec::new();
-            let mut batch_b = Vec::new();
-            let mut out = vec![0u64; (m + 1) as usize];
-            for a in 0..=m {
-                batch_a.clear();
-                batch_b.clear();
-                for b in 0..=m {
-                    batch_a.push(a);
-                    batch_b.push(b);
-                }
-                op.eval_batch(&batch_a, &batch_b, &mut out);
-                for (b, &got) in out.iter().enumerate() {
-                    let want = op.eval_u(a, b as u64);
-                    assert_eq!(got, want, "{} a={a} b={b}", op.name());
+    fn pruned_closed_forms_match_the_grid_walk_exhaustively() {
+        for n in [4u32, 6, 8] {
+            for op in [
+                BoothMul::abm(n).unwrap(),
+                BoothMul::abm_uncorrected(n).unwrap(),
+            ] {
+                for a in 0..1u64 << n {
+                    for b in 0..1u64 << n {
+                        let want = pruned_grid_walk(&op, a, b);
+                        assert_eq!(op.eval_u(a, b), want, "{} a={a:#x} b={b:#x}", op.name());
+                    }
                 }
             }
-            // ragged tail (len % 64 != 0) through the same kernel
-            let take = batch_a.len().min(97);
-            let mut ragged = vec![0u64; take];
-            op.eval_batch(&batch_a[..take], &batch_b[..take], &mut ragged);
-            for (i, &got) in ragged.iter().enumerate() {
-                assert_eq!(got, op.eval_u(batch_a[i], batch_b[i]), "{}", op.name());
+        }
+    }
+
+    #[test]
+    fn pruned_closed_forms_match_the_grid_walk_at_every_width() {
+        for n in (4u32..=*MULTIPLIER_WIDTHS.end()).step_by(2) {
+            for op in [
+                BoothMul::abm(n).unwrap(),
+                BoothMul::abm_uncorrected(n).unwrap(),
+            ] {
+                for (a, b) in test_operands(n, 2_000, 0xB0 + u64::from(n)) {
+                    let want = pruned_grid_walk(&op, a, b);
+                    assert_eq!(op.eval_u(a, b), want, "{} a={a:#x} b={b:#x}", op.name());
+                }
             }
         }
     }

@@ -80,20 +80,10 @@ pub trait ApxOperator: Send + Sync {
     /// Batched form of [`ApxOperator::eval_u`]: `out[i] = eval_u(a[i],
     /// b[i])`.
     ///
-    /// The default is the scalar loop, monomorphized per operator, which
-    /// is already the fastest form for operators whose scalar model is a
-    /// word-level closed form: every adder (exact, fixed-point, sized,
-    /// and the speculative and approximate-cell ACA, ETAII, ETAIV and
-    /// RCAApx) and the exact, fixed-width and sized products. Only the
-    /// pruned AAM/ABM multipliers, whose scalar model walks the
-    /// partial-product array bit by bit, override it with a 64-lane
-    /// bitsliced kernel: operands go through the same log-step lane
-    /// transpose as the gate-level [`apx_netlist::Sim64`]
-    /// ([`apx_netlist::pack_lanes`]), the kernel sweeps the per-bit lane
-    /// words, and the result comes back through
-    /// [`apx_netlist::unpack_lanes`]. Overrides must be extensionally
-    /// equal to the scalar loop; a property test pins this for every
-    /// operator family.
+    /// The scalar loop, monomorphized per operator: every operator's
+    /// scalar model is a word-level closed form (native adds, products
+    /// and shifts, plus the pruned multipliers' triangle and compensation
+    /// words), so a loop over it is the batch kernel.
     ///
     /// # Panics
     /// Panics unless `a`, `b` and `out` have equal lengths.
@@ -121,9 +111,8 @@ pub trait ApxOperator: Send + Sync {
         }
     }
 
-    /// Batched form of [`ApxOperator::aligned_u`], built on
-    /// [`ApxOperator::eval_batch`] so bitsliced overrides accelerate the
-    /// error-characterization path for free.
+    /// Batched form of [`ApxOperator::aligned_u`]:
+    /// [`ApxOperator::eval_batch`], then the alignment shift and mask.
     ///
     /// # Panics
     /// Panics unless `a`, `b` and `out` have equal lengths.

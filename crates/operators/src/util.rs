@@ -1,6 +1,5 @@
 //! Bit-manipulation helpers shared by the operator models.
 
-use apx_netlist::{pack_lanes, unpack_lanes};
 use std::ops::RangeInclusive;
 
 /// Operand widths `n` every adder family accepts.
@@ -88,82 +87,11 @@ pub(crate) fn bit(v: u64, i: u32) -> u64 {
     (v >> i) & 1
 }
 
-/// Drives a bitsliced kernel over a batch of any length: operands are
-/// packed 64 lanes at a time into per-bit lane words
-/// ([`apx_netlist::pack_lanes`], masked to `width`), `kernel(aw, bw, ow)`
-/// computes the output bit-words `ow[..width]`, and the result is
-/// unpacked back into `out` (words above `width` are ignored).
-///
-/// The kernel is `FnMut` so it can own reusable scratch (the multiplier
-/// kernels keep their partial-product column accumulators across chunks
-/// instead of allocating per 64 lanes).
-///
-/// # Panics
-/// Panics unless `a`, `b` and `out` have equal lengths.
-#[inline]
-pub(crate) fn bitsliced_batch(
-    width: u32,
-    a: &[u64],
-    b: &[u64],
-    out: &mut [u64],
-    mut kernel: impl FnMut(&[u64; 64], &[u64; 64], &mut [u64; 64]),
-) {
-    assert!(
-        a.len() == b.len() && a.len() == out.len(),
-        "batch length mismatch"
-    );
-    let mut aw = [0u64; 64];
-    let mut bw = [0u64; 64];
-    let mut ow = [0u64; 64];
-    for ((ac, bc), oc) in a.chunks(64).zip(b.chunks(64)).zip(out.chunks_mut(64)) {
-        pack_lanes(ac, width, &mut aw);
-        pack_lanes(bc, width, &mut bw);
-        kernel(&aw, &bw, &mut ow);
-        unpack_lanes(&mut ow, width, oc);
-    }
-}
-
 /// The signed product `sext(a)·sext(b)` of two `n`-bit patterns, mod
 /// `2^{2n}` — the closed form every exact `n×n` multiplier grid sums to.
 #[inline]
 pub(crate) fn signed_product(a: u64, b: u64, n: u32) -> u64 {
     to_u(sext(a, n).wrapping_mul(sext(b, n)), 2 * n)
-}
-
-/// Word-parallel carry-save column compressor — the bitsliced twin of the
-/// netlist generators' Wallace compression, with every partial-product
-/// "gate" evaluated for 64 lanes per word op (the same trick as
-/// [`crate::FaType::apply64`], here with exact full/half-adder cells).
-///
-/// `cols[c]` holds 64-lane term words of weight `2^c`; each column is
-/// reduced to a single word by exact full adders (`sum = x^y^z`,
-/// `carry = maj(x,y,z)`) whose carries feed column `c+1`, and the final
-/// per-bit words land in `out[..cols.len()]`. Carries out of the top
-/// column are dropped, i.e. the per-lane sum is taken mod
-/// `2^cols.len()` — exactly what the scalar models' mask achieves.
-/// Columns are left empty so the scratch can be reused across chunks.
-pub(crate) fn compress_columns64(cols: &mut [Vec<u64>], out: &mut [u64; 64]) {
-    let width = cols.len();
-    for c in 0..width {
-        while cols[c].len() > 2 {
-            let x = cols[c].pop().unwrap();
-            let y = cols[c].pop().unwrap();
-            let z = cols[c].pop().unwrap();
-            cols[c].push(x ^ y ^ z);
-            if c + 1 < width {
-                cols[c + 1].push((x & y) | (x & z) | (y & z));
-            }
-        }
-        if cols[c].len() == 2 {
-            let x = cols[c].pop().unwrap();
-            let y = cols[c].pop().unwrap();
-            cols[c].push(x ^ y);
-            if c + 1 < width {
-                cols[c + 1].push(x & y);
-            }
-        }
-        out[c] = cols[c].pop().unwrap_or(0);
-    }
 }
 
 /// Signed difference between two `bits`-bit patterns, interpreted as the
@@ -216,6 +144,30 @@ pub(crate) fn cross_verify(op: &dyn crate::ApxOperator) {
     if let Err(e) = result {
         panic!("{}: {e}", op.name());
     }
+}
+
+/// Test-only operand pairs for checking a closed form against its
+/// grid walk at width `n` without enumerating every pair: every pair of
+/// the corner operands `0, 1, mask, mask>>1, (mask>>1)+1`, then `random`
+/// pairs drawn by a splitmix64 stream from `seed`.
+#[cfg(test)]
+pub(crate) fn test_operands(n: u32, random: usize, seed: u64) -> Vec<(u64, u64)> {
+    let m = mask_u(n);
+    let corners = [0, 1, m, m >> 1, (m >> 1) + 1];
+    let mut pairs: Vec<(u64, u64)> = corners
+        .iter()
+        .flat_map(|&a| corners.iter().map(move |&b| (a, b)))
+        .collect();
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) & m
+    };
+    pairs.extend((0..random).map(|_| (next(), next())));
+    pairs
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ fn fxp_report_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn approximate_report_is_bit_identical_across_thread_counts() {
-    // approximate config exercising the bitsliced batch path
+    // approximate config: a speculative adder's word-level closed form
     assert_thread_invariant(OperatorConfig::Aca { n: 16, p: 8 });
 }
 

@@ -74,8 +74,8 @@ fn arb_sized_config() -> impl Strategy<Value = OperatorConfig> {
 
 /// Full-width corner configurations — every family at the widest operand
 /// it accepts (adders n = 32, multipliers n = 24, Booth up to 24) — so
-/// the bitsliced kernels are exercised at their transposition extremes,
-/// not only mid-range.
+/// the closed forms are exercised at their word-width extremes, not only
+/// mid-range.
 fn arb_extreme_config() -> impl Strategy<Value = OperatorConfig> {
     prop_oneof![
         Just(OperatorConfig::AddExact { n: 32 }),
@@ -112,8 +112,8 @@ fn arb_extreme_config() -> impl Strategy<Value = OperatorConfig> {
     ]
 }
 
-/// Deterministic operand batch spanning several 64-lane bitslice chunks
-/// (so transposition edges and ragged tails are exercised).
+/// Deterministic operand batch of `len` lanes, masked to the operand
+/// width (ragged lengths included).
 fn batch_operands(seed: u64, len: usize, mask: u64) -> (Vec<u64>, Vec<u64>) {
     let mut state = seed;
     let mut next = move || {
@@ -212,9 +212,9 @@ proptest! {
     /// Batched evaluation is extensionally equal to the scalar model for
     /// every operator config family — including the multipliers, the
     /// sized variants and the full-width corner configs — the contract
-    /// that lets the accelerated `eval_batch` overrides stand in for
-    /// per-sample loops in the characterization engine. `len` runs over
-    /// ragged tails (len % 64 != 0) as well as exact 64-lane multiples.
+    /// that lets `eval_batch` and its aligned and reference twins stand
+    /// in for per-sample loops in the characterization engine. `len` runs
+    /// over ragged lengths as well as exact 64-lane multiples.
     #[test]
     fn eval_batch_matches_scalar_eval(
         config in prop_oneof![
