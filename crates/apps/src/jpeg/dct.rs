@@ -2,6 +2,7 @@
 //! used by the decode path.
 
 use crate::OperatorCtx;
+use std::sync::LazyLock;
 
 /// Call-site tag of the row pass of the 2-D DCT.
 pub const SITE_DCT_ROW: &str = "jpeg.dct_row";
@@ -81,9 +82,10 @@ fn transpose8(m: &[[i64; 8]; 8]) -> [[i64; 8]; 8] {
 
 /// Two-dimensional 8×8 DCT (rows then columns), through the context.
 pub fn dct8x8_fixed(block: &[[i64; 8]; 8], ctx: &mut OperatorCtx) -> [[i64; 8]; 8] {
-    let coeffs = dct8_coeffs_q13();
-    let rows = dct8_pass(block, &coeffs, SITE_DCT_ROW, ctx);
-    let cols = dct8_pass(&transpose8(&rows), &coeffs, SITE_DCT_COL, ctx);
+    // built once per process: the table is 64 `cos` and 64 `round`
+    static COEFFS: LazyLock<[[i64; 8]; 8]> = LazyLock::new(dct8_coeffs_q13);
+    let rows = dct8_pass(block, &COEFFS, SITE_DCT_ROW, ctx);
+    let cols = dct8_pass(&transpose8(&rows), &COEFFS, SITE_DCT_COL, ctx);
     transpose8(&cols)
 }
 

@@ -17,12 +17,15 @@
 //! Imports are **validate-then-apply**: the whole archive is verified
 //! (format, stamp, every key, every checksum, every local collision)
 //! before the first blob is written, so a bad archive never leaves the
-//! cache half-merged. Writes go through the same unique-temp + atomic
-//! rename path as [`Cache::put`](crate::Cache::put), so an import can
-//! run concurrently with readers, writers and even a `gc`.
+//! cache half-merged. Blobs land as records appended to the directory's
+//! log, as [`Cache::put`](crate::Cache::put) writes them,
+//! so an import can run concurrently with readers, writers and even a
+//! `gc`. The archive format does not depend on the directory layout:
+//! archives packed from the old file-per-blob layout import unchanged.
 
 use crate::error::CacheError;
-use crate::{Cache, CacheKey, KeyBuilder, RecordKind};
+use crate::segment::{self, Kind};
+use crate::{Cache, CacheKey, KeyBuilder};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -57,7 +60,7 @@ struct ArchiveBlob {
     key: String,
     /// Checksum over `key` + `body`, recomputed at import time.
     check: String,
-    /// The blob file's exact bytes (JSON text); imported verbatim so a
+    /// The blob's exact bytes (JSON text); imported verbatim so a
     /// restored blob is byte-identical to the packed one.
     body: String,
 }
@@ -80,7 +83,7 @@ struct ArchiveFile {
 pub struct PackSummary {
     /// Blobs written into the archive.
     pub packed: u64,
-    /// Their total size in bytes (the sum of blob-file sizes).
+    /// Their total size in bytes (the `bytes` of `cache stats`).
     pub bytes: u64,
     /// Selector keys that had no blob in the cache (only non-zero when
     /// packing with a key filter over a partially warm cache).
@@ -123,14 +126,6 @@ fn blob_check(key: &str, body: &str) -> String {
         .hex()
 }
 
-/// Whether `key` is a well-formed blob address (32 lowercase hex digits).
-fn valid_key(key: &str) -> bool {
-    key.len() == 32
-        && key
-            .bytes()
-            .all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
-}
-
 impl Cache {
     /// Packs blobs into a portable archive at `path`, stamped with
     /// `stamp`. With `keys`, only the selected blobs are packed (the
@@ -150,33 +145,38 @@ impl Cache {
         stamp: &ArchiveStamp,
         keys: Option<&[CacheKey]>,
     ) -> Result<PackSummary, CacheError> {
-        self.inner().ok_or(CacheError::Disabled)?;
-        let filter: Option<BTreeSet<String>> =
-            keys.map(|keys| keys.iter().map(|k| k.hex()).collect());
+        let inner = self.inner().ok_or(CacheError::Disabled)?;
+        let filter: Option<BTreeSet<CacheKey>> = keys.map(|keys| keys.iter().copied().collect());
+        let live = {
+            let mut store = inner.store();
+            store.refresh(&inner.dir);
+            store.by_recency()
+        };
         let mut blobs = Vec::new();
         let mut bytes = 0u64;
-        let mut found = BTreeSet::new();
-        for record in self.blob_records() {
-            if let Some(filter) = &filter {
-                if !filter.contains(&record.key) {
-                    continue;
-                }
-                found.insert(record.key.clone());
+        let mut found = 0;
+        for (key, _) in live {
+            if filter.as_ref().is_some_and(|filter| !filter.contains(&key)) {
+                continue;
             }
-            // a blob evicted between the scan and this read is skipped —
-            // packing races a concurrent gc without failing
-            let Ok(body) = std::fs::read_to_string(&record.path) else {
+            found += 1;
+            // a blob that fails its checksum is skipped, like a miss
+            let Some(body) = self
+                .read_live(&key)
+                .and_then(|body| String::from_utf8(body).ok())
+            else {
                 continue;
             };
             bytes += body.len() as u64;
+            let key = key.hex();
             blobs.push(ArchiveBlob {
-                check: blob_check(&record.key, &body),
-                key: record.key,
+                check: blob_check(&key, &body),
+                key,
                 body,
             });
         }
         blobs.sort_by(|a, b| a.key.cmp(&b.key));
-        let missing = filter.map_or(0, |filter| (filter.len() - found.len()) as u64);
+        let missing = filter.map_or(0, |filter| (filter.len() - found) as u64);
         let archive = ArchiveFile {
             format: ARCHIVE_FORMAT.to_owned(),
             version: ARCHIVE_VERSION,
@@ -209,8 +209,8 @@ impl Cache {
     /// stamp against `local`, every blob key's shape, every blob's
     /// checksum, and — for [`ImportMode::Fetch`] — that no local blob
     /// diverges from its archived twin. Only then are the missing blobs
-    /// written, each through the atomic unique-temp + rename path, so a
-    /// concurrent reader, writer or `gc` never observes a torn blob.
+    /// appended, each as one record, so a concurrent reader, writer or
+    /// `gc` never observes a torn blob.
     ///
     /// Every imported blob bumps this handle's `imports` counter. With a
     /// write-time capacity configured, the cache is re-capped after the
@@ -265,22 +265,22 @@ impl Cache {
             Skip,
             Conflict,
         }
+        inner.store().refresh(&inner.dir);
         let mut plan = Vec::with_capacity(archive.blobs.len());
         for blob in &archive.blobs {
-            if !valid_key(&blob.key) {
+            let Some(key) = CacheKey::from_hex(&blob.key) else {
                 return Err(CacheError::CorruptArchive {
                     detail: format!("`{}` is not a valid blob key", blob.key),
                 });
-            }
+            };
             if blob_check(&blob.key, &blob.body) != blob.check {
                 return Err(CacheError::ChecksumMismatch {
                     key: blob.key.clone(),
                 });
             }
-            let local_path = inner.dir.join(format!("{}.json", blob.key));
-            let action = match std::fs::read_to_string(&local_path) {
-                Ok(existing) if existing == blob.body => Action::Skip,
-                Ok(_) => match mode {
+            let action = match self.read_live(&key) {
+                Some(existing) if existing == blob.body.as_bytes() => Action::Skip,
+                Some(_) => match mode {
                     ImportMode::Fetch => {
                         return Err(CacheError::Collision {
                             key: blob.key.clone(),
@@ -288,79 +288,52 @@ impl Cache {
                     }
                     ImportMode::Merge => Action::Conflict,
                 },
-                Err(_) => Action::Write,
+                None => Action::Write,
             };
-            plan.push(action);
+            plan.push((key, action));
         }
 
-        // apply pass: write-once via unique temp + atomic rename
+        // apply pass: one record per new blob, appended to the log
         let mut summary = ImportSummary {
             imported: 0,
             already_present: 0,
             conflicts: 0,
             total: archive.blobs.len() as u64,
         };
-        std::fs::create_dir_all(&inner.dir).map_err(|e| CacheError::Io {
-            op: "create cache dir".to_owned(),
-            path: inner.dir.display().to_string(),
-            message: e.to_string(),
-        })?;
-        for (blob, action) in archive.blobs.iter().zip(plan) {
+        for (blob, (key, action)) in archive.blobs.iter().zip(plan) {
             match action {
                 Action::Skip => summary.already_present += 1,
                 Action::Conflict => summary.conflicts += 1,
                 Action::Write => {
-                    let name = format!("{}.json", blob.key);
-                    if self.write_record_atomic(&name, &blob.body) {
-                        summary.imported += 1;
-                        inner
-                            .counters
-                            .imports
-                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    } else {
+                    if !inner
+                        .store()
+                        .append(&inner.dir, Kind::Put, key, blob.body.as_bytes())
+                    {
                         return Err(CacheError::Io {
                             op: "write blob".to_owned(),
-                            path: inner.dir.join(name).display().to_string(),
-                            message: "write or rename failed".to_owned(),
+                            path: inner.dir.display().to_string(),
+                            message: "the record log could not be created or appended to"
+                                .to_owned(),
                         });
                     }
+                    summary.imported += 1;
+                    inner
+                        .counters
+                        .imports
+                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 }
             }
         }
-        self.enforce_capacity();
+        self.maintain();
         Ok(summary)
     }
 
-    /// Scans the directory for blob records (key + path), classifying
-    /// out stats records, locks and temp files.
-    pub(crate) fn blob_records(&self) -> Vec<BlobRecord> {
-        let Some(inner) = self.inner() else {
-            return Vec::new();
-        };
-        let Ok(entries) = std::fs::read_dir(&inner.dir) else {
-            return Vec::new();
-        };
-        entries
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter_map(|path| match crate::classify(&path) {
-                RecordKind::Blob => {
-                    let key = path
-                        .file_stem()
-                        .and_then(|stem| stem.to_str())
-                        .unwrap_or_default()
-                        .to_owned();
-                    Some(BlobRecord { key, path })
-                }
-                _ => None,
-            })
-            .collect()
+    /// The verified body of `key`'s live blob, if any.
+    fn read_live(&self, key: &CacheKey) -> Option<Vec<u8>> {
+        let inner = self.inner()?;
+        let (file, loc) = inner.store().get(key)?;
+        segment::read_body(&file, &loc)
     }
-}
-
-/// One blob on disk: its key (file stem) and its path.
-pub(crate) struct BlobRecord {
-    pub(crate) key: String,
-    pub(crate) path: std::path::PathBuf,
 }
 
 #[cfg(test)]
@@ -378,9 +351,16 @@ mod tests {
 
     #[test]
     fn key_shape_is_enforced() {
-        assert!(valid_key(&"0123456789abcdef".repeat(2)));
-        assert!(!valid_key("short"));
-        assert!(!valid_key(&"0123456789ABCDEF".repeat(2)), "uppercase");
-        assert!(!valid_key(&"0123456789abcdeg".repeat(2)), "non-hex");
+        let hex = "0123456789abcdef".repeat(2);
+        assert_eq!(CacheKey::from_hex(&hex).map(|k| k.hex()), Some(hex.clone()));
+        assert!(CacheKey::from_hex("short").is_none());
+        let upper = "0123456789ABCDEF".repeat(2);
+        assert!(CacheKey::from_hex(&upper).is_none(), "uppercase");
+        let non_hex = "0123456789abcdeg".repeat(2);
+        assert!(CacheKey::from_hex(&non_hex).is_none(), "non-hex");
+        assert!(
+            CacheKey::from_hex(&format!("+{}", &hex[1..])).is_none(),
+            "sign"
+        );
     }
 }

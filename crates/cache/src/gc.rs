@@ -1,22 +1,42 @@
-//! Size-capped, LRU-first garbage collection under an advisory lock.
+//! Size-capped, LRU-first garbage collection and compaction under an
+//! advisory lock.
 //!
 //! The cache is an accelerator, so it must never grow without bound on
 //! the machines that benefit from it most (CI runners, the `serve`
 //! daemon's host). `gc` brings the directory down to a byte budget by
-//! evicting the **least recently used** blobs first — "used" meaning
-//! the blob file's modification time, which [`Cache::get`] bumps on
-//! every hit (touch-on-hit), so warm blobs survive and stale ones go.
+//! evicting the **least recently used** blobs first. A blob's last use
+//! is the newest stamp among its records: the put that wrote it, and a
+//! touch record that the first hit on it per [`Cache`] handle appends
+//! (later hits on the same handle move only that handle's in-memory
+//! recency, which its own `gc` uses). So warm blobs survive and stale
+//! ones go.
+//!
+//! Every pass also compacts: the surviving blobs are rewritten, least
+//! recently used first and each stamped with its recency, into a fresh
+//! log that is renamed over the old one — dropping the superseded
+//! blobs, the touch records and the evicted blobs. A handle still
+//! appending to the replaced log sees its link count drop to zero after
+//! its next write and writes that record again into the new log, and
+//! `gc` carries over whatever reached the old log between its scan and
+//! the rename, so a concurrent writer never loses a record.
+//!
+//! Two cheaper passes run after writes, best-effort and only when the
+//! lock is free. A handle opened with a write-time capacity evicts
+//! LRU-first down to it by appending one small drop record per evicted
+//! blob. And a log whose dead records (touches, drops, superseded blobs)
+//! outweigh its live ones is compacted, so the log, and every handle's
+//! first scan of it, stays within about twice the live bytes however
+//! long the directory is used without an explicit `gc`.
 //!
 //! Exactly one gc runs at a time per directory: a `gc.lock` file taken
 //! with `O_EXCL` (`create_new`) serves as the advisory lock, with a
 //! stale-steal path (a lock older than [`LOCK_STALE_SECS`] belongs to a
-//! crashed process and is reclaimed). Everything gc deletes is either a
-//! whole blob (readers of a deleted blob see a clean miss — the same
-//! contract as a cold cache) or an abandoned temp file, so gc is safe
-//! to run mid-sweep against live readers and writers.
+//! crashed process and is reclaimed). A reader whose blob was evicted
+//! sees a clean miss — the same contract as a cold cache.
 
 use crate::error::CacheError;
-use crate::{Cache, Inner};
+use crate::segment::{Loc, Store};
+use crate::{Cache, CacheKey, Inner};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -27,12 +47,13 @@ use std::time::{Duration, SystemTime};
 pub const LOCK_STALE_SECS: u64 = 300;
 
 /// Age (seconds) past which a `*.tmp.*` file is an abandoned write (the
-/// writer crashed between `write` and `rename`) and is swept by gc.
-/// Live writers hold their temp for microseconds.
+/// writer crashed between `write` and `rename` of a stats record or an
+/// archive) and is swept by gc. Live writers hold their temp for
+/// microseconds.
 const TEMP_STALE_SECS: u64 = 900;
 
 /// What one `gc` pass did, in the same size definition `cache stats`
-/// reports (blob files only; stats records and locks are not counted
+/// reports (live blobs only; stats records and locks are not counted
 /// and never evicted).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GcSummary {
@@ -47,7 +68,8 @@ pub struct GcSummary {
     /// Blobs remaining after the pass.
     pub remaining_blobs: u64,
     /// Bytes remaining after the pass (≤ the budget, unless a single
-    /// blob is larger than the budget — blobs are evicted whole).
+    /// blob is larger than the budget — blobs are evicted whole). Blobs
+    /// other handles wrote during the pass are kept and not counted.
     pub remaining_bytes: u64,
 }
 
@@ -109,10 +131,11 @@ fn acquire_lock(dir: &Path) -> Result<LockGuard, CacheError> {
 
 impl Cache {
     /// Evicts least-recently-used blobs until the directory's blob bytes
-    /// are ≤ `max_bytes`, under the directory's advisory lock. Also
-    /// sweeps abandoned temp files (crashed writers). Blobs are evicted
-    /// whole, oldest modification time first (ties broken by file name
-    /// for determinism); an evicted blob is simply a future miss.
+    /// are ≤ `max_bytes`, then compacts the survivors into a fresh log,
+    /// under the directory's advisory lock. Also sweeps abandoned temp
+    /// files (crashed writers) and loose blobs of the old file-per-blob
+    /// layout. Blobs are evicted whole, least recent first (ties broken
+    /// by key for determinism); an evicted blob is simply a future miss.
     ///
     /// # Errors
     /// [`CacheError::Disabled`] without a directory, [`CacheError::Busy`]
@@ -121,82 +144,102 @@ impl Cache {
     pub fn gc(&self, max_bytes: u64) -> Result<GcSummary, CacheError> {
         let inner = self.inner().ok_or(CacheError::Disabled)?;
         let _lock = acquire_lock(&inner.dir)?;
-        Ok(self.gc_locked(inner, max_bytes))
+        Ok(gc_locked(inner, max_bytes))
     }
 
-    /// The gc pass itself; the caller holds the lock.
-    fn gc_locked(&self, inner: &Inner, max_bytes: u64) -> GcSummary {
-        self.sweep_stale_temps(inner);
-        // (mtime, name, size, path) — sorting the tuple is LRU-first with
-        // a deterministic name tie-break for same-mtime blobs
-        let mut blobs: Vec<(SystemTime, String, u64, PathBuf)> = self
-            .blob_records()
-            .into_iter()
-            .filter_map(|record| {
-                let meta = std::fs::metadata(&record.path).ok()?;
-                let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-                Some((mtime, record.key, meta.len(), record.path))
-            })
-            .collect();
-        blobs.sort();
-        let mut summary = GcSummary {
-            examined_blobs: blobs.len() as u64,
-            examined_bytes: blobs.iter().map(|(_, _, size, _)| size).sum(),
-            ..GcSummary::default()
-        };
-        let mut remaining = summary.examined_bytes;
-        for (_, _, size, path) in &blobs {
-            if remaining <= max_bytes {
-                break;
-            }
-            if std::fs::remove_file(path).is_ok() {
-                remaining -= size;
-                summary.evicted_blobs += 1;
-                summary.evicted_bytes += size;
-                inner.counters.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        summary.remaining_blobs = summary.examined_blobs - summary.evicted_blobs;
-        summary.remaining_bytes = remaining;
-        summary
-    }
-
-    /// Removes temp files whose writer evidently crashed (older than
-    /// [`TEMP_STALE_SECS`]). Fresh temps belong to live writers and are
-    /// left alone.
-    fn sweep_stale_temps(&self, inner: &Inner) {
-        let Ok(entries) = std::fs::read_dir(&inner.dir) else {
-            return;
-        };
-        let now = SystemTime::now();
-        for path in entries.filter_map(|entry| entry.ok().map(|e| e.path())) {
-            if crate::classify(&path) != crate::RecordKind::Temp {
-                continue;
-            }
-            let stale = std::fs::metadata(&path)
-                .and_then(|m| m.modified())
-                .ok()
-                .and_then(|mtime| now.duration_since(mtime).ok())
-                .is_some_and(|age| age.as_secs() >= TEMP_STALE_SECS);
-            if stale {
-                std::fs::remove_file(&path).ok();
-            }
-        }
-    }
-
-    /// Best-effort re-cap after a write, for caches opened with a
-    /// write-time capacity. Skips silently when another process holds
-    /// the gc lock (that gc will do the capping) or the cache has no
-    /// capacity configured.
-    pub(crate) fn enforce_capacity(&self) {
+    /// Best-effort upkeep after a write: on a handle opened with a
+    /// write-time capacity, evicts least-recently-used blobs until the
+    /// blob bytes fit it, and compacts a log whose dead records outweigh
+    /// its live ones. Skips silently when neither is due or another
+    /// process holds the gc lock (that pass does the upkeep).
+    pub(crate) fn maintain(&self) {
         let Some(inner) = self.inner() else {
             return;
         };
-        let Some(capacity) = inner.capacity_bytes else {
+        let due = |store: &Store| {
+            store.bloated() || inner.capacity_bytes.is_some_and(|cap| store.size().1 > cap)
+        };
+        if !due(&inner.store()) {
+            return;
+        }
+        let Ok(_lock) = acquire_lock(&inner.dir) else {
             return;
         };
-        if let Ok(_lock) = acquire_lock(&inner.dir) {
-            self.gc_locked(inner, capacity);
+        let mut store = inner.store();
+        store.refresh(&inner.dir);
+        if let Some(cap) = inner.capacity_bytes {
+            let live = store.by_recency();
+            let victims = lru_victims(&live, store.size().1, cap);
+            let evicted = store.evict(&inner.dir, &live[..victims]);
+            inner
+                .counters
+                .evictions
+                .fetch_add(evicted, Ordering::Relaxed);
+        }
+        if store.bloated() {
+            let live = store.by_recency();
+            store.compact(&inner.dir, &live);
+        }
+    }
+}
+
+/// How many of `live` (least recently used first, `total` bytes in all)
+/// must go for the rest to fit `budget`.
+fn lru_victims(live: &[(CacheKey, Loc)], total: u64, budget: u64) -> usize {
+    let mut remaining = total;
+    live.iter()
+        .take_while(|(_, loc)| {
+            let over = remaining > budget;
+            remaining -= loc.len();
+            over
+        })
+        .count()
+}
+
+/// The gc pass itself; the caller holds the lock.
+fn gc_locked(inner: &Inner, max_bytes: u64) -> GcSummary {
+    sweep_stale_temps(&inner.dir);
+    crate::segment::remove_loose_blobs(&inner.dir);
+    let mut store = inner.store();
+    store.refresh(&inner.dir);
+    let live = store.by_recency();
+    let (examined_blobs, examined_bytes) = store.size();
+    let victims = lru_victims(&live, examined_bytes, max_bytes);
+    let evicted_bytes = live[..victims].iter().map(|(_, loc)| loc.len()).sum();
+    let (remaining_blobs, remaining_bytes) = store.compact(&inner.dir, &live[victims..]);
+    inner
+        .counters
+        .evictions
+        .fetch_add(victims as u64, Ordering::Relaxed);
+    GcSummary {
+        examined_blobs,
+        examined_bytes,
+        evicted_blobs: victims as u64,
+        evicted_bytes,
+        remaining_blobs,
+        remaining_bytes,
+    }
+}
+
+/// Removes temp files whose writer evidently crashed (older than
+/// [`TEMP_STALE_SECS`]). Fresh temps belong to live writers and are left
+/// alone.
+fn sweep_stale_temps(dir: &Path) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    let now = SystemTime::now();
+    for path in entries.filter_map(|entry| entry.ok().map(|e| e.path())) {
+        if crate::classify(&path) != crate::RecordKind::Temp {
+            continue;
+        }
+        let stale = std::fs::metadata(&path)
+            .and_then(|m| m.modified())
+            .ok()
+            .and_then(|mtime| now.duration_since(mtime).ok())
+            .is_some_and(|age| age.as_secs() >= TEMP_STALE_SECS);
+        if stale {
+            std::fs::remove_file(&path).ok();
         }
     }
 }

@@ -13,19 +13,33 @@
 //!   feed in everything a result depends on (operator config, seed,
 //!   sample counts, cell-library fingerprint, schema version); two runs
 //!   that would compute the same result derive the same key.
-//! * [`Cache`] — a directory of `<key>.json` blobs with atomic writes,
-//!   traffic counters, and graceful degradation: a missing directory,
-//!   an unwritable disk or a corrupted blob never fails the caller —
-//!   the worst case is always "recompute". [`Cache::read_through`] is
-//!   the one cached read: it coalesces identical in-flight reads, so
-//!   each record is computed once per run.
+//! * [`Cache`] — a directory holding one append-only log of records,
+//!   `records.seg`, which every handle of every process appends to with
+//!   `O_APPEND`, so a run that stores a thousand blobs creates no file
+//!   per blob. A record is one framed `write`: a header with the key, a
+//!   stamp, the body length and checksums, then the blob's pretty JSON
+//!   (see `segment.rs` for the exact layout). Lookups go through an
+//!   in-memory index built by streaming the log; bodies stay on disk.
+//!   The newest blob of a key is its live blob, and a blob's recency is
+//!   the newest stamp of its records: its write, or a touch record the
+//!   first hit per handle appends. Dead records (touches, superseded
+//!   and evicted blobs) are compacted away once they outweigh the live
+//!   ones. Missing directories, unwritable disks and torn or corrupted
+//!   records never fail the caller — the worst case is always
+//!   "recompute".
+//!   [`Cache::read_through`] is the one cached read: it coalesces
+//!   identical in-flight reads, so each record is computed once per run.
 //! * **Fleet operations** — [`Cache::pack`] exports blobs as one
 //!   portable, fingerprint-stamped archive and [`Cache::import`] brings
 //!   one in with per-blob verification (see [`mod@archive`]);
-//!   [`Cache::gc`] evicts LRU-first down to a byte budget under an
-//!   advisory lock (see [`mod@gc`]); every write (blob, stats record,
-//!   import) goes through unique-temp + atomic-rename, so parallel
-//!   processes sharing one directory never tear anything.
+//!   [`Cache::gc`] evicts LRU-first down to a byte budget and compacts
+//!   the survivors into a fresh log under an advisory lock (see
+//!   [`mod@gc`]).
+//!
+//! Loose `<key>.json` blobs of the earlier file-per-blob layout are
+//! never read: a cache directory of that layout goes cold once, and
+//! [`Cache::clear`] and [`Cache::gc`] delete its files. Archives carry
+//! blobs across the change — their format never depended on the layout.
 //!
 //! Handles are opened through the [`CacheConfig`] builder:
 //!
@@ -74,18 +88,19 @@
 pub mod archive;
 mod error;
 pub mod gc;
+mod segment;
 
 pub use archive::{ArchiveStamp, ImportMode, ImportSummary, PackSummary};
 pub use error::CacheError;
 pub use gc::GcSummary;
 
+use segment::Store;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::SystemTime;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// FNV-1a 64-bit offset basis (stream 0).
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
@@ -114,6 +129,19 @@ impl CacheKey {
     #[must_use]
     pub fn hex(&self) -> String {
         format!("{:016x}{:016x}", self.hi, self.lo)
+    }
+
+    /// The key whose [`hex`](CacheKey::hex) is `hex` (32 lowercase hex
+    /// digits), if any.
+    pub(crate) fn from_hex(hex: &str) -> Option<CacheKey> {
+        let lower_hex = |b: u8| b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
+        if hex.len() != 32 || !hex.bytes().all(lower_hex) {
+            return None;
+        }
+        Some(CacheKey {
+            hi: u64::from_str_radix(&hex[..16], 16).ok()?,
+            lo: u64::from_str_radix(&hex[16..], 16).ok()?,
+        })
     }
 }
 
@@ -207,26 +235,27 @@ impl KeyBuilder {
 ///
 /// `hits`/`misses`/`writes`/`evictions`/`imports` are this handle's
 /// in-process counters (shared by clones); `blobs`/`bytes` are measured
-/// from disk at the moment [`Cache::stats`] is called, using the same
-/// blob classification `gc` budgets against — so `cache stats` and
-/// `gc --max-bytes` agree on one definition of size.
+/// from the directory's log at the moment [`Cache::stats`] is
+/// called, counting each key's live blob once — the same size `gc`
+/// budgets against, so `cache stats` and `gc --max-bytes` agree on one
+/// definition of size.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Blobs found and successfully deserialized.
     pub hits: u64,
     /// Lookups that found nothing usable (absent, unreadable or corrupt).
     pub misses: u64,
-    /// Blobs written.
+    /// Blobs written (touch records are not writes).
     pub writes: u64,
     /// Blobs evicted by this handle's gc passes (explicit `gc` calls and
     /// write-time capacity enforcement).
     pub evictions: u64,
     /// Blobs imported from archives by this handle.
     pub imports: u64,
-    /// Blob files currently on disk (stats records, locks and temp files
-    /// are classified out — see [`RecordKind`]).
+    /// Keys with a live blob in the directory.
     pub blobs: u64,
-    /// Their total size in bytes.
+    /// The total size of those blobs' bodies in bytes: what the same
+    /// blobs took as one `<key>.json` file each.
     pub bytes: u64,
 }
 
@@ -244,6 +273,8 @@ pub(crate) struct Inner {
     pub(crate) dir: PathBuf,
     pub(crate) counters: Counters,
     pub(crate) capacity_bytes: Option<u64>,
+    /// The index over the directory's log, and the log's descriptor.
+    store: Mutex<Store>,
     /// Keys whose [`Cache::read_through`] is in progress on this handle
     /// or a clone of it.
     claimed: Mutex<HashSet<CacheKey>>,
@@ -284,6 +315,13 @@ impl Drop for Claim<'_> {
 }
 
 impl Inner {
+    /// The store. No user code runs under its lock, and a reader
+    /// re-verifies every body it serves, so a poisoned lock leaves at worst
+    /// a stale index.
+    pub(crate) fn store(&self) -> MutexGuard<'_, Store> {
+        self.store.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Claims `key`, first waiting until no other read-through holds it.
     /// Returns the claim and whether this call had to wait.
     fn claim(&self, key: CacheKey) -> (Claim<'_>, bool) {
@@ -302,17 +340,21 @@ impl Inner {
 
 /// What one file inside a cache directory is.
 ///
-/// The directory holds more than blobs — run-stats records, the gc
-/// lock, in-flight atomic-write temps, and whatever a user drops in by
-/// hand. Every operation that enumerates the directory (`len`, `clear`,
-/// `gc`, `pack`, `stats`) classifies through this enum so each kind is
-/// handled by exactly the operations that own it: `clear` and `gc`
-/// touch only [`RecordKind::Blob`]s, gc's temp sweep only
+/// The directory holds the record log, run-stats records, the gc lock,
+/// in-flight atomic-write temps, and whatever a user drops in by hand.
+/// Every operation that enumerates the directory classifies through this
+/// enum so each kind is handled by exactly the operations that own it:
+/// lookups, `stats`, `pack`, `gc` and `clear` read only
+/// the [`RecordKind::Segment`], gc's temp sweep removes only stale
 /// [`RecordKind::Temp`]s, and [`RecordKind::Other`] files are never
 /// deleted by anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecordKind {
-    /// A content-addressed result blob: `<32 lowercase hex>.json`.
+    /// The append-only log of blob records: `records.seg`.
+    Segment,
+    /// A loose blob of the old file-per-blob layout:
+    /// `<32 lowercase hex>.json`. Never read or written; `clear` and `gc`
+    /// delete it.
     Blob,
     /// A persisted last-run stats record: `last-run-stats.*`.
     RunStats,
@@ -341,14 +383,15 @@ pub fn classify(path: &Path) -> RecordKind {
     if name.ends_with(".lock") {
         return RecordKind::Lock;
     }
-    if let Some(stem) = name.strip_suffix(".json") {
-        if stem.len() == 32
-            && stem
-                .bytes()
-                .all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
-        {
-            return RecordKind::Blob;
-        }
+    if name == segment::LOG {
+        return RecordKind::Segment;
+    }
+    if name
+        .strip_suffix(".json")
+        .and_then(CacheKey::from_hex)
+        .is_some()
+    {
+        return RecordKind::Blob;
     }
     RecordKind::Other
 }
@@ -394,8 +437,8 @@ impl CacheConfig {
         self
     }
 
-    /// Caps the directory at `bytes`: after every write, least-recently
-    /// used blobs are evicted until the blob bytes fit the budget.
+    /// Caps the directory at `bytes`: a write that takes the blob bytes
+    /// over the budget evicts least-recently-used blobs until they fit.
     #[must_use]
     pub fn capacity_bytes(mut self, bytes: u64) -> Self {
         self.capacity_bytes = Some(bytes);
@@ -425,6 +468,7 @@ impl CacheConfig {
                     dir,
                     counters: Counters::default(),
                     capacity_bytes,
+                    store: Mutex::default(),
                     claimed: Mutex::default(),
                     released: Condvar::new(),
                 })),
@@ -436,8 +480,9 @@ impl CacheConfig {
 
 /// A content-addressed store of JSON blobs under one directory.
 ///
-/// * **Cheap to clone** — clones share the directory and the counters,
-///   so a sweep can hand one handle to every parallel task.
+/// * **Cheap to clone** — clones share the directory, the index, the
+///   log's descriptor and the counters, so a sweep can hand one handle to every
+///   parallel task.
 /// * **Best-effort** on the hot path — `get`/`put` IO failures (missing
 ///   directory, full or read-only disk, corrupted blob) are never
 ///   surfaced as errors; a failed read counts as a miss and a failed
@@ -445,14 +490,13 @@ impl CacheConfig {
 ///   Fleet operations ([`Cache::pack`], [`Cache::import`],
 ///   [`Cache::gc`]) move real data and delete files, so they *do*
 ///   return [`CacheError`]s.
-/// * **Self-validating** — a blob that no longer deserializes
-///   (truncated write, schema drift that slipped past the key, manual
-///   tampering) is treated as a miss and deleted so the next `put`
-///   replaces it.
-/// * **Safe under concurrent writers** — every on-disk mutation goes
-///   through a per-call-unique temp file and an atomic rename, and gc
-///   runs under an advisory lock, so parallel processes over one
-///   directory see only whole records.
+/// * **Self-validating** — every record carries a checksum, so a torn
+///   or corrupted blob is a miss, and so is one that no longer
+///   deserializes (schema drift that slipped past the key). The next
+///   `put` of the key appends a newer blob that replaces it.
+/// * **Safe under concurrent writers** — every record is one `O_APPEND`
+///   `write` and carries checksums, and gc runs under an advisory lock,
+///   so parallel processes over one directory see only whole records.
 ///
 /// The default handle is disabled (no directory); see the
 /// [crate docs](crate) and [`Cache::builder`] for opening one.
@@ -502,41 +546,43 @@ impl Cache {
         self.inner.as_deref()
     }
 
-    fn blob_path(inner: &Inner, key: &CacheKey) -> PathBuf {
-        inner.dir.join(format!("{key}.json"))
-    }
-
-    /// Looks up `key` and deserializes the blob into `T`.
+    /// Looks up `key` and deserializes its blob into `T`.
     ///
-    /// Absent, unreadable and corrupt blobs all return `None` (and count
-    /// as misses); corrupt blobs are additionally deleted so they cannot
-    /// shadow a future write. A hit bumps the blob's modification time
-    /// (touch-on-hit), which is the last-touch metadata [`Cache::gc`]'s
-    /// LRU ordering evicts by — recently useful blobs survive a cap.
+    /// Absent, unreadable, corrupt and wrong-shaped blobs all return
+    /// `None` (and count as misses); a blob that fails its checksum is
+    /// dropped from the index, so the next `put` of the key replaces it.
+    /// A key this handle has not seen yet makes the index catch up with
+    /// the log first, reading only what was appended since the last
+    /// read. The first hit per key on a handle appends a small touch
+    /// record, the last-use mark [`Cache::gc`]'s LRU order evicts by.
     #[must_use]
     pub fn get<T: Deserialize>(&self, key: &CacheKey) -> Option<T> {
         let inner = self.inner.as_deref()?;
-        let path = Cache::blob_path(inner, key);
-        let parsed = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| serde_json::from_str::<T>(&text).ok());
+        let found = {
+            let mut store = inner.store();
+            store.ensure_loaded(&inner.dir);
+            store.get(key).or_else(|| {
+                store.refresh(&inner.dir);
+                store.get(key)
+            })
+        };
+        let parsed = found.as_ref().and_then(|(file, loc)| {
+            let body = segment::read_body(file, loc);
+            if body.is_none() {
+                inner.store().forget(key, loc);
+            }
+            let text = String::from_utf8(body?).ok()?;
+            serde_json::from_str::<T>(&text).ok()
+        });
         match parsed {
             Some(value) => {
-                // touch-on-hit: best-effort — a read-only cache dir
-                // still hits, its LRU order just stays write-ordered
-                let _ = std::fs::OpenOptions::new()
-                    .append(true)
-                    .open(&path)
-                    .and_then(|file| file.set_modified(SystemTime::now()));
+                if inner.store().touch(&inner.dir, *key) {
+                    self.maintain();
+                }
                 inner.counters.hits.fetch_add(1, Ordering::Relaxed);
                 Some(value)
             }
             None => {
-                // distinguish "nothing there" (plain miss) from "there
-                // but unusable" (corrupt: delete so a put can heal it)
-                if path.exists() {
-                    std::fs::remove_file(&path).ok();
-                }
                 inner.counters.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
@@ -597,7 +643,7 @@ impl Cache {
     /// per-call-unique temp file and an atomic rename: a concurrent
     /// reader sees either the old record or the new one, never a torn
     /// write. Returns whether the record landed.
-    pub(crate) fn write_record_atomic(&self, name: &str, body: &str) -> bool {
+    fn write_file_atomic(&self, name: &str, body: &str) -> bool {
         let Some(inner) = self.inner.as_deref() else {
             return false;
         };
@@ -608,8 +654,7 @@ impl Cache {
         // unique per process AND per call: concurrent same-name writes
         // (other processes sharing the directory persisting their stats)
         // must never share a temp file, or one writer's truncate could tear
-        // another's in-flight rename. Read-throughs on one handle never
-        // write the same blob at once: each claims its key first
+        // another's in-flight rename
         static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
         let seq = WRITE_SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp = inner
@@ -623,9 +668,11 @@ impl Cache {
         }
     }
 
-    /// Stores `value` under `key`, atomically. Failures are dropped —
-    /// the cache is an accelerator, not a system of record. On a handle
-    /// opened with a capacity, a landed write re-caps the directory.
+    /// Stores `value` under `key`: its pretty JSON, plus a newline, is
+    /// appended to the log as one record. Failures are dropped — the
+    /// cache is an accelerator, not a system of record. On a handle
+    /// opened with a capacity, a write that takes the directory over it
+    /// evicts down to it, LRU-first.
     pub fn put<T: Serialize>(&self, key: &CacheKey, value: &T) {
         let Some(inner) = self.inner.as_deref() else {
             return;
@@ -633,17 +680,27 @@ impl Cache {
         let Ok(json) = serde_json::to_string_pretty(value) else {
             return;
         };
-        if self.write_record_atomic(&format!("{key}.json"), &(json + "\n")) {
+        let landed = {
+            let mut store = inner.store();
+            store.ensure_loaded(&inner.dir);
+            store.append(
+                &inner.dir,
+                segment::Kind::Put,
+                *key,
+                (json + "\n").as_bytes(),
+            )
+        };
+        if landed {
             inner.counters.writes.fetch_add(1, Ordering::Relaxed);
-            self.enforce_capacity();
+            self.maintain();
         }
     }
 
-    /// Number of blobs currently stored (other record kinds — stats,
-    /// locks, temps — are not counted).
+    /// Number of keys with a live blob (stats records, locks and temps
+    /// are not blobs).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.blob_records().len()
+        self.measure().0 as usize
     }
 
     /// Whether the cache holds no blobs.
@@ -652,14 +709,13 @@ impl Cache {
         self.len() == 0
     }
 
-    /// Deletes every blob; returns how many were removed. Stats records,
-    /// locks, in-flight temps and foreign files are left in place — only
-    /// [`RecordKind::Blob`]s are cleared.
+    /// Deletes every blob — the log, and any loose blob of the old
+    /// file-per-blob layout — and returns how many live blobs went.
+    /// Stats records, locks, in-flight temps and foreign files stay.
     pub fn clear(&self) -> usize {
-        self.blob_records()
-            .into_iter()
-            .filter(|record| std::fs::remove_file(&record.path).is_ok())
-            .count()
+        self.inner
+            .as_deref()
+            .map_or(0, |inner| inner.store().clear(&inner.dir))
     }
 
     /// File (inside the cache directory) holding the counters of the
@@ -674,11 +730,11 @@ impl Cache {
     /// Persists a snapshot of this handle's [`Cache::stats`] as the
     /// directory's "last run" record, so a later process (e.g. `apxperf
     /// cache stats --format json`, or a CI assertion) can read what the
-    /// previous run's cache traffic was. Best-effort and atomic, like
-    /// blob writes; a disabled cache ignores the call.
+    /// previous run's cache traffic was. Best-effort, and atomic through
+    /// a temp file and a rename; a disabled cache ignores the call.
     pub fn persist_stats(&self, stats: &CacheStats) {
         if let Ok(json) = serde_json::to_string_pretty(stats) {
-            self.write_record_atomic(Cache::RUN_STATS_FILE, &(json + "\n"));
+            self.write_file_atomic(Cache::RUN_STATS_FILE, &(json + "\n"));
         }
     }
 
@@ -693,7 +749,7 @@ impl Cache {
 
     /// This handle's counters (shared across clones) plus the
     /// directory's current blob count and byte size, measured with the
-    /// same classification [`Cache::gc`] budgets against.
+    /// same definition [`Cache::gc`] budgets against.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         match self.inner.as_deref() {
@@ -713,15 +769,14 @@ impl Cache {
         }
     }
 
-    /// The directory's blob count and total blob bytes — the one size
-    /// definition shared by `stats`, `gc` and the write-time cap.
+    /// The directory's live blob count and their total body bytes — the
+    /// one size definition shared by `stats`, `gc` and the write-time cap.
     fn measure(&self) -> (u64, u64) {
-        self.blob_records()
-            .into_iter()
-            .fold((0, 0), |(blobs, bytes), record| {
-                let size = std::fs::metadata(&record.path).map_or(0, |m| m.len());
-                (blobs + 1, bytes + size)
-            })
+        self.inner.as_deref().map_or((0, 0), |inner| {
+            let mut store = inner.store();
+            store.refresh(&inner.dir);
+            store.size()
+        })
     }
 }
 
@@ -729,6 +784,7 @@ impl Cache {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::time::SystemTime;
 
     static TEST_DIR_ID: AtomicUsize = AtomicUsize::new(0);
 
@@ -799,19 +855,77 @@ mod tests {
         assert_eq!(k, KeyBuilder::new("pinned/v1").push_u64("x", 42).finish());
     }
 
+    /// The record logs of `dir`, by name.
+    fn segments(dir: &Path) -> Vec<PathBuf> {
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| classify(p) == RecordKind::Segment)
+            .collect();
+        paths.sort();
+        paths
+    }
+
     #[test]
-    fn corrupted_blob_is_a_miss_and_gets_deleted() {
+    fn a_corrupted_blob_is_a_miss_and_the_next_put_heals_it() {
         let tmp = TempDir::new();
         let cache = cache_at(&tmp.0);
         let k = key("corrupt");
         cache.put(&k, &vec![9u64]);
-        let path = tmp.0.join(format!("{k}.json"));
-        std::fs::write(&path, "{not json at all").unwrap();
-        assert_eq!(cache.get::<Vec<u64>>(&k), None);
-        assert!(!path.exists(), "corrupt blob must be deleted");
-        // and a fresh put heals it
-        cache.put(&k, &vec![7u64]);
-        assert_eq!(cache.get::<Vec<u64>>(&k), Some(vec![7]));
+        let [seg] = segments(&tmp.0).try_into().unwrap();
+        // flip the stored 9 inside the body
+        let mut bytes = std::fs::read(&seg).unwrap();
+        let nine = bytes.iter().rposition(|&b| b == b'9').unwrap();
+        bytes[nine] = b'8';
+        std::fs::write(&seg, &bytes).unwrap();
+        assert_eq!(cache_at(&tmp.0).len(), 0, "a corrupt blob is not counted");
+        for handle in [cache_at(&tmp.0), cache] {
+            assert_eq!(handle.get::<Vec<u64>>(&k), None, "checksum caught it");
+            assert_eq!(handle.stats().misses, 1);
+            handle.put(&k, &vec![7u64]);
+            assert_eq!(handle.get::<Vec<u64>>(&k), Some(vec![7]));
+        }
+        assert_eq!(cache_at(&tmp.0).get::<Vec<u64>>(&k), Some(vec![7]));
+    }
+
+    #[test]
+    fn a_torn_tail_loses_only_the_torn_record_and_the_next_put_heals_it() {
+        let tmp = TempDir::new();
+        let writer = cache_at(&tmp.0);
+        for i in 0..3u64 {
+            writer.put(&key(&format!("torn{i}")), &vec![i; 32]);
+        }
+        let [seg] = segments(&tmp.0).try_into().unwrap();
+        let len = std::fs::metadata(&seg).unwrap().len();
+        // cut the last record in the middle of its body
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&seg)
+            .unwrap()
+            .set_len(len - 40)
+            .unwrap();
+        // (no hits before the heal: their touch records would grow the
+        // log back past the cut)
+        let reader = cache_at(&tmp.0);
+        assert_eq!(reader.get::<Vec<u64>>(&key("torn2")), None);
+        assert_eq!(reader.len(), 2, "the torn record is not counted");
+        // the writer's handle still points at the cut record: a miss too
+        assert_eq!(writer.get::<Vec<u64>>(&key("torn2")), None);
+        // its next put lands after the torn bytes, and every handle finds
+        // it past them
+        writer.put(&key("torn2"), &vec![2u64; 32]);
+        writer.put(&key("torn3"), &vec![3u64; 2]);
+        for handle in [&writer, &reader, &cache_at(&tmp.0)] {
+            for i in 0..3u64 {
+                let want = vec![i; 32];
+                assert_eq!(
+                    handle.get::<Vec<u64>>(&key(&format!("torn{i}"))),
+                    Some(want)
+                );
+            }
+            assert_eq!(handle.get::<Vec<u64>>(&key("torn3")), Some(vec![3; 2]));
+            assert_eq!(handle.len(), 4);
+        }
     }
 
     #[test]
@@ -863,13 +977,19 @@ mod tests {
         let cache = cache_at(&tmp.0);
         cache.put(&key("real"), &1u64);
         cache.persist_stats(&cache.stats());
-        // foreign and infrastructure files of every other kind:
+        // foreign and infrastructure files of every other kind, and a
+        // loose blob of the old layout, which is never read:
         std::fs::write(tmp.0.join("gc.lock"), "").unwrap();
         std::fs::write(tmp.0.join(format!("{}.tmp.1.2", key("real"))), "{").unwrap();
         std::fs::write(tmp.0.join("notes.json"), "{}").unwrap(); // not a 32-hex stem
         std::fs::write(tmp.0.join("README"), "hands off").unwrap();
+        let loose = tmp.0.join(format!("{}.json", key("loose")));
+        std::fs::write(&loose, "1\n").unwrap();
+        assert_eq!(cache_at(&tmp.0).get::<u64>(&key("loose")), None);
         assert_eq!(cache.len(), 1, "only the real blob counts");
-        assert_eq!(cache.clear(), 1, "only the real blob is removed");
+        assert_eq!(cache.clear(), 1, "only the real blob is counted");
+        assert!(segments(&tmp.0).is_empty(), "the log is gone");
+        assert!(!loose.exists(), "the old layout's blob is gone");
         // everything else survives, and stats still parse sanely
         assert!(tmp.0.join(Cache::RUN_STATS_FILE).exists());
         assert!(tmp.0.join("gc.lock").exists());
@@ -883,6 +1003,9 @@ mod tests {
     #[test]
     fn classification_covers_every_record_kind() {
         let class = |name: &str| classify(Path::new(name));
+        assert_eq!(class("records.seg"), RecordKind::Segment);
+        assert_eq!(class("records.seg.tmp.7.9"), RecordKind::Temp);
+        assert_eq!(class("00000000000000ff-7-0.seg"), RecordKind::Other);
         assert_eq!(class(&format!("{}.json", key("x"))), RecordKind::Blob);
         assert_eq!(class("last-run-stats.v2"), RecordKind::RunStats);
         assert_eq!(class("last-run-stats.v1"), RecordKind::RunStats);
@@ -1139,8 +1262,7 @@ mod tests {
 
     // ---- fleet operations: gc, capacity, archives ----
 
-    /// Backdates a blob's mtime so LRU ordering is deterministic in
-    /// tests regardless of filesystem timestamp granularity.
+    /// Backdates a temp file's mtime past gc's staleness threshold.
     fn backdate(path: &Path, secs_ago: u64) {
         let when = SystemTime::now() - std::time::Duration::from_secs(secs_ago);
         let file = std::fs::OpenOptions::new().append(true).open(path).unwrap();
@@ -1151,54 +1273,150 @@ mod tests {
     fn gc_evicts_lru_first_down_to_the_budget() {
         let tmp = TempDir::new();
         let cache = cache_at(&tmp.0);
+        // written oldest first: gc0 is stalest, gc3 freshest
         let keys: Vec<CacheKey> = (0..4u64).map(|i| key(&format!("gc{i}"))).collect();
         for (i, k) in keys.iter().enumerate() {
             cache.put(k, &vec![i as u64; 16]);
         }
-        // oldest first: gc0 is stalest, gc3 freshest
-        for (i, k) in keys.iter().enumerate() {
-            backdate(&tmp.0.join(format!("{k}.json")), 1000 - 100 * i as u64);
-        }
-        let blob_size = std::fs::metadata(tmp.0.join(format!("{}.json", keys[0])))
-            .unwrap()
-            .len();
-        // budget for roughly two blobs (sizes differ by a few digits)
+        let blob_size = cache.stats().bytes / 4;
+        // budget for two and a half blobs (all four are the same size)
         let budget = 2 * blob_size + blob_size / 2;
         let summary = cache.gc(budget).unwrap();
         assert_eq!(summary.examined_blobs, 4);
         assert_eq!(summary.evicted_blobs, 2);
         assert!(summary.remaining_bytes <= budget);
         assert_eq!(summary.remaining_blobs, 2);
-        // the two *stalest* went; the two freshest survived
-        assert_eq!(cache.get::<Vec<u64>>(&keys[0]), None);
-        assert_eq!(cache.get::<Vec<u64>>(&keys[1]), None);
-        assert!(cache.get::<Vec<u64>>(&keys[2]).is_some());
-        assert!(cache.get::<Vec<u64>>(&keys[3]).is_some());
+        assert_eq!(cache.stats().bytes, summary.remaining_bytes);
+        // the two *stalest* went; the two freshest survived, for this
+        // handle and for a fresh one
+        for handle in [cache_at(&tmp.0), cache.clone()] {
+            assert_eq!(handle.get::<Vec<u64>>(&keys[0]), None);
+            assert_eq!(handle.get::<Vec<u64>>(&keys[1]), None);
+            assert!(handle.get::<Vec<u64>>(&keys[2]).is_some());
+            assert!(handle.get::<Vec<u64>>(&keys[3]).is_some());
+        }
         assert_eq!(cache.stats().evictions, 2);
         assert!(!tmp.0.join("gc.lock").exists(), "lock released");
+        assert_eq!(segments(&tmp.0).len(), 1, "one log, rewritten in place");
     }
 
     #[test]
-    fn touch_on_hit_protects_recently_used_blobs_from_gc() {
+    fn a_hit_protects_its_blob_from_gc_in_process_and_across_handles() {
+        for across in [false, true] {
+            let tmp = TempDir::new();
+            let writer = cache_at(&tmp.0);
+            let old = key("touched-old");
+            let fresh = key("untouched-fresh");
+            writer.put(&old, &vec![1u64; 16]);
+            writer.put(&fresh, &vec![2u64; 16]);
+            let one_blob = writer.stats().bytes / 2;
+            // a hit on the older blob makes it the more recent one: through
+            // this handle's memory, or through another handle's touch record
+            let (reader, collector) = if across {
+                (cache_at(&tmp.0), cache_at(&tmp.0))
+            } else {
+                (writer.clone(), writer.clone())
+            };
+            assert!(reader.get::<Vec<u64>>(&old).is_some());
+            let summary = collector.gc(one_blob + one_blob / 2).unwrap();
+            assert_eq!(summary.evicted_blobs, 1);
+            let check = cache_at(&tmp.0);
+            assert!(
+                check.get::<Vec<u64>>(&old).is_some(),
+                "the touched blob survives"
+            );
+            assert_eq!(check.get::<Vec<u64>>(&fresh), None);
+        }
+    }
+
+    #[test]
+    fn a_gc_elsewhere_never_swallows_a_writers_later_records() {
+        let tmp = TempDir::new();
+        let writer = cache_at(&tmp.0);
+        writer.put(&key("before"), &1u64);
+        // another handle compacts: the writer's log is replaced
+        let summary = cache_at(&tmp.0).gc(u64::MAX).unwrap();
+        assert_eq!((summary.evicted_blobs, summary.remaining_blobs), (0, 1));
+        // the writer's next record must not vanish with the old log
+        writer.put(&key("after"), &2u64);
+        assert_eq!(writer.stats().writes, 2);
+        let reader = cache_at(&tmp.0);
+        assert_eq!(reader.get::<u64>(&key("before")), Some(1));
+        assert_eq!(reader.get::<u64>(&key("after")), Some(2));
+        // and a gc that the writer runs itself keeps appending after it
+        writer.gc(u64::MAX).unwrap();
+        writer.put(&key("last"), &3u64);
+        assert_eq!(cache_at(&tmp.0).len(), 3);
+    }
+
+    #[test]
+    fn a_miss_sees_what_other_handles_wrote_since() {
+        let tmp = TempDir::new();
+        let early = cache_at(&tmp.0);
+        assert_eq!(early.get::<u64>(&key("late")), None, "cold");
+        let other = cache_at(&tmp.0);
+        other.put(&key("late"), &5u64);
+        other.put(&key("later"), &6u64);
+        assert_eq!(early.get::<u64>(&key("late")), Some(5));
+        assert_eq!(early.get::<u64>(&key("later")), Some(6));
+        assert_eq!(early.stats().blobs, 2);
+    }
+
+    #[test]
+    fn a_directory_holds_one_log_however_many_blobs_and_handles() {
         let tmp = TempDir::new();
         let cache = cache_at(&tmp.0);
-        let old = key("touched-old");
-        let fresh = key("untouched-fresh");
-        cache.put(&old, &vec![1u64; 16]);
-        cache.put(&fresh, &vec![2u64; 16]);
-        backdate(&tmp.0.join(format!("{old}.json")), 5000);
-        backdate(&tmp.0.join(format!("{fresh}.json")), 100);
-        // a hit on the stale blob bumps its mtime past the other's
-        assert!(cache.get::<Vec<u64>>(&old).is_some());
-        let one_blob = std::fs::metadata(tmp.0.join(format!("{fresh}.json")))
-            .unwrap()
-            .len();
-        let summary = cache.gc(one_blob + one_blob / 2).unwrap();
-        assert_eq!(summary.evicted_blobs, 1);
+        for i in 0..50u64 {
+            cache.put(&key(&format!("many{i}")), &i);
+        }
+        cache.persist_stats(&cache.stats());
+        assert_eq!(segments(&tmp.0).len(), 1);
+        assert_eq!(std::fs::read_dir(&tmp.0).unwrap().count(), 2, "log + stats");
+        // other handles' hits append touch records to the same log, and
+        // touches are not writes
+        for _ in 0..3 {
+            let warm = cache_at(&tmp.0);
+            for i in 0..50u64 {
+                assert_eq!(warm.get::<u64>(&key(&format!("many{i}"))), Some(i));
+            }
+            let stats = warm.stats();
+            assert_eq!((stats.hits, stats.misses, stats.writes), (50, 0, 0));
+        }
+        assert_eq!(std::fs::read_dir(&tmp.0).unwrap().count(), 2);
+    }
+
+    #[test]
+    fn dead_records_are_compacted_away_once_they_outweigh_the_live_ones() {
+        let tmp = TempDir::new();
+        let big = "x".repeat(64 << 10);
+        let log = tmp.0.join(segment::LOG);
+        let mut longest = 0;
+        // every fresh handle supersedes the same two blobs: all but the
+        // newest copies are dead weight
+        for round in 0..60u64 {
+            let handle = cache_at(&tmp.0);
+            handle.put(&key("big"), &format!("{big}{round}"));
+            handle.put(&key("small"), &round);
+            longest = longest.max(std::fs::metadata(&log).unwrap().len());
+        }
+        let live = cache_at(&tmp.0).stats();
+        assert_eq!(live.blobs, 2);
+        let record = segment::HEADER_LEN as u64 + live.bytes;
         assert!(
-            cache.get::<Vec<u64>>(&old).is_some(),
-            "the touched blob must survive"
+            longest
+                <= 2 * 2 * segment::HEADER_LEN as u64
+                    + 2 * live.bytes
+                    + segment::COMPACT_FLOOR
+                    + record,
+            "the log reached {longest} bytes for {} live",
+            live.bytes
         );
+        assert_eq!(
+            cache_at(&tmp.0).get::<String>(&key("big")),
+            Some(format!("{big}59"))
+        );
+        assert_eq!(segments(&tmp.0).len(), 1);
+        assert!(!tmp.0.join("gc.lock").exists(), "lock released");
     }
 
     #[test]
@@ -1214,16 +1432,18 @@ mod tests {
             .open();
         for i in 0..10u64 {
             capped.put(&key(&format!("cap{i}")), &vec![i; 16]);
+            let bytes = cache_at(&tmp.0).stats().bytes;
+            assert!(
+                bytes <= 3 * blob_size,
+                "put {i}: dir must stay under the cap: {bytes} > {}",
+                3 * blob_size
+            );
         }
         let stats = capped.stats();
-        assert!(
-            stats.bytes <= 3 * blob_size,
-            "dir must stay under the cap: {} > {}",
-            stats.bytes,
-            3 * blob_size
-        );
         assert!(stats.evictions >= 7, "evictions counted: {stats:?}");
         assert!(!tmp.0.join("gc.lock").exists(), "lock released");
+        // the freshest blob always survives
+        assert_eq!(capped.get::<Vec<u64>>(&key("cap9")), Some(vec![9; 16]));
     }
 
     #[test]
@@ -1276,13 +1496,15 @@ mod tests {
         assert_eq!(imported.already_present, 0);
         assert_eq!(imported.conflicts, 0);
         assert_eq!(dst.stats().imports, 3);
-        // byte-identical restore, blob by blob
-        for i in 0..3u64 {
-            let name = format!("{}.json", key(&format!("pk{i}")));
-            let a = std::fs::read(tmp.0.join("src").join(&name)).unwrap();
-            let b = std::fs::read(tmp.0.join("dst").join(&name)).unwrap();
-            assert_eq!(a, b, "restored blob differs: {name}");
-        }
+        // byte-identical restore: the restored directory packs to the
+        // same archive
+        let repacked = tmp.0.join("again.apxcache");
+        dst.pack(&repacked, &stamp(), None).unwrap();
+        assert_eq!(
+            std::fs::read(&archive).unwrap(),
+            std::fs::read(&repacked).unwrap()
+        );
+        assert_eq!(dst.stats().bytes, src.stats().bytes);
         // re-import is a no-op
         let again = dst.import(&archive, &stamp(), ImportMode::Fetch).unwrap();
         assert_eq!(again.imported, 0);
@@ -1447,15 +1669,15 @@ mod tests {
             .filter(|name| name.contains(".tmp."))
             .collect();
         assert!(leftovers.is_empty(), "leaked temps: {leftovers:?}");
-        // every surviving blob parses
-        for record in cache.blob_records() {
-            let text = std::fs::read_to_string(&record.path).unwrap();
-            assert!(
-                serde_json::from_str::<Vec<u64>>(&text).is_ok(),
-                "torn blob on disk: {}",
-                record.key
-            );
+        // every surviving blob verifies and parses, through a fresh index
+        let fresh = cache_at(&tmp.0);
+        for i in 0..25 {
+            if let Some(v) = fresh.get::<Vec<u64>>(&key(&format!("race{i}"))) {
+                assert_eq!(v.len(), 8);
+            }
         }
+        assert_eq!(fresh.stats().misses + fresh.stats().hits, 25);
+        assert_eq!(fresh.stats().hits, fresh.stats().blobs, "torn blob on disk");
         assert!(!tmp.0.join("gc.lock").exists(), "gc lock released");
     }
 }

@@ -64,11 +64,14 @@ fn fig3_second_run_hits_the_cache_and_is_identical_and_fast() {
     let cold_time = cold_start.elapsed();
     assert!(cold.status.success(), "cold run failed: {cold:?}");
 
-    // the cold run populated one blob per adder configuration
-    let blobs = std::fs::read_dir(&dir.0)
+    // the cold run stored one blob per adder configuration, all in one
+    // segment beside the run's stats record
+    let blobs = apx_cache::Cache::builder().dir(&dir.0).open().stats().blobs;
+    assert!(blobs > 90, "expected ~97 blobs, found {blobs}");
+    let files = std::fs::read_dir(&dir.0)
         .expect("cache dir exists after the cold run")
         .count();
-    assert!(blobs > 90, "expected ~97 blobs, found {blobs}");
+    assert_eq!(files, 2, "one segment and one stats record");
 
     let warm_start = Instant::now();
     let warm = run(&args);
@@ -411,11 +414,17 @@ fn pre_schema_bump_cache_dir_recomputes_and_last_run_records_the_miss() {
         .push_json("config", &config)
         .finish();
     assert_ne!(old_key, new_key);
-    std::fs::rename(
-        dir.0.join(format!("{new_key}.json")),
-        dir.0.join(format!("{old_key}.json")),
-    )
-    .expect("cold run must have written the blob under the new key");
+    let report: serde::Value = apx_cache::Cache::builder()
+        .dir(&dir.0)
+        .open()
+        .get(&new_key)
+        .expect("cold run must have written the blob under the new key");
+    let dir = TempDir::new("schema_bump_stale");
+    apx_cache::Cache::builder()
+        .dir(&dir.0)
+        .open()
+        .put(&old_key, &report);
+    let args = [&args[..args.len() - 1], &[dir.path()]].concat();
 
     let warm = run(&args);
     assert!(warm.status.success(), "post-bump report failed: {warm:?}");

@@ -1,9 +1,10 @@
 //! End-to-end tests of the cache fleet operations: pack → fetch
 //! restores a pure-hit rerun with byte-identical stdout, mismatched
 //! archives are rejected without writing anything, `gc` evicts
-//! LRU-first down to the byte budget, and N concurrent `apxperf`
-//! processes sharing one cache directory never tear a blob or leak a
-//! temp file.
+//! LRU-first down to the byte budget, N concurrent `apxperf` processes
+//! sharing one cache directory never tear a blob or leak a temp file,
+//! archives of the old file-per-blob layout still import, and an
+//! in-process run stores the same blobs as the CLI.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -54,20 +55,25 @@ impl Drop for TempDir {
     }
 }
 
-/// The content-addressed report blobs in a cache dir (32-hex `.json`
-/// names), sorted.
-fn blobs_in(dir: &std::path::Path) -> Vec<String> {
-    let mut names: Vec<String> = std::fs::read_dir(dir)
-        .map(|entries| {
-            entries
-                .filter_map(Result::ok)
-                .filter(|e| apx_cache::classify(&e.path()) == apx_cache::RecordKind::Blob)
-                .map(|e| e.file_name().to_string_lossy().into_owned())
-                .collect()
-        })
-        .unwrap_or_default();
-    names.sort();
-    names
+/// The live blobs of a cache dir, as `cache stats` counts them.
+fn blobs_in(dir: &std::path::Path) -> u64 {
+    apx_cache::Cache::builder().dir(dir).open().stats().blobs
+}
+
+/// The `cache pack` archive of a whole cache dir, as bytes.
+fn pack_bytes(dir: &TempDir) -> Vec<u8> {
+    let archive = dir.0.with_extension("apxcache");
+    let out = run(&[
+        "cache",
+        "pack",
+        archive.to_str().unwrap(),
+        "--cache-dir",
+        dir.path(),
+    ]);
+    assert!(out.status.success(), "pack failed: {out:?}");
+    let bytes = std::fs::read(&archive).expect("archive written");
+    std::fs::remove_file(&archive).ok();
+    bytes
 }
 
 /// Any leftover atomic-write temp files in a cache dir.
@@ -103,7 +109,7 @@ fn pack_fetch_restores_a_pure_hit_rerun_with_identical_stdout() {
 
     let cold = report(warm.path());
     assert!(cold.status.success(), "cold run failed: {cold:?}");
-    assert_eq!(blobs_in(&warm.0).len(), 1);
+    assert_eq!(blobs_in(&warm.0), 1);
 
     let packed = run(&["cache", "pack", &archive, "--cache-dir", warm.path()]);
     assert!(packed.status.success(), "pack failed: {packed:?}");
@@ -111,15 +117,13 @@ fn pack_fetch_restores_a_pure_hit_rerun_with_identical_stdout() {
 
     let fetched = run(&["cache", "fetch", &archive, "--cache-dir", fresh.path()]);
     assert!(fetched.status.success(), "fetch failed: {fetched:?}");
-    // byte-identical restore: same blob names, same bytes
-    assert_eq!(blobs_in(&warm.0), blobs_in(&fresh.0));
-    for name in blobs_in(&warm.0) {
-        assert_eq!(
-            std::fs::read(warm.0.join(&name)).unwrap(),
-            std::fs::read(fresh.0.join(&name)).unwrap(),
-            "{name}: restored blob differs"
-        );
-    }
+    // byte-identical restore: the same keys and bytes pack the same
+    assert_eq!(blobs_in(&fresh.0), 1);
+    assert_eq!(
+        pack_bytes(&warm),
+        pack_bytes(&fresh),
+        "restored blob differs"
+    );
 
     // the restored dir serves the rerun purely from cache, byte-identical
     let restored = report(fresh.path());
@@ -189,7 +193,7 @@ fn mismatched_archives_are_rejected_and_write_nothing() {
     assert_eq!(rejected.status.code(), Some(1));
     let err = stderr(&rejected);
     assert!(err.contains("LibraryMismatch"), "{err}");
-    assert_eq!(blobs_in(&fresh.0).len(), 0, "rejected import wrote blobs");
+    assert_eq!(blobs_in(&fresh.0), 0, "rejected import wrote blobs");
 
     // a tampered blob body: checksum rejection, still nothing written
     let tampered = archive.replace(".apxcache", ".tampered.apxcache");
@@ -205,7 +209,7 @@ fn mismatched_archives_are_rejected_and_write_nothing() {
         err.contains("checksum") || err.contains("does not match"),
         "{err}"
     );
-    assert_eq!(blobs_in(&fresh.0).len(), 0, "tampered import wrote blobs");
+    assert_eq!(blobs_in(&fresh.0), 0, "tampered import wrote blobs");
 }
 
 #[test]
@@ -258,23 +262,15 @@ fn gc_evicts_lru_first_down_to_the_byte_budget() {
             dir.path(),
         ]);
         assert!(output.status.success(), "{spec} failed: {output:?}");
+        stderr(&output)
     };
     report("ACA(8,2)");
-    let old_blob = blobs_in(&dir.0)[0].clone();
-    // make the first blob decisively older than the second
-    let backdate = std::time::SystemTime::now() - std::time::Duration::from_secs(3600);
-    std::fs::OpenOptions::new()
-        .append(true)
-        .open(dir.0.join(&old_blob))
-        .and_then(|f| f.set_modified(backdate))
-        .expect("backdate blob");
     report("ADDt(8,4)");
-    assert_eq!(blobs_in(&dir.0).len(), 2);
+    // a later hit makes the first-written blob the most recently used
+    assert!(report("ACA(8,2)").contains("1 hits, 0 misses"));
+    assert_eq!(blobs_in(&dir.0), 2);
 
-    let total: u64 = blobs_in(&dir.0)
-        .iter()
-        .map(|name| std::fs::metadata(dir.0.join(name)).unwrap().len())
-        .sum();
+    let total = apx_cache::Cache::builder().dir(&dir.0).open().stats().bytes;
     let budget = total - 1; // forces exactly one eviction
     let gc = run(&[
         "cache",
@@ -290,14 +286,15 @@ fn gc_evicts_lru_first_down_to_the_byte_budget() {
     let json = stdout(&gc);
     assert!(json.contains("\"evicted_blobs\": 1"), "{json}");
 
-    let survivors = blobs_in(&dir.0);
-    assert_eq!(survivors.len(), 1, "exactly one blob must survive");
-    assert_ne!(survivors[0], old_blob, "gc must evict the LRU blob first");
-    let remaining: u64 = survivors
-        .iter()
-        .map(|name| std::fs::metadata(dir.0.join(name)).unwrap().len())
-        .sum();
+    assert_eq!(blobs_in(&dir.0), 1, "exactly one blob must survive");
+    let remaining = apx_cache::Cache::builder().dir(&dir.0).open().stats().bytes;
     assert!(remaining <= budget, "{remaining} > budget {budget}");
+    // the least recently used blob went, the touched one stayed
+    assert!(
+        report("ADDt(8,4)").contains("0 hits, 1 misses"),
+        "gc must evict the LRU blob first"
+    );
+    assert!(report("ACA(8,2)").contains("1 hits, 0 misses"));
 
     // gc without a budget is a usage-level error, not a silent no-op
     let bad = run(&["cache", "gc", "--cache-dir", dir.path()]);
@@ -308,9 +305,10 @@ fn gc_evicts_lru_first_down_to_the_byte_budget() {
 #[test]
 fn concurrent_processes_sharing_a_cache_dir_never_tear_blobs_or_leak_temps() {
     // N racing `apxperf report` processes over one directory: half pile
-    // onto the same config (write/write race on one blob), half write
-    // distinct configs. Every process must succeed, every blob must be
-    // complete valid JSON, and no atomic-write temp may survive.
+    // onto the same config (write/write race on one key), half write
+    // distinct configs. Every process must succeed, every stored blob
+    // must be complete valid JSON, each key must have one live blob, and
+    // no temp file may survive.
     let dir = TempDir::new("stress");
     let shared = "ACA(8,2)";
     let distinct = ["ADDt(8,4)", "RCAApx(8,3,2)", "ACA(8,3)"];
@@ -343,13 +341,17 @@ fn concurrent_processes_sharing_a_cache_dir_never_tear_blobs_or_leak_temps() {
         assert!(output.status.success(), "{spec} failed under contention");
     }
 
-    let blobs = blobs_in(&dir.0);
-    assert_eq!(blobs.len(), 4, "one blob per distinct config: {blobs:?}");
-    for name in &blobs {
-        let text = std::fs::read_to_string(dir.0.join(name)).expect("blob readable");
+    assert_eq!(blobs_in(&dir.0), 4, "one live blob per distinct config");
+    // every blob reads back whole: the archive holds all four, each
+    // body parses
+    let archive = String::from_utf8(pack_bytes(&dir)).expect("the archive is UTF-8");
+    let archive: serde::Value = serde_json::from_str(&archive).expect("the archive is JSON");
+    let bodies: Vec<String> = archive_bodies(&archive);
+    assert_eq!(bodies.len(), 4, "{archive:?}");
+    for body in &bodies {
         assert!(
-            serde_json::from_str::<serde::Value>(&text).is_ok(),
-            "{name}: torn blob: {text}"
+            serde_json::from_str::<serde::Value>(body).is_ok(),
+            "torn blob: {body}"
         );
     }
     assert_eq!(temps_in(&dir.0), Vec::<String>::new(), "leaked temp files");
@@ -372,4 +374,99 @@ fn concurrent_processes_sharing_a_cache_dir_never_tear_blobs_or_leak_temps() {
         err.contains("1 hits, 0 misses, 0 writes"),
         "post-race rerun must be a pure hit: {err}"
     );
+}
+
+/// The `body` strings of an archive's blobs.
+fn archive_bodies(archive: &serde::Value) -> Vec<String> {
+    let field = |value: &serde::Value, name: &str| -> Option<serde::Value> {
+        value
+            .as_object()?
+            .iter()
+            .find(|(key, _)| key == name)
+            .map(|(_, v)| v.clone())
+    };
+    match field(archive, "blobs") {
+        Some(serde::Value::Array(blobs)) => blobs
+            .iter()
+            .filter_map(|blob| match field(blob, "body") {
+                Some(serde::Value::String(body)) => Some(body),
+                _ => None,
+            })
+            .collect(),
+        other => panic!("no blob array: {other:?}"),
+    }
+}
+
+#[test]
+fn archives_of_the_file_per_blob_layout_still_import() {
+    // packed from a directory of one `<key>.json` file per blob, before
+    // the segment layout: `report ADDt(8,4) --samples 500 --vectors 30`
+    let archive = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/file_per_blob_layout.apxcache"
+    );
+    let dir = TempDir::new("old_archive");
+    let fetched = run(&[
+        "cache",
+        "fetch",
+        archive,
+        "--cache-dir",
+        dir.path(),
+        "--format",
+        "json",
+    ]);
+    assert!(fetched.status.success(), "fetch failed: {fetched:?}");
+    assert!(stdout(&fetched).contains("\"imported\": 1"), "{fetched:?}");
+    let args = ["report", "ADDt(8,4)", "--samples", "500", "--vectors", "30"];
+    let warm = run(&[&args[..], &["--cache-dir", dir.path()]].concat());
+    assert!(
+        stderr(&warm).contains("1 hits, 0 misses, 0 writes"),
+        "{warm:?}"
+    );
+    let computed = run(&[&args[..], &["--no-cache"]].concat());
+    assert_eq!(stdout(&warm), stdout(&computed));
+    // and the restored directory packs back to the same archive bytes
+    assert_eq!(pack_bytes(&dir), std::fs::read(archive).unwrap());
+}
+
+#[test]
+fn an_in_process_run_stores_the_same_blobs_as_the_cli() {
+    use apx_core::query::{self, QueryParams};
+    let cli = TempDir::new("same_cli");
+    let lib = TempDir::new("same_lib");
+    let flags = ["--samples", "1000", "--vectors", "50", "--threads", "2"];
+    for step in [&["fig3"][..], &["app", "fir"][..]] {
+        let out = run(&[step, &flags[..], &["--cache-dir", cli.path()]].concat());
+        assert!(out.status.success(), "{step:?} failed: {out:?}");
+    }
+
+    let params = QueryParams {
+        samples: 1_000,
+        vectors: 50,
+        ..QueryParams::default()
+    };
+    let cells = apx_cells::Library::fdsoi28();
+    let engine = apx_engine::Engine::new(2);
+    let cache = apx_cache::Cache::builder().dir(&lib.0).open();
+    let fig3 = apx_core::sweeps::all_adders_16bit();
+    let _ = apx_core::sweeps::characterize_all_cached(
+        &cells,
+        params.settings(),
+        &fig3,
+        &engine,
+        &cache,
+    );
+    let (workload, seed) = query::resolve_workload(&params, "fir").unwrap();
+    let fir = (query::lookup_family("--family", "points").unwrap().configs)();
+    let _ = apx_core::appenergy::sweep_workload_cached(
+        workload.as_ref(),
+        seed,
+        &cells,
+        params.settings(),
+        &fir,
+        &engine,
+        &cache,
+    );
+    assert!(blobs_in(&cli.0) > 90);
+    assert_eq!(pack_bytes(&cli), pack_bytes(&lib));
 }

@@ -372,12 +372,11 @@ mod tests {
             .finish();
         let new_key = report_cache_key(&lib, &settings, &config);
         assert_ne!(old_key, new_key, "schema bump must move the address");
-        let stale = Cache::builder().dir(&tmp.0).open();
-        stale.put(&old_key, &report);
+        let warm = TempDir::new();
+        Cache::builder().dir(&warm.0).open().put(&old_key, &report);
 
         // Fresh session over the warm dir: the v1 blob is invisible.
-        let cache2 = Cache::builder().dir(&tmp.0).open();
-        std::fs::remove_file(tmp.0.join(format!("{new_key}.json"))).unwrap();
+        let cache2 = Cache::builder().dir(&warm.0).open();
         let mut chz2 = Characterizer::new(&lib)
             .with_settings(settings)
             .with_cache(cache2.clone());
@@ -399,15 +398,18 @@ mod tests {
             .with_cache(cache.clone());
         let cold = chz.characterize(&config);
 
+        // a newer blob under the report's key that is not a report
         let key = report_cache_key(&lib, &settings, &config);
-        let blob = tmp.0.join(format!("{key}.json"));
-        assert!(blob.exists());
-        std::fs::write(&blob, "{\"definitely\": \"not a report\"}").unwrap();
+        cache.put(&key, &"definitely not a report");
 
         let recomputed = chz.characterize(&config);
         assert_eq!(recomputed, cold, "recompute must reproduce the report");
         assert_eq!(cache.stats().hits, 0);
-        assert_eq!(cache.stats().writes, 2, "healed blob is rewritten");
+        assert_eq!(
+            cache.stats().writes,
+            3,
+            "the cold blob, the plant, the heal"
+        );
         // and now it hits again
         assert_eq!(chz.characterize(&config), cold);
         assert_eq!(cache.stats().hits, 1);

@@ -65,8 +65,6 @@ struct BoothPruning {
     min_col: u32,
     /// Keep the inverted-sign bits and the constant vector.
     sign_correction: bool,
-    /// OR-pair the column `min_col - 1` pattern bits into `min_col`.
-    diagonal_compensation: bool,
 }
 
 /// Shared netlist generator for all Booth variants.
@@ -155,7 +153,9 @@ fn booth_netlist(name: String, n: u32, pruning: BoothPruning) -> Netlist {
             }
         }
     }
-    if pruning.diagonal_compensation && pruning.min_col > 0 {
+    // a pruned grid OR-pairs the column `min_col - 1` pattern bits into
+    // `min_col` (diagonal compensation)
+    if pruning.min_col > 0 {
         let comp_col = pruning.min_col - 1;
         let mut diag = Vec::new();
         for k in 0..n / 2 {
@@ -209,31 +209,25 @@ pub struct BoothMul {
 impl BoothMul {
     /// Creates the exact `MULbooth(n,2n)`.
     pub fn exact(n: u32) -> Result<Self, String> {
-        Self::new(n, 0, true, false)
+        Self::new(n, 0, true)
     }
 
     /// Creates `ABM(n)`.
     pub fn abm(n: u32) -> Result<Self, String> {
-        Self::new(n, n, true, true)
+        Self::new(n, n, true)
     }
 
     /// Creates `ABMu(n)`.
     pub fn abm_uncorrected(n: u32) -> Result<Self, String> {
-        Self::new(n, n, false, true)
+        Self::new(n, n, false)
     }
 
     /// The arguments after `n` are the fields of [`BoothPruning`].
-    fn new(
-        n: u32,
-        min_col: u32,
-        sign_correction: bool,
-        diagonal_compensation: bool,
-    ) -> Result<Self, String> {
+    fn new(n: u32, min_col: u32, sign_correction: bool) -> Result<Self, String> {
         check_booth_width(n)?;
         let pruning = BoothPruning {
             min_col,
             sign_correction,
-            diagonal_compensation,
         };
         Ok(BoothMul { n, pruning })
     }
@@ -296,14 +290,12 @@ impl ApxOperator for BoothMul {
             let signs = (((x1 | x2) & sign_a) ^ hi) & even;
             total = total.wrapping_sub(signs << 1);
         }
-        if self.pruning.diagonal_compensation {
-            // the column n-1 pattern bit of every row as one word (row k at
-            // bit 2k), OR-ed in adjacent row pairs (2j, 2j+1)
-            let rev = a.reverse_bits() >> (64 - n);
-            let diag = (((x1 & rev) | (x2 & rev >> 1)) ^ hi) & even;
-            let comp = (diag | diag >> 2) & 0x1111_1111_1111_1111;
-            total = total.wrapping_add(u64::from(comp.count_ones()));
-        }
+        // diagonal compensation: the column n-1 pattern bit of every row as
+        // one word (row k at bit 2k), OR-ed in adjacent row pairs (2j, 2j+1)
+        let rev = a.reverse_bits() >> (64 - n);
+        let diag = (((x1 & rev) | (x2 & rev >> 1)) ^ hi) & even;
+        let comp = (diag | diag >> 2) & 0x1111_1111_1111_1111;
+        total = total.wrapping_add(u64::from(comp.count_ones()));
         total & m
     }
     fn netlist(&self) -> Netlist {
@@ -368,7 +360,7 @@ mod tests {
             };
             total += u128::from(kept_const);
         }
-        if pruning.diagonal_compensation && pruning.min_col > 0 {
+        if pruning.min_col > 0 {
             let comp_col = pruning.min_col - 1;
             let mut diag = Vec::new();
             for k in 0..n / 2 {
@@ -406,7 +398,6 @@ mod tests {
         let pruning = BoothPruning {
             min_col: 0,
             sign_correction: true,
-            diagonal_compensation: false,
         };
         for n in [4u32, 6, 8] {
             for a in 0..1u64 << n {
