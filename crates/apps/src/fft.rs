@@ -7,7 +7,7 @@
 //! the reason the paper can run it on 16-bit operators).
 
 use crate::workload::{Prepared, Workload, WorkloadRun};
-use crate::{OpCounts, OperatorCtx};
+use crate::OperatorCtx;
 use apx_fixture::signal;
 use apx_metrics::QualityScore;
 use apx_operators::{SiteOps, SiteSpec};
@@ -102,88 +102,6 @@ pub fn fft_fixed(re: &mut [i64], im: &mut [i64], ctx: &mut OperatorCtx) {
     }
 }
 
-/// Result of one FFT run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FftResult {
-    /// Real output.
-    pub re: Vec<i64>,
-    /// Imaginary output.
-    pub im: Vec<i64>,
-    /// PSNR against the exact-arithmetic fixed-point reference.
-    pub score: QualityScore,
-    /// Operations executed through the context.
-    pub counts: OpCounts,
-}
-
-/// The paper's FFT workload: a 32-point transform on 16-bit random data,
-/// with the exact-context output as the accuracy reference.
-#[derive(Debug, Clone)]
-pub struct FftFixture {
-    input_re: Vec<i64>,
-    input_im: Vec<i64>,
-    ref_re: Vec<i64>,
-    ref_im: Vec<i64>,
-}
-
-impl FftFixture {
-    /// 32-point FFT fixture on a seeded uniform random Q15 signal
-    /// (amplitude 1/4 full scale, the usual headroom choice).
-    #[must_use]
-    pub fn radix2_32(seed: u64) -> Self {
-        FftFixture::new(32, seed)
-    }
-
-    /// Fixture with an arbitrary power-of-two size.
-    ///
-    /// # Panics
-    /// Panics if `n` is not a power of two ≥ 2.
-    #[must_use]
-    pub fn new(n: usize, seed: u64) -> Self {
-        assert!(n.is_power_of_two() && n >= 2, "n must be a power of two");
-        let (input_re, input_im) = signal::random_q15(n, 8_191, seed);
-        let mut ref_re = input_re.clone();
-        let mut ref_im = input_im.clone();
-        let mut exact = OperatorCtx::exact();
-        fft_fixed(&mut ref_re, &mut ref_im, &mut exact);
-        FftFixture {
-            input_re,
-            input_im,
-            ref_re,
-            ref_im,
-        }
-    }
-
-    /// Transform length.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.input_re.len()
-    }
-
-    /// Whether the fixture is empty (never true; included for API
-    /// completeness alongside [`FftFixture::len`]).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.input_re.is_empty()
-    }
-
-    /// Runs the FFT through `ctx`, scoring against the exact reference.
-    pub fn run(&self, ctx: &mut OperatorCtx) -> FftResult {
-        ctx.reset_counts();
-        let mut re = self.input_re.clone();
-        let mut im = self.input_im.clone();
-        fft_fixed(&mut re, &mut im, ctx);
-        let reference: Vec<i64> = self.ref_re.iter().chain(&self.ref_im).copied().collect();
-        let test: Vec<i64> = re.iter().chain(&im).copied().collect();
-        let score = QualityScore::psnr(&reference, &test);
-        FftResult {
-            re,
-            im,
-            score,
-            counts: ctx.counts(),
-        }
-    }
-}
-
 /// The registered FFT workload: an `n`-point transform (default the
 /// paper's 32) on a seeded random Q15 signal, scored by output PSNR.
 #[derive(Debug, Clone, Copy)]
@@ -226,12 +144,19 @@ impl Workload for FftWorkload {
     }
 
     fn prepare(&self, seed: u64) -> Prepared<'_> {
-        let fixture = FftFixture::new(self.len, seed);
+        // uniform random Q15 input at 1/4 full scale, the usual headroom
+        let (input_re, input_im) = signal::random_q15(self.len, 8_191, seed);
+        let (mut ref_re, mut ref_im) = (input_re.clone(), input_im.clone());
+        fft_fixed(&mut ref_re, &mut ref_im, &mut OperatorCtx::exact());
+        let reference: Vec<i64> = ref_re.into_iter().chain(ref_im).collect();
         Box::new(move |ctx| {
-            let result = fixture.run(ctx);
+            ctx.reset_counts();
+            let (mut re, mut im) = (input_re.clone(), input_im.clone());
+            fft_fixed(&mut re, &mut im, ctx);
+            let test: Vec<i64> = re.into_iter().chain(im).collect();
             WorkloadRun {
-                score: result.score,
-                counts: result.counts,
+                score: QualityScore::psnr(&reference, &test),
+                counts: ctx.counts(),
                 aux: Vec::new(),
             }
         })
@@ -246,21 +171,17 @@ mod tests {
 
     #[test]
     fn exact_run_scores_infinite_psnr() {
-        let fixture = FftFixture::radix2_32(1);
-        let mut ctx = OperatorCtx::exact();
-        let result = fixture.run(&mut ctx);
-        assert_eq!(result.score, QualityScore::PsnrDb(f64::INFINITY));
+        let run = FftWorkload::default().run(1, &mut OperatorCtx::exact());
+        assert_eq!(run.score, QualityScore::PsnrDb(f64::INFINITY));
     }
 
     #[test]
     fn op_counts_match_the_radix2_structure() {
         // n/2·log2(n) butterflies, each 4 muls and 6 adds.
-        let fixture = FftFixture::radix2_32(1);
-        let mut ctx = OperatorCtx::exact();
-        let result = fixture.run(&mut ctx);
+        let run = FftWorkload::default().run(1, &mut OperatorCtx::exact());
         let butterflies = 32 / 2 * 5;
-        assert_eq!(result.counts.muls, 4 * butterflies);
-        assert_eq!(result.counts.adds, 6 * butterflies);
+        assert_eq!(run.counts.muls, 4 * butterflies);
+        assert_eq!(run.counts.adds, 6 * butterflies);
     }
 
     #[test]
@@ -288,10 +209,11 @@ mod tests {
 
     #[test]
     fn truncated_adders_degrade_psnr_monotonically() {
-        let fixture = FftFixture::radix2_32(3);
+        let workload = FftWorkload::default();
+        let fft = workload.prepare(3);
         let psnr_of = |q: u32| {
             let mut ctx = OperatorCtx::for_config(&OperatorConfig::AddTrunc { n: 16, q });
-            fixture.run(&mut ctx).score.value()
+            fft(&mut ctx).score.value()
         };
         let (hi, mid, lo) = (psnr_of(15), psnr_of(11), psnr_of(7));
         assert!(hi > mid && mid > lo, "psnr {hi} > {mid} > {lo} expected");
@@ -300,13 +222,12 @@ mod tests {
 
     #[test]
     fn approximate_adder_also_degrades_output() {
-        let fixture = FftFixture::radix2_32(3);
         let mut ctx = OperatorCtx::for_config(&OperatorConfig::RcaApx {
             n: 16,
             m: 4,
             fa_type: apx_operators::FaType::Three,
         });
-        let result = fixture.run(&mut ctx);
-        assert!(result.score.value() < 40.0);
+        let run = FftWorkload::default().run(3, &mut ctx);
+        assert!(run.score.value() < 40.0);
     }
 }

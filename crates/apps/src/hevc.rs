@@ -145,67 +145,6 @@ fn window_ops(phase: usize, windows: usize) -> OpCounts {
     }
 }
 
-/// Result of one motion-compensation run.
-#[derive(Debug, Clone)]
-pub struct McResult {
-    /// The predicted frame.
-    pub predicted: Image,
-    /// Operations executed through the context.
-    pub counts: OpCounts,
-}
-
-/// The paper's HEVC workload: a synthetic frame and a quarter-pel motion
-/// field, with the exact-arithmetic prediction as MSSIM reference.
-#[derive(Debug, Clone)]
-pub struct McFixture {
-    frame: Image,
-    motion: MotionField,
-    reference: Image,
-}
-
-impl McFixture {
-    /// Builds a `size × size` fixture with 16-pixel blocks.
-    ///
-    /// # Panics
-    /// Panics if `size` is not a positive multiple of 16.
-    #[must_use]
-    pub fn synthetic(size: usize, seed: u64) -> Self {
-        assert!(
-            size > 0 && size.is_multiple_of(16),
-            "size must be a multiple of 16"
-        );
-        let frame = apx_fixture::image::synthetic_photo(size, size, seed);
-        let motion = apx_fixture::motion::motion_field(size, size, 16, seed.wrapping_add(1));
-        let mut exact = OperatorCtx::exact();
-        let reference = motion_compensate(&frame, &motion, &mut exact).predicted;
-        McFixture {
-            frame,
-            motion,
-            reference,
-        }
-    }
-
-    /// The source frame.
-    #[must_use]
-    pub fn frame(&self) -> &Image {
-        &self.frame
-    }
-
-    /// Runs motion compensation through `ctx`; returns the result and the
-    /// MSSIM against the exact-arithmetic prediction.
-    pub fn run(&self, ctx: &mut OperatorCtx) -> (McResult, QualityScore) {
-        ctx.reset_counts();
-        let result = motion_compensate(&self.frame, &self.motion, ctx);
-        let score = QualityScore::mssim(
-            self.reference.pixels(),
-            result.predicted.pixels(),
-            self.frame.width(),
-            self.frame.height(),
-        );
-        (result, score)
-    }
-}
-
 /// The registered HEVC motion-compensation workload: a seeded synthetic
 /// frame under a quarter-pel motion field, scored by MSSIM against the
 /// exact-arithmetic prediction.
@@ -245,12 +184,22 @@ impl Workload for McWorkload {
     }
 
     fn prepare(&self, seed: u64) -> Prepared<'_> {
-        let fixture = McFixture::synthetic(self.size, seed);
+        // a synthetic frame under a field of 16-pixel motion blocks
+        let frame = apx_fixture::image::synthetic_photo(self.size, self.size, seed);
+        let motion =
+            apx_fixture::motion::motion_field(self.size, self.size, 16, seed.wrapping_add(1));
+        let reference = motion_compensate(&frame, &motion, &mut OperatorCtx::exact());
         Box::new(move |ctx| {
-            let (result, score) = fixture.run(ctx);
+            ctx.reset_counts();
+            let predicted = motion_compensate(&frame, &motion, ctx);
             WorkloadRun {
-                score,
-                counts: result.counts,
+                score: QualityScore::mssim(
+                    reference.pixels(),
+                    predicted.pixels(),
+                    frame.width(),
+                    frame.height(),
+                ),
+                counts: ctx.counts(),
                 aux: Vec::new(),
             }
         })
@@ -286,7 +235,7 @@ fn block_span(i: usize, count: usize, block_size: usize, len: usize) -> std::ops
 /// pixel, in pixel raster order, to use it, and each block filters
 /// horizontally before vertically, so the site ledger records the sites
 /// in the order of a pixel-by-pixel raster scan.
-pub fn motion_compensate(frame: &Image, motion: &MotionField, ctx: &mut OperatorCtx) -> McResult {
+pub fn motion_compensate(frame: &Image, motion: &MotionField, ctx: &mut OperatorCtx) -> Image {
     let (width, height) = (frame.width(), frame.height());
     let mut pixels = vec![0u8; width * height];
     let mut interpolator = Interpolator::default();
@@ -334,10 +283,7 @@ pub fn motion_compensate(frame: &Image, motion: &MotionField, ctx: &mut Operator
             }
         }
     }
-    McResult {
-        predicted: Image::from_pixels(width, height, pixels),
-        counts: ctx.counts(),
-    }
+    Image::from_pixels(width, height, pixels)
 }
 
 /// Operation counts of one fractionally-interpolated output pixel
@@ -377,10 +323,10 @@ mod tests {
             vectors: vec![(8, 4); 4], // +2 px right, +1 px down, no fraction
         };
         let mut ctx = OperatorCtx::exact();
-        let result = motion_compensate(&frame, &motion, &mut ctx);
-        assert_eq!(result.counts.muls, 0, "integer phases use no filter");
+        let predicted = motion_compensate(&frame, &motion, &mut ctx);
+        assert_eq!(ctx.counts().muls, 0, "integer phases use no filter");
         // interior pixels are plain copies
-        assert_eq!(result.predicted.pixel(10, 10), frame.pixel(12, 11),);
+        assert_eq!(predicted.pixel(10, 10), frame.pixel(12, 11),);
     }
 
     #[test]
@@ -393,10 +339,10 @@ mod tests {
             vectors: vec![(2, 2); 4], // half-pel both axes
         };
         let mut ctx = OperatorCtx::exact();
-        let result = motion_compensate(&frame, &motion, &mut ctx);
+        let predicted = motion_compensate(&frame, &motion, &mut ctx);
         // normalized filters reproduce constants exactly
-        assert!(result.predicted.pixels().iter().all(|&p| p == 77));
-        assert!(result.counts.muls > 0);
+        assert!(predicted.pixels().iter().all(|&p| p == 77));
+        assert!(ctx.counts().muls > 0);
     }
 
     #[test]
@@ -467,7 +413,7 @@ mod tests {
             vectors: vec![(5, -3), (0, 2), (-7, 0), (2, 1), (4, 4), (-1, -6)],
         };
         let mut ctx = OperatorCtx::exact();
-        let result = motion_compensate(&frame, &motion, &mut ctx);
+        let predicted = motion_compensate(&frame, &motion, &mut ctx);
         let (mut h, mut v) = (OpCounts::default(), OpCounts::default());
         for (i, &(dx, dy)) in motion.vectors.iter().enumerate() {
             let (w, rows) = (16, if i < 3 { 16 } else { 24 });
@@ -485,25 +431,24 @@ mod tests {
         for y in 0..40 {
             for x in 0..48 {
                 let expected = predicted_pixel(&frame, &motion, x, y);
-                assert_eq!(result.predicted.pixel(x, y), expected, "({x},{y})");
+                assert_eq!(predicted.pixel(x, y), expected, "({x},{y})");
             }
         }
     }
 
     #[test]
     fn exact_context_scores_perfect_mssim() {
-        let fixture = McFixture::synthetic(32, 4);
-        let mut ctx = OperatorCtx::exact();
-        let (_, score) = fixture.run(&mut ctx);
-        assert!((score.value() - 1.0).abs() < 1e-12);
+        let run = McWorkload::new(32).run(4, &mut OperatorCtx::exact());
+        assert!((run.score.value() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn sized_adders_track_the_paper_quality_band() {
         // Table III: ADDt(16,10) reaches MSSIM ≈ 0.99 on the MC filter.
-        let fixture = McFixture::synthetic(64, 4);
+        let workload = McWorkload::new(64);
+        let mc = workload.prepare(4);
         let mut ctx = OperatorCtx::for_config(&OperatorConfig::AddTrunc { n: 16, q: 10 });
-        let (_, score) = fixture.run(&mut ctx);
+        let score = mc(&mut ctx).score;
         assert!(score.value() > 0.9, "ADDt(16,10) MSSIM {score}");
         // and a brutally approximate adder scores worse
         let mut harsh = OperatorCtx::for_config(&OperatorConfig::RcaApx {
@@ -511,7 +456,7 @@ mod tests {
             m: 1,
             fa_type: FaType::Three,
         });
-        let (_, bad) = fixture.run(&mut harsh);
+        let bad = mc(&mut harsh).score;
         assert!(bad < score, "harsh {bad} must be below sized {score}");
         assert!(bad.degradation() > score.degradation());
     }

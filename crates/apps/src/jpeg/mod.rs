@@ -19,7 +19,7 @@ pub use entropy::{
 pub use quant::{quality_table, quantize, zigzag_order, LUMA_Q50};
 
 use crate::workload::{Prepared, Workload, WorkloadRun};
-use crate::{OpCounts, OperatorCtx};
+use crate::OperatorCtx;
 use apx_fixture::image::Image;
 use apx_metrics::QualityScore;
 use apx_operators::{SiteOps, SiteSpec};
@@ -45,66 +45,10 @@ pub struct JpegResult {
     pub bytes: Vec<u8>,
     /// Image reconstructed by the reference decoder.
     pub decoded: Image,
-    /// Operations executed through the context (DCT only — the paper
-    /// replaces only the DCT operators).
-    pub counts: OpCounts,
 }
 
 /// The quantized coefficient blocks of an image (pre-entropy coding).
 type CoeffBlocks = Vec<[[i64; 8]; 8]>;
-
-/// The paper's JPEG workload: a synthetic-photo image encoded at a given
-/// quality, with the exact-arithmetic pipeline as the MSSIM reference.
-#[derive(Debug, Clone)]
-pub struct JpegFixture {
-    image: Image,
-    quality: u32,
-    reference: Image,
-}
-
-impl JpegFixture {
-    /// Builds the fixture: `size × size` synthetic photo, quality-90
-    /// encoding (the paper's setting), exact reference decoded once.
-    ///
-    /// # Panics
-    /// Panics if `size` is not a positive multiple of 8 or `quality` is
-    /// out of `1..=100`.
-    #[must_use]
-    pub fn synthetic(size: usize, quality: u32, seed: u64) -> Self {
-        assert!(
-            size > 0 && size.is_multiple_of(8),
-            "size must be a multiple of 8"
-        );
-        let image = apx_fixture::image::synthetic_photo(size, size, seed);
-        let mut exact = OperatorCtx::exact();
-        let reference = encode_decode(&image, quality, &mut exact).decoded;
-        JpegFixture {
-            image,
-            quality,
-            reference,
-        }
-    }
-
-    /// The input image.
-    #[must_use]
-    pub fn image(&self) -> &Image {
-        &self.image
-    }
-
-    /// Runs the encoder through `ctx` and returns the result together with
-    /// the MSSIM against the exact-arithmetic encoding.
-    pub fn run(&self, ctx: &mut OperatorCtx) -> (JpegResult, QualityScore) {
-        ctx.reset_counts();
-        let result = encode_decode(&self.image, self.quality, ctx);
-        let score = QualityScore::mssim(
-            self.reference.pixels(),
-            result.decoded.pixels(),
-            self.image.width(),
-            self.image.height(),
-        );
-        (result, score)
-    }
-}
 
 /// The registered JPEG workload: a seeded synthetic photo encoded at a
 /// fixed quality with the DCT running through the context, scored by
@@ -150,12 +94,19 @@ impl Workload for JpegWorkload {
     }
 
     fn prepare(&self, seed: u64) -> Prepared<'_> {
-        let fixture = JpegFixture::synthetic(self.size, self.quality, seed);
+        let image = apx_fixture::image::synthetic_photo(self.size, self.size, seed);
+        let reference = encode_decode(&image, self.quality, &mut OperatorCtx::exact()).decoded;
         Box::new(move |ctx| {
-            let (result, score) = fixture.run(ctx);
+            ctx.reset_counts();
+            let result = encode_decode(&image, self.quality, ctx);
             WorkloadRun {
-                score,
-                counts: result.counts,
+                score: QualityScore::mssim(
+                    reference.pixels(),
+                    result.decoded.pixels(),
+                    image.width(),
+                    image.height(),
+                ),
+                counts: ctx.counts(),
                 aux: vec![("stream_bytes".to_owned(), result.bytes.len() as f64)],
             }
         })
@@ -163,7 +114,8 @@ impl Workload for JpegWorkload {
 }
 
 /// Encodes `image` through `ctx` and immediately decodes the stream with
-/// the reference decoder.
+/// the reference decoder. Only the DCT runs through `ctx` (the paper
+/// replaces only the DCT operators), so its ledger holds the DCT ops.
 ///
 /// # Panics
 /// Panics if the image dimensions are not multiples of 8.
@@ -172,11 +124,7 @@ pub fn encode_decode(image: &Image, quality: u32, ctx: &mut OperatorCtx) -> Jpeg
     let bytes = entropy_encode(&blocks);
     let coeffs = entropy_decode(&bytes, blocks.len()).expect("self-produced stream must decode");
     let decoded = reconstruct(&coeffs, image.width(), image.height(), quality);
-    JpegResult {
-        bytes,
-        decoded,
-        counts: ctx.counts(),
-    }
+    JpegResult { bytes, decoded }
 }
 
 /// Level shift + DCT (through `ctx`) + quantization for every 8×8 block,
@@ -380,24 +328,21 @@ fn reconstruct(blocks: &CoeffBlocks, width: usize, height: usize, quality: u32) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apx_fixture::image::synthetic_photo;
     use apx_operators::{FaType, OperatorConfig, OperatorCtx};
 
     #[test]
     fn exact_encoding_scores_perfect_mssim_against_itself() {
-        let fixture = JpegFixture::synthetic(64, 90, 5);
-        let mut ctx = OperatorCtx::exact();
-        let (result, score) = fixture.run(&mut ctx);
-        assert!((score.value() - 1.0).abs() < 1e-12);
-        assert!(!result.bytes.is_empty());
+        let run = JpegWorkload::new(64, 90).run(5, &mut OperatorCtx::exact());
+        assert!((run.score.value() - 1.0).abs() < 1e-12);
+        assert!(run.aux("stream_bytes").is_some_and(|bytes| bytes > 0.0));
     }
 
     #[test]
     fn quality_90_reconstruction_is_visually_close_to_the_source() {
-        let fixture = JpegFixture::synthetic(64, 90, 5);
-        let mut ctx = OperatorCtx::exact();
-        let (result, _) = fixture.run(&mut ctx);
-        let score_vs_source =
-            apx_metrics::mssim(fixture.image().pixels(), result.decoded.pixels(), 64, 64);
+        let image = synthetic_photo(64, 64, 5);
+        let result = encode_decode(&image, 90, &mut OperatorCtx::exact());
+        let score_vs_source = apx_metrics::mssim(image.pixels(), result.decoded.pixels(), 64, 64);
         assert!(
             score_vs_source > 0.85,
             "q90 MSSIM vs source: {score_vs_source}"
@@ -406,9 +351,8 @@ mod tests {
 
     #[test]
     fn compressed_stream_is_smaller_than_raw() {
-        let fixture = JpegFixture::synthetic(128, 90, 6);
-        let mut ctx = OperatorCtx::exact();
-        let (result, _) = fixture.run(&mut ctx);
+        let image = synthetic_photo(128, 128, 6);
+        let result = encode_decode(&image, 90, &mut OperatorCtx::exact());
         assert!(
             result.bytes.len() < 128 * 128,
             "stream {} bytes !< raw {}",
@@ -419,25 +363,25 @@ mod tests {
 
     #[test]
     fn dct_ops_are_counted() {
-        let fixture = JpegFixture::synthetic(32, 90, 2);
         let mut ctx = OperatorCtx::exact();
-        let (result, _) = fixture.run(&mut ctx);
+        encode_decode(&synthetic_photo(32, 32, 2), 90, &mut ctx);
         // 16 blocks * 16 1-D DCTs * 8 outputs * 8 muls
-        assert_eq!(result.counts.muls, 16 * 16 * 64);
-        assert_eq!(result.counts.adds, 16 * 16 * 8 * 7);
+        assert_eq!(ctx.counts().muls, 16 * 16 * 64);
+        assert_eq!(ctx.counts().adds, 16 * 16 * 8 * 7);
     }
 
     #[test]
     fn heavy_approximation_hurts_mssim() {
-        let fixture = JpegFixture::synthetic(64, 90, 5);
+        let workload = JpegWorkload::new(64, 90);
+        let jpeg = workload.prepare(5);
         let mut gentle = OperatorCtx::for_config(&OperatorConfig::AddTrunc { n: 16, q: 15 });
         let mut harsh = OperatorCtx::for_config(&OperatorConfig::RcaApx {
             n: 16,
             m: 2,
             fa_type: FaType::Three,
         });
-        let (_, good) = fixture.run(&mut gentle);
-        let (_, bad) = fixture.run(&mut harsh);
+        let good = jpeg(&mut gentle).score;
+        let bad = jpeg(&mut harsh).score;
         assert!(good > bad, "gentle {good} must beat harsh {bad}");
         assert!(
             good.value() > 0.9,

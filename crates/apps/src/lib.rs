@@ -18,13 +18,18 @@
 //! * [`fir`] — 31-tap low-pass FIR filtering, scored by output SNR.
 //! * [`sobel`] — 2-D Sobel edge detection, scored by edge-map MSSIM.
 //!
-//! All of them sit behind the [`workload`] subsystem: one [`Workload`]
-//! trait (a deterministic seeded fixture with its exact reference, runs
-//! of it through any context, a unified [`QualityScore`]) and one
-//! registry addressable by name — a new
-//! case study is one trait impl plus one registry entry, and the
-//! engine-parallel, cache-aware sweep driver in `apx_core::appenergy`
-//! plus the `apxperf app <name>` CLI come for free.
+//! [`Workload`] is the one way to run a case study: its
+//! [`Workload::prepare`] is the only place that builds a case study's
+//! seeded input and exact reference, and the closure it returns runs the
+//! application through any context and scores it with the unified
+//! [`QualityScore`]. The [`workload`] registry makes each one addressable
+//! by name — a new case study is one trait impl plus one registry entry,
+//! and the engine-parallel, cache-aware sweep driver in
+//! `apx_core::appenergy` plus the `apxperf app <name>` CLI come for
+//! free. Each module also exposes its algorithm as a plain function of
+//! an input and a context (e.g. [`fft::fft_fixed`],
+//! [`hevc::motion_compensate`], [`jpeg::encode_decode`]) for callers
+//! that want the raw output rather than a score.
 //!
 //! The arithmetic-context machinery itself lives in [`apx_operators`] and
 //! is re-exported here for convenience.

@@ -232,6 +232,7 @@ pub fn find(name: &str) -> Option<&'static WorkloadEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apx_operators::OperatorConfig;
 
     #[test]
     fn registry_names_are_unique_and_findable() {
@@ -305,12 +306,22 @@ mod tests {
             .expect(entry.name);
             let mut a = OperatorCtx::exact();
             let mut b = OperatorCtx::exact();
-            assert_eq!(
-                workload.run(7, &mut a),
-                workload.run(7, &mut b),
-                "{}",
-                entry.name
-            );
+            let expected = workload.run(7, &mut a);
+            assert_eq!(workload.run(7, &mut b), expected, "{}", entry.name);
+            // one fixture run exact, approximate, then exact again on the
+            // first context: the approximate run must leave no trace in
+            // the captured input or reference, and each run must start
+            // from an empty ledger
+            let prepared = workload.prepare(7);
+            let mut ctx = OperatorCtx::exact();
+            assert_eq!(prepared(&mut ctx), expected, "{}", entry.name);
+            assert_eq!(ctx.site_counts(), a.site_counts(), "{}", entry.name);
+            prepared(&mut OperatorCtx::for_config(&OperatorConfig::AddTrunc {
+                n: 16,
+                q: 8,
+            }));
+            assert_eq!(prepared(&mut ctx), expected, "{}", entry.name);
+            assert_eq!(ctx.site_counts(), a.site_counts(), "{}", entry.name);
         }
     }
 

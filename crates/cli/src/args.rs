@@ -10,8 +10,7 @@
 
 use apx_cache::Cache;
 use apx_core::query::{parse_positive, parse_uint, QueryParams};
-use apx_core::Engine;
-use apx_engine::MAX_THREADS;
+use apx_engine::{Engine, MAX_THREADS};
 use std::path::PathBuf;
 
 pub use apx_core::output::Format;

@@ -3,9 +3,10 @@
 
 use super::report_cache_use;
 use crate::args::Args;
+use apx_cache::Cache;
 use apx_cells::Library;
 use apx_core::output::{fmt, render};
-use apx_core::{sweeps, Cache, Characterizer};
+use apx_core::{sweeps, Characterizer};
 use apx_netlist::power::{self, PowerSettings};
 use apx_netlist::{verify, HwAnalyzer};
 use apx_operators::{Aam, ApxOperator, OperatorConfig};

@@ -429,12 +429,12 @@ mod tests {
         };
         let serial = Characterizer::new(&lib)
             .with_settings(quick_settings())
-            .with_engine(crate::Engine::new(1))
+            .with_engine(apx_engine::Engine::new(1))
             .with_cache(cache.clone())
             .characterize(&config);
         let threaded = Characterizer::new(&lib)
             .with_settings(quick_settings())
-            .with_engine(crate::Engine::new(4))
+            .with_engine(apx_engine::Engine::new(4))
             .with_cache(cache.clone())
             .characterize(&config);
         assert_eq!(serial, threaded);
@@ -482,7 +482,7 @@ mod tests {
             OperatorConfig::Aca { n: 16, p: 4 },
         ];
         let settings = quick_settings();
-        let engine = crate::Engine::new(2);
+        let engine = apx_engine::Engine::new(2);
         let uncached = crate::sweeps::characterize_all_cached(
             &lib,
             settings,
@@ -556,7 +556,7 @@ mod tests {
 
         // the same guard protects workload cells: plant b's cell under
         // a's cell key, then sweep a twice
-        let engine = crate::Engine::new(1);
+        let engine = apx_engine::Engine::new(1);
         let workload = apx_apps::fir::FirWorkload::default();
         let cell_b = crate::appenergy::sweep_workload(&workload, 7, &lib, settings, &[b], &engine);
         cache.put(

@@ -39,11 +39,14 @@ pub struct CharacterizerSettings {
 }
 
 impl Default for CharacterizerSettings {
+    /// The preset every CLI command and `serve` starts from (the CLI's
+    /// `--samples`, `--vectors` and `--seed` defaults), so a library
+    /// caller's default characterizer shares its reports' cache keys.
     fn default() -> Self {
         CharacterizerSettings {
             error_samples: 100_000,
-            verify_samples: 4_000,
-            exhaustive_up_to_bits: 20,
+            verify_samples: 2_000,
+            exhaustive_up_to_bits: 16,
             power_vectors: 1_500,
             seed: 0xDA7E_2017,
         }

@@ -37,7 +37,7 @@
 //! quality budget, seeded at the best uniform candidate
 //! ([`tune::tune`]).
 //!
-//! Every sampling loop is sharded and runs on an [`Engine`]
+//! Every sampling loop is sharded and runs on an [`Engine`](apx_engine::Engine)
 //! (`APXPERF_THREADS`); per-shard RNG streams are derived from the master
 //! seed and partials merge in shard order, so reports are bit-identical
 //! for any thread count. [`sweeps::characterize_all_cached`] and
@@ -82,7 +82,5 @@ mod report;
 pub mod sweeps;
 pub mod tune;
 
-pub use apx_cache::Cache;
-pub use apx_engine::Engine;
 pub use characterizer::{Characterizer, CharacterizerSettings};
 pub use report::{ErrorSummary, OperatorReport};

@@ -17,9 +17,10 @@
 //! [`overlay_configs`] are the one family, workload and `--family`/`--all`
 //! check. The daemon runs them before it enqueues a job, so an invalid
 //! request is a `400` at submission carrying the CLI's message, never a
-//! failed job. [`QueryParams::settings`] applies the repro preset
-//! (2 000 verification vectors, exhaustive up to 16 operand bits) that
-//! every CLI run uses.
+//! failed job. [`QueryParams::settings`] applies the flags to the
+//! [`CharacterizerSettings::default`] preset (2 000 verification vectors,
+//! exhaustive up to 16 operand bits), the one a library caller's
+//! [`Characterizer::new`] starts from too, so both key a report alike.
 
 use crate::appenergy::{self, WorkloadCell};
 use crate::output::{family, fmt, render, Format};
@@ -32,15 +33,6 @@ use apx_cells::Library;
 use apx_engine::Engine;
 use apx_operators::OperatorConfig;
 
-/// The master seed every run defaults to (the CLI's `--seed` default).
-pub const DEFAULT_SEED: u64 = 0xDA7E_2017;
-
-/// Verification vectors used by all CLI/server runs (the repro preset).
-pub const VERIFY_SAMPLES: usize = 2_000;
-
-/// Exhaustive-verification bound used by all CLI/server runs.
-pub const EXHAUSTIVE_UP_TO_BITS: u32 = 16;
-
 /// The shared query parameters: one struct mirroring the CLI flag
 /// defaults, so the CLI and the server resolve identical inputs to
 /// identical [`CharacterizerSettings`] (and therefore identical cache
@@ -52,8 +44,9 @@ pub struct QueryParams {
     /// Gate-level power-estimation vectors per operator (`--vectors`).
     pub vectors: usize,
     /// Master seed; `None` means "not explicitly set" — settings fall
-    /// back to [`DEFAULT_SEED`] and workload runs fall back to the
-    /// workload's own fixture seed, exactly like the CLI's `--seed`.
+    /// back to the [`CharacterizerSettings::default`] seed and workload
+    /// runs to the workload's own fixture seed, exactly like the CLI's
+    /// `--seed`.
     pub seed: Option<u64>,
     /// Workload size where applicable (`--size`).
     pub size: usize,
@@ -102,16 +95,17 @@ impl QueryParams {
         Ok(true)
     }
 
-    /// The characterizer settings these parameters select (the repro
-    /// preset the CLI has always used).
+    /// The characterizer settings these parameters select: the
+    /// [`CharacterizerSettings::default`] preset with the sample, vector
+    /// and seed flags applied.
     #[must_use]
     pub fn settings(&self) -> CharacterizerSettings {
+        let preset = CharacterizerSettings::default();
         CharacterizerSettings {
             error_samples: self.samples,
-            verify_samples: VERIFY_SAMPLES,
-            exhaustive_up_to_bits: EXHAUSTIVE_UP_TO_BITS,
             power_vectors: self.vectors,
-            seed: self.seed.unwrap_or(DEFAULT_SEED),
+            seed: self.seed.unwrap_or(preset.seed),
+            ..preset
         }
     }
 
@@ -491,10 +485,7 @@ mod tests {
         assert_eq!(params.samples, 100_000);
         assert_eq!(params.vectors, 1_500);
         assert_eq!(params.seed, None);
-        let settings = params.settings();
-        assert_eq!(settings.seed, DEFAULT_SEED);
-        assert_eq!(settings.verify_samples, VERIFY_SAMPLES);
-        assert_eq!(settings.exhaustive_up_to_bits, EXHAUSTIVE_UP_TO_BITS);
+        assert_eq!(params.settings(), CharacterizerSettings::default());
     }
 
     #[test]

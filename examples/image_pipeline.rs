@@ -7,11 +7,16 @@
 //!
 //! Run with: `cargo run --release --example image_pipeline`
 
+use apxperf::apps::jpeg::encode_decode;
 use apxperf::operators::{FaType, OperatorCtx};
 use apxperf::prelude::*;
 
 fn main() {
-    let jpeg = JpegFixture::synthetic(128, 90, 11);
+    // the workload scores each encoding; the PGM files and stream sizes
+    // come from the encoder itself, run on the same seeded image
+    let workload = JpegWorkload::new(128, 90);
+    let jpeg = workload.prepare(11);
+    let photo = image::synthetic_photo(128, 128, 11);
     let contexts = [
         ("exact", None),
         (
@@ -36,7 +41,8 @@ fn main() {
             Some(c) => OperatorCtx::for_config(&c),
             None => OperatorCtx::exact(),
         };
-        let (result, score) = jpeg.run(&mut ctx);
+        let score = jpeg(&mut ctx).score;
+        let result = encode_decode(&photo, 90, &mut ctx);
         let path = out_dir.join(format!("jpeg_{}.pgm", name.replace(['(', ')', ','], "_")));
         std::fs::write(&path, result.decoded.to_pgm()).expect("write PGM");
         println!(
@@ -47,7 +53,8 @@ fn main() {
         );
     }
 
-    let mc = McFixture::synthetic(128, 12);
+    let workload = McWorkload::new(128);
+    let mc = workload.prepare(12);
     println!("\nHEVC quarter-pel motion compensation, 128x128:");
     for (name, config) in [
         ("exact", None),
@@ -61,10 +68,10 @@ fn main() {
             Some(c) => OperatorCtx::for_config(&c),
             None => OperatorCtx::exact(),
         };
-        let (result, score) = mc.run(&mut ctx);
+        let result = mc(&mut ctx);
         println!(
             "  {name:<12} MSSIM {:.4}  ({} adds, {} muls)",
-            score.value(),
+            result.score.value(),
             result.counts.adds,
             result.counts.muls
         );

@@ -8,8 +8,10 @@ use apxperf::operators::OperatorCtx;
 use apxperf::prelude::*;
 
 fn main() {
-    let fixture = KmeansFixture::synthetic(10, 500, 42);
-    let exact = fixture.run_exact();
+    // one data set of 10 clusters × 500 points
+    let workload = KmeansWorkload::new(1, 500);
+    let kmeans = workload.prepare(42);
+    let exact = kmeans(&mut OperatorCtx::exact());
     println!(
         "exact baseline: {:.2}% success ({} distance ops)",
         exact.score.value() * 100.0,
@@ -19,7 +21,7 @@ fn main() {
     println!("\ntruncated-adder width sweep:");
     for q in (4..=15).rev() {
         let mut ctx = OperatorCtx::for_config(&OperatorConfig::AddTrunc { n: 16, q });
-        let r = fixture.run(&mut ctx);
+        let r = kmeans(&mut ctx);
         let bar = "#".repeat((r.score.value() * 40.0) as usize);
         println!("  ADDt(16,{q:>2}): {:>6.2}% {bar}", r.score.value() * 100.0);
     }
@@ -33,7 +35,7 @@ fn main() {
         OperatorConfig::MulTrunc { n: 16, q: 4 },
     ] {
         let mut ctx = OperatorCtx::for_config(&config);
-        let r = fixture.run(&mut ctx);
+        let r = kmeans(&mut ctx);
         println!(
             "  {:<12} {:>6.2}%",
             config.to_string(),

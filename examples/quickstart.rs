@@ -19,14 +19,15 @@ fn main() {
 
     // 2. Application-level comparison: FFT-32 PSNR and data-path energy,
     //    with the partner multiplier sized per operator (eq. (1)).
-    let fixture = FftFixture::radix2_32(7);
+    let workload = FftWorkload::default();
+    let fft = workload.prepare(7);
     for config in [
         OperatorConfig::AddTrunc { n: 16, q: 10 },
         OperatorConfig::Aca { n: 16, p: 12 },
     ] {
         let model = appenergy::model_for(&mut chz, &config);
         let mut ctx = apxperf::operators::OperatorCtx::for_config(&config);
-        let result = fixture.run(&mut ctx);
+        let result = fft(&mut ctx);
         println!(
             "{}: PSNR {:.1} dB, FFT energy {:.3} pJ",
             config,

@@ -34,16 +34,23 @@ pub use apx_netlist as netlist;
 pub use apx_operators as operators;
 
 /// Convenience prelude bringing the commonly used types into scope.
+///
+/// A case study runs one way: build its [`Workload`](apx_apps::Workload)
+/// (e.g. [`FftWorkload`](apx_apps::fft::FftWorkload)), call
+/// [`Workload::prepare`](apx_apps::Workload::prepare) with a seed for the
+/// seeded input and its exact reference, and call the result with an
+/// [`OperatorCtx`](apx_apps::OperatorCtx) per arithmetic variant.
 pub mod prelude {
     pub use apx_apps::{
-        fft::FftFixture, hevc::McFixture, jpeg::JpegFixture, kmeans::KmeansFixture, OpCounts,
-        OperatorCtx,
+        fft::FftWorkload, hevc::McWorkload, jpeg::JpegWorkload, kmeans::KmeansWorkload, OpCounts,
+        OperatorCtx, Workload, WorkloadRun,
     };
     pub use apx_cache::{Cache, CacheKey, CacheStats, KeyBuilder};
     pub use apx_cells::{CellKind, CellSpec, Library, OperatingPoint};
     pub use apx_core::{
-        appenergy, pareto, sweeps, Characterizer, CharacterizerSettings, Engine, OperatorReport,
+        appenergy, pareto, sweeps, Characterizer, CharacterizerSettings, OperatorReport,
     };
+    pub use apx_engine::Engine;
     pub use apx_fixture::{clusters, image, signal};
     pub use apx_metrics::{mssim, psnr_db, ErrorStats, QualityScore};
     pub use apx_netlist::{HwAnalyzer, HwReport, Netlist, NetlistBuilder};

@@ -41,9 +41,8 @@ fn application_energy_pipeline_composes() {
     });
     let config = OperatorConfig::AddTrunc { n: 16, q: 12 };
     let model = appenergy::model_for(&mut chz, &config);
-    let fixture = FftFixture::radix2_32(3);
     let mut ctx = OperatorCtx::for_config(&config);
-    let result = fixture.run(&mut ctx);
+    let result = FftWorkload::default().run(3, &mut ctx);
     let energy = model.energy_pj(result.counts);
     assert!(energy > 0.0);
     assert!(

@@ -101,10 +101,11 @@ fn tables_3_to_6_shape_hidden_cost_of_full_width_datapath() {
 /// MULt(16,4) level while AAM stays at MULt-level accuracy.
 #[test]
 fn table6_shape_abm_collapse() {
-    let fixture = KmeansFixture::synthetic(10, 300, 5);
+    let workload = KmeansWorkload::new(1, 300);
+    let kmeans = workload.prepare(5);
     let run = |config: OperatorConfig| {
         let mut ctx = OperatorCtx::for_config(&config);
-        fixture.run(&mut ctx).score.value()
+        kmeans(&mut ctx).score.value()
     };
     let mult = run(OperatorConfig::MulTrunc { n: 16, q: 16 });
     let aam = run(OperatorConfig::Aam { n: 16 });
@@ -122,12 +123,13 @@ fn table6_shape_abm_collapse() {
 fn fig5_shape_fxp_dominates_fft_energy() {
     let lib = Library::fdsoi28();
     let mut chz = quick_chz(&lib);
-    let fixture = FftFixture::radix2_32(17);
+    let workload = FftWorkload::default();
+    let fft = workload.prepare(17);
 
     let run = |chz: &mut Characterizer<'_>, config: OperatorConfig| {
         let model = appenergy::model_for(chz, &config);
         let mut ctx = OperatorCtx::for_config(&config);
-        let result = fixture.run(&mut ctx);
+        let result = fft(&mut ctx);
         (result.score.value(), model.energy_pj(result.counts))
     };
     let (psnr_fxp, e_fxp) = run(&mut chz, OperatorConfig::AddTrunc { n: 16, q: 12 });

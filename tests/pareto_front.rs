@@ -4,7 +4,7 @@
 //! thread counts.
 
 use apxperf::core::pareto::{analyze, dominates, ParetoSample};
-use apxperf::core::Engine;
+use apxperf::engine::Engine;
 use proptest::prelude::*;
 
 /// Derives a candidate set from a seed, on a deliberately coarse grid

@@ -10,6 +10,8 @@
 //! shutdown drains every accepted job before the server returns.
 
 use apx_cache::Cache;
+use apx_core::appenergy::{sweep_workload, WorkloadCell};
+use apx_core::cache::workload_cell_key;
 use apx_core::output::Format;
 use apx_core::query::{self, QueryParams};
 use apx_engine::Engine;
@@ -423,29 +425,45 @@ fn sweep_and_pareto_jobs_render_the_cli_stdout_bytes() {
 #[test]
 fn the_job_queue_is_bounded_and_overflow_is_a_structured_503() {
     let tmp = TempDir::new("overflow");
-    let params = QueryParams {
-        samples: 5_000,
-        vectors: 100,
-        ..QueryParams::default()
-    };
-    let mut config = config_with(Cache::builder().dir(&tmp.0).open(), params);
+    let params = small_params();
+    let cache = Cache::builder().dir(&tmp.0).open();
+    let mut config = config_with(cache.clone(), params);
     config.queue_capacity = 1;
     let daemon = Daemon::start(config);
 
+    // Hold the read-through claim on the sweep's first cell while the
+    // burst arrives: the daemon's one worker blocks on that claim, so the
+    // first job is still running and every later submission meets a full
+    // queue however fast the sweep would otherwise finish.
+    let lib = Library::fdsoi28();
+    let settings = params.settings();
+    let (workload, seed) = query::resolve_workload(&params, "fir").unwrap();
+    let points = query::lookup_family("--family", "points").unwrap();
+    let first = (points.configs)()[..1].to_vec();
     let body = r#"{"family":"points","workload":"fir","format":"json"}"#;
     let mut accepted = Vec::new();
     let mut rejected = 0_u64;
-    for _ in 0..4 {
-        let (status, response) = post(daemon.addr, "/sweep", body);
-        match status {
-            202 => accepted.push(json_u64(&response, "job")),
-            503 => {
-                assert!(response.contains("job queue full"), "{response}");
-                rejected += 1;
+    cache.read_through(
+        || workload_cell_key(&lib, &settings, workload.as_ref(), seed, &first[0]),
+        |cell: &WorkloadCell| cell.config == first[0],
+        || {
+            for _ in 0..4 {
+                let (status, response) = post(daemon.addr, "/sweep", body);
+                match status {
+                    202 => accepted.push(json_u64(&response, "job")),
+                    503 => {
+                        assert!(response.contains("job queue full"), "{response}");
+                        rejected += 1;
+                    }
+                    other => panic!("unexpected status {other}: {response}"),
+                }
             }
-            other => panic!("unexpected status {other}: {response}"),
-        }
-    }
+            let (_, job) = get(daemon.addr, &format!("/job/{}", accepted[0]));
+            assert!(!job.contains("\"status\":\"done\""), "{job}");
+            let engine = Engine::single_threaded();
+            sweep_workload(workload.as_ref(), seed, &lib, settings, &first, &engine).remove(0)
+        },
+    );
     assert!(!accepted.is_empty(), "some submissions must be accepted");
     assert!(rejected > 0, "capacity 1 must reject a burst of 4");
 

@@ -6,7 +6,8 @@
 use apxperf::apps::workload::{WorkloadParams, WORKLOADS};
 use apxperf::cells::Library;
 use apxperf::core::appenergy::sweep_workload;
-use apxperf::core::{CharacterizerSettings, Engine};
+use apxperf::core::CharacterizerSettings;
+use apxperf::engine::Engine;
 use apxperf::metrics::QualityScore;
 use apxperf::operators::{FaType, OperatorConfig, OperatorCtx};
 use proptest::prelude::*;
